@@ -124,10 +124,10 @@ def _run_harmonic(mesh: RegionMesh, config, tol, rng):
             cochain.to_csv(path)
             written.append(str(path))
         body["basis_files"] = written
+    betti = betti_oracle(mesh, k)
     checks.append(
-        _check("neumann_dimension_matches_betti",
-               neumann.dim == betti_oracle(mesh, k),
-               dimension=neumann.dim, betti=betti_oracle(mesh, k))
+        _check("neumann_dimension_matches_betti", neumann.dim == betti,
+               dimension=neumann.dim, betti=betti)
     )
     res = neumann.max_residual()
     checks.append(
@@ -138,11 +138,10 @@ def _run_harmonic(mesh: RegionMesh, config, tol, rng):
     try:
         dirichlet = harmonic_dirichlet_basis(mesh, k, tol["RANK_REL"])
         body["dirichlet_dim"] = dirichlet.dim
+        dres = dirichlet.max_residual()
         checks.append(
-            _check("dirichlet_harmonic_residual",
-                   dirichlet.max_residual() <= tol["HARMONIC_REL"],
-                   residual=dirichlet.max_residual(),
-                   tolerance=tol["HARMONIC_REL"])
+            _check("dirichlet_harmonic_residual", dres <= tol["HARMONIC_REL"],
+                   residual=dres, tolerance=tol["HARMONIC_REL"])
         )
     except HodgeError as exc:
         checks.append(_check("dirichlet_dimension_matches_oracle", False,

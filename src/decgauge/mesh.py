@@ -132,6 +132,10 @@ class SimplicialComplex:
         )
 
         self.boundary_matrices = self._build_boundary_matrices()
+        # Exact ranks of the boundary matrices, filled in by the homology
+        # oracle: key (k, relative), relative meaning restricted to interior
+        # simplices.
+        self.rank_cache: dict[tuple[int, bool], int] = {}
         self._check_dd_zero()
         self._facet_cofaces = self._build_facet_cofaces()
         self._check_manifold_and_orientation()
