@@ -17,13 +17,12 @@ import numpy as np
 from . import tolerances
 from .dec import (
     Cochain,
+    adjoint_full,
     codifferential,
     d,
     inner_product,
     laplacian0,
     norm,
-    normal_trace,
-    tangential_trace,
 )
 from .hodge import harmonic_neumann_basis
 from .mesh import HypersurfaceMesh, RegionMesh
@@ -110,43 +109,54 @@ def trace_solution(eta: Cochain, sigma: HypersurfaceMesh | None = None,
         raise BoundaryError("solutions live on regions")
     if eta.degree != 1:
         raise BoundaryError("solutions are 1-cochains")
-    res = solution_residual(eta)
-    if res > tolerance:
-        raise BoundaryError(
-            f"field does not satisfy the bulk equation: residual {res:.3e}"
-        )
     if sigma is None:
         sigma = mesh.boundary
         if sigma is None:
             raise BoundaryError("region has empty boundary")
-    phi = tangential_trace(eta, sigma)
-    phi_dot = normal_trace(d(eta), sigma)
-    return BoundaryDatum(phi, phi_dot)
+    phi, phi_dot = trace_columns(mesh, eta.values[:, None], sigma, tolerance)
+    return BoundaryDatum.from_vector(sigma, np.concatenate([phi, phi_dot])[:, 0])
 
 
-def _poisson_fix(sigma: HypersurfaceMesh, component: Cochain) -> Cochain:
-    """Coclosed representative component + d f, f mean-zero per component."""
-    lap = laplacian0(sigma).toarray()
-    rhs = -(sigma.complex.boundary_matrices[1]
-            @ (sigma.star_diagonal(1) * component.values))
-    f, *_ = np.linalg.lstsq(lap, rhs, rcond=None)
-    df = sigma.complex.boundary_matrices[1].T @ f
-    return Cochain(sigma, 1, component.values + df)
+def trace_columns(mesh: RegionMesh, columns, sigma: HypersurfaceMesh,
+                  tolerance=tolerances.SOLUTION_REL):
+    """(phi, phi_dot) matrices of a matrix of bulk solutions, each column
+    gated by its own :func:`solution_residual`."""
+    if sigma.root_region() is not mesh:
+        raise BoundaryError("hypersurface does not belong to the region")
+    s1 = mesh.star_diagonal(1)
+    flux = adjoint_full(mesh, 2) @ (mesh.complex.boundary_matrices[2].T
+                                    @ columns)
+    res = flux * (mesh.interior_simplex_mask(1) / s1)[:, None]
+    res = np.sqrt(np.einsum("ij,i,ij->j", res, s1, res)) / np.maximum(
+        np.sqrt(np.einsum("ij,i,ij->j", columns, s1, columns)), 1e-300)
+    if res.max(initial=0.0) > tolerance:
+        raise BoundaryError(
+            f"field does not satisfy the bulk equation: residual {res.max():.3e}")
+    idx = sigma.region_simplex_map(1)
+    return columns[idx], flux[idx] / sigma.star_diagonal(1)[:, None]
+
+
+def coclosed_projection(sigma: HypersurfaceMesh, x) -> np.ndarray:
+    """Coclosed representatives x + d f of the columns of x, f from one solve
+    of the 0-Laplacian grounded at a vertex per component (d f ignores the
+    constants).  Boundary Laplacians are small, so the solve is dense."""
+    if not sigma.is_closed():
+        raise BoundaryError("coclosed gauge fixing needs a closed hypersurface")
+    bnd = sigma.complex.boundary_matrices[1]
+    free = np.ones(bnd.shape[0], dtype=bool)
+    free[np.unique(sigma.complex.vertex_components(), return_index=True)[1]] = False
+    f = np.zeros((bnd.shape[0], x.shape[1]))
+    f[free] = np.linalg.solve(laplacian0(sigma).toarray()[np.ix_(free, free)],
+                              -(bnd @ (sigma.star_diagonal(1)[:, None] * x))[free])
+    return x + bnd.T @ f
 
 
 def gauge_fix_coclosed(datum: BoundaryDatum) -> BoundaryDatum:
-    """The unique coclosed representative of a datum's gauge orbit.
-
-    Both components are shifted by exact cochains obtained from Poisson
-    solves on the hypersurface (minimum-norm potentials, hence mean zero
-    per connected component); the map is an idempotent projection.
-    """
-    sigma = datum.host
-    if not sigma.is_closed():
-        raise BoundaryError("coclosed gauge fixing needs a closed hypersurface")
-    return BoundaryDatum(
-        _poisson_fix(sigma, datum.phi), _poisson_fix(sigma, datum.phi_dot)
-    )
+    """The unique coclosed representative of a datum's gauge orbit: both
+    components through :func:`coclosed_projection`, an idempotent projection."""
+    fixed = coclosed_projection(
+        datum.host, np.column_stack([datum.phi.values, datum.phi_dot.values]))
+    return BoundaryDatum.from_vector(datum.host, fixed.T.ravel())
 
 
 def coclosed_defect(datum: BoundaryDatum) -> float:

@@ -98,18 +98,19 @@ def from_span(matrix, gram=None, rank_tolerance=tolerances.RANK_REL) -> Subspace
 
 
 def null_space(matrix, gram=None, rank_tolerance=tolerances.RANK_REL,
-               n_columns=None) -> Subspace:
+               n_columns=None, embed=None) -> Subspace:
     """Gram-orthonormal basis of the kernel of ``matrix``.
 
     ``matrix`` may have zero rows; ``n_columns`` disambiguates the ambient
-    dimension in that case.
+    dimension in that case.  With ``embed`` (full column rank) ``matrix`` is
+    ``A @ embed`` and the result ``embed @ ker(matrix)``, in ``embed``'s rows.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         if n_columns is None:
             n_columns = matrix.shape[1] if matrix.ndim == 2 else 0
-        eye = np.eye(n_columns)
-        return from_span(eye, gram=_as_gram(gram, n_columns),
+        eye = np.eye(n_columns) if embed is None else embed
+        return from_span(eye, gram=_as_gram(gram, eye.shape[0]),
                          rank_tolerance=rank_tolerance)
     matrix = np.atleast_2d(matrix)
     rows, cols = matrix.shape
@@ -123,14 +124,13 @@ def null_space(matrix, gram=None, rank_tolerance=tolerances.RANK_REL,
     else:
         rank = int(np.sum(s > rank_tolerance * smax))
     ambiguous = _gap_ambiguous(s[:min(rows, cols)], rank)
-    kernel = vt[rank:].T
-    g = _as_gram(gram, cols)
+    kernel = vt[rank:].T if embed is None else embed @ vt[rank:].T
+    g = _as_gram(gram, kernel.shape[0])
     if kernel.shape[1] == 0:
-        out = Subspace(np.zeros((cols, 0)), g, rank_tolerance)
+        out = Subspace(np.zeros((kernel.shape[0], 0)), g, rank_tolerance)
     else:
-        # The kernel is Euclidean-orthonormal and exactly full rank, so a
-        # Cholesky of its (well-conditioned) weighted Gram re-orthonormalizes
-        # it far cheaper than a second SVD.
+        # The kernel is exactly full rank, so a Cholesky of its weighted
+        # Gram re-orthonormalizes it far cheaper than a second SVD.
         m = kernel.T @ (g[:, None] * kernel)
         try:
             r = np.linalg.cholesky(m)
@@ -151,14 +151,21 @@ def _gap_ambiguous(s, rank, factor=tolerances.RANK_GAP_FACTOR) -> bool:
 
 
 def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
-    """Principal angles (radians) between two subspaces of one ambient space."""
+    """Principal angles (radians, ascending) between two subspaces of one
+    ambient space, in ``a``'s inner product.  Angles below pi/4 come from
+    their sines (Knyazev-Argentati): arccos cannot resolve angles below 1e-8.
+    """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
     if a.dim == 0 or b.dim == 0:
         return np.zeros(0)
     m = a.columns.T @ (a.gram[:, None] * b.columns)
-    s = np.linalg.svd(m, compute_uv=False)
-    return np.arccos(np.clip(s, -1.0, 1.0))
+    cos = np.linalg.svd(m, compute_uv=False)
+    perp = b.columns - a.columns @ m if a.dim >= b.dim else \
+        a.columns - b.columns @ m.T
+    sin = np.linalg.svd(np.sqrt(a.gram)[:, None] * perp, compute_uv=False)
+    small = np.arcsin(np.clip(sin[::-1], 0.0, 1.0))
+    return np.where(cos ** 2 >= 0.5, small, np.arccos(np.clip(cos, -1.0, 1.0)))
 
 
 def contains(outer: Subspace, inner: Subspace,
@@ -171,10 +178,7 @@ def contains(outer: Subspace, inner: Subspace,
     if inner.dim == 0:
         return True, 0.0
     if outer.dim < inner.dim:
-        m = outer.columns.T @ (outer.gram[:, None] * inner.columns)
-        s = np.linalg.svd(m, compute_uv=False)
-        angles = np.arccos(np.clip(s, -1.0, 1.0))
-        return False, float(angles.max(initial=np.pi / 2))
+        return False, float(np.pi / 2)
     angles = principal_angles(outer, inner)
     # svd of the (outer.dim x inner.dim) matrix yields inner.dim values.
     max_angle = float(angles.max(initial=0.0))

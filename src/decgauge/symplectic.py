@@ -82,8 +82,10 @@ class SymplecticSpace:
         omega_red = 0.5 * (omega_red - omega_red.T)
         reduced = SymplecticSpace(omega_red, np.ones(q.shape[1]), host=self.host)
 
+        gram = self.gram  # the maps must not keep the 2n x 2n two-form alive
+
         def to_reduced(x):
-            return q.T @ (self.gram * np.asarray(x, dtype=float))
+            return q.T @ (gram * np.asarray(x, dtype=float))
 
         def from_reduced(y):
             return q @ np.asarray(y, dtype=float)
@@ -96,14 +98,19 @@ def coclosed_pair_subspace(sigma: HypersurfaceMesh,
     """The gauge-fixed pairs: both components coclosed on the hypersurface.
 
     The constraint is block diagonal over the two slots, so the kernel is
-    computed once on the single-slot operator and assembled.
+    computed once on the single-slot operator and assembled.  A rank cut
+    missing the exact dimension (edges minus exact gauge directions) raises.
     """
-    rows = np.asarray((sigma.complex.boundary_matrices[1]
-                       @ np.diag(sigma.star_diagonal(1))))
-    n = sigma.complex.n_simplices(1)
+    cx = sigma.complex
+    rows = np.asarray(cx.boundary_matrices[1] @ np.diag(sigma.star_diagonal(1)))
+    n = cx.n_simplices(1)
     s = sigma.star_diagonal(1)
     single = null_space(rows, gram=s, rank_tolerance=rank_tolerance,
                         n_columns=n)
+    gauge = cx.n_simplices(0) - cx.n_components()
+    if single.dim != n - gauge:
+        raise BoundaryError(f"coclosed dimension {single.dim} != {n} edges "
+                            f"minus {gauge} exact gauge directions")
     r = single.dim
     cols = np.zeros((2 * n, 2 * r))
     cols[:n, :r] = single.columns

@@ -61,3 +61,28 @@ def test_ambiguity_flag():
     assert sub.ambiguous
     clear = subspaces.null_space(np.diag([1.0, 1.0, 0.0]))
     assert not clear.ambiguous
+
+
+def test_identical_subspaces_have_zero_angle(rng):
+    gram = rng.uniform(0.5, 2.0, size=200)
+    a = subspaces.from_span(rng.standard_normal((200, 6)), gram=gram)
+    mixed = subspaces.from_span(a.columns @ rng.standard_normal((6, 6)),
+                                gram=gram)
+    assert subspaces.principal_angles(a, a).max() < 1e-12
+    assert subspaces.principal_angles(a, mixed).max() < 1e-12
+    ok, angle = subspaces.contains(a, mixed, angle_tolerance=1e-12)
+    assert ok and angle < 1e-12
+
+
+def test_small_angle_resolved_below_arccos_floor():
+    theta = 1e-10
+    u = subspaces.from_span(np.eye(5)[:, :3])
+    v = subspaces.from_span(
+        np.array([[1.0, 0.0], [0.0, np.cos(theta)], [0.0, 0.0],
+                  [0.0, np.sin(theta)], [0.0, 0.0]]))
+    # both orders: the sines come from whichever basis is smaller
+    for angles in (subspaces.principal_angles(u, v),
+                   subspaces.principal_angles(v, u)):
+        assert angles.shape == (2,)
+        assert np.isclose(angles.max(), theta, rtol=1e-6)
+        assert angles.min() < 1e-15
