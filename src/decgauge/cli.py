@@ -98,7 +98,7 @@ def _check(check_id, passed, **extra):
 def _run_decompose(mesh: RegionMesh, config, tol, rng):
     k = config.degree
     alpha = Cochain(mesh, k, rng.standard_normal(mesh.complex.n_simplices(k)))
-    deco = hmf_decompose(alpha)
+    deco = hmf_decompose(alpha, rank_tolerance=tol["RANK_REL"])
     rec_err = norm(deco.reconstruction() - alpha) / max(norm(alpha), 1e-300)
     checks = [
         _check("hmf_orthogonality", deco.residual_norm <= tol["HMF_REL"],

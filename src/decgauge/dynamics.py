@@ -25,18 +25,8 @@ from .boundary import (
 )
 from .dec import Cochain, DECError, d, inner_product, normal_trace, tangential_trace
 from .mesh import GlueInfo, RegionMesh, glue
-from .subspaces import Subspace, from_span, null_space, principal_angles
-from .symplectic import (
-    SymplecticSpace,
-    coclosed_pair_subspace,
-    is_lagrangian,
-    symplectic_complement,
-)
-
-
-#: Interior blocks up to this many edges are factorized dense: below it a dense
-#: Cholesky costs less time and memory than importing SuperLU (0.13 s, 10 MB).
-DENSE_BLOCK_MAX = 1000
+from .subspaces import Subspace, from_span, null_space, principal_angles, reduced_null_space
+from .symplectic import SymplecticSpace, coclosed_pair_subspace, is_lagrangian
 
 
 class DynamicsError(ValueError):
@@ -134,12 +124,10 @@ def solution_space(mesh: RegionMesh,
     interior edges, coclosed gauge ``D = del_1 S_1`` at every vertex).
 
     With ``L = K + D^T S_0^-1 D`` every ``a`` in ``ker A`` solves
-    ``L_J a = 0``, ``J`` the interior edges of components with a boundary;
-    all other edges are kept.  So ``ker A = E ker(A E)``, ``E = [I_keep;
-    -L_JJ^-1 L_J,keep]``: one solve with ``L_JJ``, and a dense null space
-    and rank decision only for the small ``A E``.  ``L_JJ`` is singular on
-    harmonic fields vanishing on the kept edges (so boundaryless components
-    are kept whole); a singular block raises ``DynamicsError``.
+    ``L_J a = 0``, ``J`` the interior edges of components with a boundary,
+    so :func:`~decgauge.subspaces.reduced_null_space` eliminates them.
+    ``L_JJ`` is singular on harmonic fields vanishing on the kept edges (so
+    boundaryless components are kept whole); then ``DynamicsError``.
     """
     if mesh.complex.dim < 2:
         raise DynamicsError("field equation needs a region of dimension >= 2")
@@ -151,28 +139,10 @@ def solution_space(mesh: RegionMesh,
     comp = cx.vertex_components()[cx.simplices[1][:, 0]]
     on_boundary = mesh.boundary_simplex_mask(1)
     kept = on_boundary | ~np.isin(comp, comp[on_boundary])
-    elim, keep = np.flatnonzero(~kept), np.flatnonzero(kept)
-    e = sparse.identity(cx.n_simplices(1), format="csr")[:, keep].toarray()
-    if elim.size:
-        lap = (k + gauge.T @ sparse.diags(1.0 / mesh.star_diagonal(0)) @ gauge).tocsr()
-        block, rhs = lap[elim][:, elim], lap[elim][:, keep].toarray()
-        try:
-            if elim.size > DENSE_BLOCK_MAX:
-                from scipy.sparse.linalg import splu
-                lu = splu(block.tocsc())
-                pivots, e[elim] = np.abs(lu.U.diagonal()), -lu.solve(rhs)
-            else:
-                pivots = np.diag(np.linalg.cholesky(block.toarray())) ** 2
-                e[elim] = -np.linalg.solve(block.toarray(), rhs)
-        except (RuntimeError, np.linalg.LinAlgError):  # exactly singular
-            pivots = np.zeros(1)
-        ratio = pivots.min() / max(pivots.max(), 1e-300)
-        if not ratio > rank_tolerance:
-            raise DynamicsError(f"interior block of the boundary reduction "
-                                f"is singular (pivot ratio {ratio:.1e})")
-    gauge_fixed = null_space(a @ e, gram=mesh.star_diagonal(1),
-                             rank_tolerance=rank_tolerance,
-                             n_columns=keep.size, embed=e)
+    lap = k + gauge.T @ sparse.diags(1.0 / mesh.star_diagonal(0)) @ gauge
+    gauge_fixed = reduced_null_space(a, lap, kept, gram=mesh.star_diagonal(1),
+                                     rank_tolerance=rank_tolerance,
+                                     error=DynamicsError)
     return SolutionSpace(mesh, gauge_fixed, rank_tolerance)
 
 
@@ -280,23 +250,14 @@ def verify_lagrangian(mesh: RegionMesh,
     image = restrict(space, rank_tolerance)
     phi = coclosed_pair_subspace(sigma, rank_tolerance)
     reduced, to_reduced, _ = SymplecticSpace.from_hypersurface(sigma).restrict(phi)
-    embed_defect = 0.0
-    cols = []
-    for j in range(image.dim):
-        x = image.columns[:, j]
-        y = to_reduced(x)
-        back = phi.columns @ y
-        embed_defect = max(
-            embed_defect,
-            float(np.linalg.norm(back - x) / max(np.linalg.norm(x), 1e-300)),
-        )
-        cols.append(y)
-    image_red = from_span(np.column_stack(cols) if cols else
-                          np.zeros((phi.dim, 0)), rank_tolerance=rank_tolerance)
+    x, y = image.columns, to_reduced(image.columns)
+    embed_defect = float((np.linalg.norm(phi.columns @ y - x, axis=0) / np.maximum(
+        np.linalg.norm(x, axis=0), 1e-300)).max(initial=0.0))
+    image_red = from_span(y, rank_tolerance=rank_tolerance)
 
     lag, info = is_lagrangian(image_red, reduced, isotropy_tolerance,
-                              angle_tolerance)
-    comp = symplectic_complement(image_red, reduced, rank_tolerance)
+                              angle_tolerance, rank_tolerance)
+    comp = info["complement"]
     angles = principal_angles(image_red, comp)
     half = (phi.dim == 2 * image_red.dim)
     return {

@@ -17,7 +17,7 @@ from scipy import sparse
 from . import tolerances
 from .dec import Cochain, DECError, adjoint_full, codifferential, d, inner_product, norm
 from .mesh import RegionMesh
-from .subspaces import Subspace, from_span, null_space
+from .subspaces import Subspace, reduced_null_space
 
 
 class HodgeError(ValueError):
@@ -181,13 +181,42 @@ class HarmonicBasis:
         return worst
 
 
-def _stack_dense(blocks):
-    mats = [np.atleast_2d(np.asarray(b.toarray() if sparse.issparse(b) else b,
-                                     dtype=float)) for b in blocks if b is not None]
-    mats = [m for m in mats if m.shape[0] > 0]
-    if not mats:
-        return np.zeros((0, 0))
-    return np.vstack(mats)
+def _harmonic_kernel(mesh, k: int, rank_tolerance, dirichlet: bool) -> Subspace:
+    """Harmonic k-fields ``ker A``, ``A = [d_k; del_k S_k]``, reduced with
+    ``L = A^T diag(S_k+1, S_k-1^-1) A`` by :func:`~decgauge.subspaces.
+    reduced_null_space`: in components with a boundary vertex, unknowns not
+    kept are eliminated (``L_JJ`` is singular only on a harmonic field
+    vanishing on every kept simplex).  Neumann keeps the boundary
+    k-simplices.  Dirichlet solves on the interior k-simplices and (k-1)
+    rows, keeps those with a boundary vertex and zero-pads the kernel.
+    """
+    cx = mesh.complex
+    near = mesh.boundary_simplex_mask(0)
+    if dirichlet:
+        cols = mesh.interior_simplex_mask(k)
+        rows = mesh.interior_simplex_mask(k - 1) if k else None
+        keep = near[cx.simplices[k]].any(axis=1)
+    else:
+        cols, rows = slice(None), slice(None)
+        keep = mesh.boundary_simplex_mask(k)
+    blocks, weights = [], []
+    if k < cx.dim:
+        blocks.append(cx.boundary_matrices[k + 1].T[:, cols])
+        weights.append(mesh.star_diagonal(k + 1))
+    if k >= 1:
+        blocks.append(adjoint_full(mesh, k).tocsr()[rows][:, cols])
+        weights.append(1.0 / mesh.star_diagonal(k - 1)[rows])
+    a = sparse.vstack(blocks).tocsr()
+    lap = a.T @ sparse.diags(np.concatenate(weights)) @ a
+    comp = cx.vertex_components()
+    bounded = np.isin(comp[cx.simplices[k][cols, 0]], comp[near])
+    small = reduced_null_space(a, lap, keep[cols] | ~bounded,
+                               gram=mesh.star_diagonal(k)[cols],
+                               rank_tolerance=rank_tolerance, error=HodgeError)
+    padded = np.zeros((cx.n_simplices(k), small.dim))
+    padded[cols] = small.columns
+    small.columns, small.gram = padded, mesh.star_diagonal(k)
+    return small
 
 
 def harmonic_neumann_basis(mesh, k: int,
@@ -196,18 +225,10 @@ def harmonic_neumann_basis(mesh, k: int,
 
     The Neumann condition rides along for free: the kernel of the full
     metric adjoint of d is the interior-coclosed condition plus zero flux
-    through the boundary dual cells.
+    through the boundary dual cells.  Interior simplices are eliminated
+    (:func:`_harmonic_kernel`): ``singular_values`` are those of ``A E``.
     """
-    cx = mesh.complex
-    blocks = []
-    if k < cx.dim:
-        blocks.append(cx.boundary_matrices[k + 1].T)
-    if k >= 1:
-        blocks.append(adjoint_full(mesh, k))
-    stacked = _stack_dense(blocks)
-    basis = null_space(stacked, gram=mesh.star_diagonal(k),
-                       rank_tolerance=rank_tolerance,
-                       n_columns=cx.n_simplices(k))
+    basis = _harmonic_kernel(mesh, k, rank_tolerance, dirichlet=False)
     out = HarmonicBasis(mesh, k, "neumann", basis)
     expected = betti_oracle(mesh, k)
     if out.dim != expected:
@@ -224,23 +245,11 @@ def harmonic_dirichlet_basis(mesh: RegionMesh, k: int,
     """Closed, coclosed fields with vanishing tangential trace.
 
     Dimension equals the relative homology rank of the pair (region,
-    boundary), computed independently by the integer oracle.
+    boundary), computed independently by the integer oracle.  Simplices
+    without a boundary vertex are eliminated (:func:`_harmonic_kernel`):
+    ``singular_values`` are those of ``A E``.
     """
-    cx = mesh.complex
-    interior = mesh.interior_simplex_mask(k)
-    inject = np.eye(cx.n_simplices(k))[:, interior]
-    blocks = []
-    if k < cx.dim:
-        blocks.append(cx.boundary_matrices[k + 1].T @ inject)
-    if k >= 1:
-        rows = adjoint_full(mesh, k).toarray()[mesh.interior_simplex_mask(k - 1)]
-        blocks.append(rows @ inject)
-    stacked = _stack_dense(blocks)
-    small = null_space(stacked, rank_tolerance=rank_tolerance,
-                       n_columns=int(interior.sum()))
-    cols = inject @ small.columns if small.dim else np.zeros((cx.n_simplices(k), 0))
-    basis = from_span(cols, gram=mesh.star_diagonal(k),
-                      rank_tolerance=rank_tolerance)
+    basis = _harmonic_kernel(mesh, k, rank_tolerance, dirichlet=True)
     out = HarmonicBasis(mesh, k, "dirichlet", basis)
     expected = relative_betti_oracle(mesh, k)
     if out.dim != expected:
@@ -300,12 +309,14 @@ def _weighted_lstsq(mat, weights, rhs):
 
 
 def hmf_decompose(alpha: Cochain, mesh: RegionMesh | None = None,
-                  neumann_basis: HarmonicBasis | None = None) -> HmfDecomposition:
+                  neumann_basis: HarmonicBasis | None = None,
+                  rank_tolerance=tolerances.RANK_REL) -> HmfDecomposition:
     """Successive orthogonal projections onto the four summands.
 
     Solves the Dirichlet potential problem for the exact part, the Neumann
-    problem for the coexact part, projects onto the harmonic Neumann basis,
-    and assigns the remainder to the exact-harmonic summand.
+    problem for the coexact part, projects onto the harmonic Neumann basis
+    (built with ``rank_tolerance`` unless given), and assigns the remainder
+    to the exact-harmonic summand.
     """
     mesh = mesh if mesh is not None else alpha.host
     if alpha.host is not mesh:
@@ -331,7 +342,7 @@ def hmf_decompose(alpha: Cochain, mesh: RegionMesh | None = None,
         coexact = Cochain.zeros(mesh, k)
 
     if neumann_basis is None:
-        neumann_basis = harmonic_neumann_basis(mesh, k)
+        neumann_basis = harmonic_neumann_basis(mesh, k, rank_tolerance)
     rest = alpha.values - exact.values - coexact.values
     hn = Cochain(mesh, k, neumann_basis.basis.project(rest))
     he = Cochain(mesh, k, rest - hn.values)

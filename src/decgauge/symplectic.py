@@ -75,7 +75,7 @@ class SymplecticSpace:
         """Reduced symplectic space on a subspace, with coordinate maps.
 
         Returns ``(reduced, to_reduced, from_reduced)``; ``to_reduced`` is
-        exact on vectors inside the subspace.
+        exact on vectors inside the subspace and maps a matrix by columns.
         """
         q = phi_subspace.columns
         omega_red = q.T @ self.omega_matrix @ q
@@ -84,8 +84,8 @@ class SymplecticSpace:
 
         gram = self.gram  # the maps must not keep the 2n x 2n two-form alive
 
-        def to_reduced(x):
-            return q.T @ (gram * np.asarray(x, dtype=float))
+        def to_reduced(x):  # a vector, or one column per vector
+            return q.T @ (gram * np.asarray(x, dtype=float).T).T
 
         def from_reduced(y):
             return q @ np.asarray(y, dtype=float)
@@ -102,11 +102,10 @@ def coclosed_pair_subspace(sigma: HypersurfaceMesh,
     missing the exact dimension (edges minus exact gauge directions) raises.
     """
     cx = sigma.complex
-    rows = np.asarray(cx.boundary_matrices[1] @ np.diag(sigma.star_diagonal(1)))
     n = cx.n_simplices(1)
     s = sigma.star_diagonal(1)
-    single = null_space(rows, gram=s, rank_tolerance=rank_tolerance,
-                        n_columns=n)
+    single = null_space(cx.boundary_matrices[1].toarray() * s, gram=s,
+                        rank_tolerance=rank_tolerance, n_columns=n)
     gauge = cx.n_simplices(0) - cx.n_components()
     if single.dim != n - gauge:
         raise BoundaryError(f"coclosed dimension {single.dim} != {n} edges "
@@ -152,12 +151,15 @@ def is_isotropic(v: Subspace, w: SymplecticSpace,
 
 
 def is_coisotropic(v: Subspace, w: SymplecticSpace,
-                   angle_tolerance=tolerances.PRINCIPAL_ANGLE):
-    """Whether the symplectic complement is contained in the subspace."""
-    comp = symplectic_complement(v, w)
+                   angle_tolerance=tolerances.PRINCIPAL_ANGLE,
+                   rank_tolerance=tolerances.RANK_REL):
+    """Whether the symplectic complement is contained in the subspace; the
+    complement itself is returned as ``info["complement"]``."""
+    comp = symplectic_complement(v, w, rank_tolerance)
     ok, max_angle = contains(v, comp, angle_tolerance)
     info = {
         "dim": v.dim,
+        "complement": comp,
         "complement_dim": comp.dim,
         "max_principal_angle": max_angle,
         "rank_ambiguous": comp.ambiguous,
@@ -167,15 +169,17 @@ def is_coisotropic(v: Subspace, w: SymplecticSpace,
 
 def is_lagrangian(v: Subspace, w: SymplecticSpace,
                   tolerance=tolerances.ISOTROPY_REL,
-                  angle_tolerance=tolerances.PRINCIPAL_ANGLE):
+                  angle_tolerance=tolerances.PRINCIPAL_ANGLE,
+                  rank_tolerance=tolerances.RANK_REL):
     """Isotropic and coisotropic at once; returns (flag, diagnostics)."""
     iso, iso_info = is_isotropic(v, w, tolerance)
-    coiso, coiso_info = is_coisotropic(v, w, angle_tolerance)
+    coiso, coiso_info = is_coisotropic(v, w, angle_tolerance, rank_tolerance)
     info = {
         "isotropic": iso,
         "coisotropic": coiso,
         "dim": v.dim,
         "ambient_dim": w.ambient_dim,
+        "complement": coiso_info["complement"],
         "complement_dim": coiso_info["complement_dim"],
         "max_residual": iso_info["max_residual"],
         "max_principal_angle": coiso_info["max_principal_angle"],

@@ -69,6 +69,19 @@ def test_broken_verification_stage_exit_one(tmp_path):
     assert report["checks"][0]["id"] == "aborted"
 
 
+def test_decompose_applies_rank_tolerance(tmp_path):
+    # the echoed RANK_REL reaches the Neumann basis: above the pivot ratio
+    # of its boundary reduction the decomposition refuses to proceed
+    out = tmp_path / "r.json"
+    args = ["decompose", "--mesh", "ann8", "--degree", "1", "--out", str(out)]
+    assert run_cli(args) == 0
+    assert run_cli(args + ["--tol", "RANK_REL=0.5"]) == 1
+    report = json.loads(out.read_text())
+    assert report["tolerances"]["RANK_REL"] == 0.5
+    assert report["checks"][0]["id"] == "aborted"
+    assert "pivot ratio" in report["checks"][0]["error"]
+
+
 def test_bad_tolerance_exit_two(capsys):
     assert run_cli(["verify-lagrangian", "--mesh", "disk:N=8",
                     "--tol", "RANK_REL=-1"]) == 2

@@ -44,7 +44,7 @@ FACTORIZATIONS = pytest.mark.parametrize("dense_max", [0, 10**9],
 
 @pytest.fixture
 def factorization(dense_max, monkeypatch):
-    monkeypatch.setattr(dynamics, "DENSE_BLOCK_MAX", dense_max)
+    monkeypatch.setattr(subspaces, "DENSE_BLOCK_MAX", dense_max)
 
 
 @FACTORIZATIONS

@@ -217,6 +217,20 @@ def test_lagrangian_plane_in_r4():
     assert info["dim"] == 2
 
 
+def test_coisotropy_applies_rank_tolerance():
+    # omega(e2, f2) = 1e-6: a rank cut above it drops that pairing, so the
+    # complement of span(e1, e2) grows past the plane itself
+    w = standard_r4()
+    w.omega_matrix[1, 3], w.omega_matrix[3, 1] = 1e-6, -1e-6
+    v = from_span(np.eye(4)[:, :2])
+    ok, info = symplectic.is_coisotropic(v, w)
+    assert ok and info["complement_dim"] == 2
+    ok, info = symplectic.is_coisotropic(v, w, rank_tolerance=1e-3)
+    assert not ok and info["complement"].dim == 3
+    flag, info = symplectic.is_lagrangian(v, w, rank_tolerance=1e-3)
+    assert not flag and info["complement_dim"] == 3
+
+
 def test_symplectic_plane_not_isotropic():
     w = standard_r4()
     v = from_span(np.eye(4)[:, [0, 2]])  # span(e1, f1): omega = 1
