@@ -130,7 +130,7 @@ def inner_product(alpha: Cochain, beta: Cochain) -> float:
     if alpha.degree != beta.degree:
         raise DECError("inner product needs equal degrees")
     w = alpha.host.star_diagonal(alpha.degree)
-    return float(np.dot(alpha.values, w * beta.values))
+    return float(np.dot(w, alpha.values * beta.values))
 
 
 def norm(alpha: Cochain) -> float:

@@ -258,7 +258,6 @@ def verify_lagrangian(mesh: RegionMesh,
     lag, info = is_lagrangian(image_red, reduced, isotropy_tolerance,
                               angle_tolerance, rank_tolerance)
     comp = info["complement"]
-    angles = principal_angles(image_red, comp)
     half = (phi.dim == 2 * image_red.dim)
     return {
         "mesh": mesh.name,
@@ -271,7 +270,7 @@ def verify_lagrangian(mesh: RegionMesh,
         },
         "isotropy_max": info["max_residual"],
         "isotropy_scale": info.get("scale", 1.0),
-        "coisotropy_angles": [float(a) for a in angles],
+        "coisotropy_angles": [float(a) for a in info["coisotropy_angles"]],
         "max_principal_angle": info["max_principal_angle"],
         "embedding_defect": embed_defect,
         "half_dimension": bool(half),

@@ -9,17 +9,23 @@ The metric is carried by edge lengths.  When vertex coordinates are present
 lengths are derived from them; a glued complex, which in general has no
 global isometric embedding, keeps the lengths inherited from its parts.
 All primal volumes and barycentric dual volumes are computed from lengths
-through local isometric embeddings of the top cells.
+alone: a k-simplex's Gram matrix G_ij = (l_0i² + l_0j² - l_ij²)/2 of the edge
+vectors from its first vertex gives its volume sqrt(det G)/k!, and a
+barycentric dual piece inside a top cell has Gram D G Dᵀ, D the constant
+barycentric-weight differences along its flag.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
+
+from . import tolerances
 
 
 class MeshError(ValueError):
@@ -39,43 +45,46 @@ def _sort_parity(cell) -> int:
     return sign
 
 
-def simplex_volume(points: np.ndarray) -> float:
-    """Unsigned k-volume of the simplex spanned by ``points`` ((k+1, m) array)."""
-    p = np.asarray(points, dtype=float)
-    if p.shape[0] == 1:
-        return 1.0
-    edges = p[1:] - p[0]
-    gram = edges @ edges.T
-    det = np.linalg.det(gram)
-    if det < 0:
-        det = 0.0
-    k = p.shape[0] - 1
-    return float(np.sqrt(det)) / float(np.prod(range(1, k + 1)))
+def _row_index(rows: np.ndarray) -> np.ndarray:
+    """Position of each row among the distinct rows, in lexicographic order.
 
-
-def _embed_from_lengths(tup, length_of) -> np.ndarray:
-    """Local isometric coordinates for a simplex given its edge lengths.
-
-    ``length_of(i, j)`` returns the length of edge {i, j}.  Returns a
-    (k+1, k) coordinate array with the first vertex at the origin.
+    Rows that list every k-simplex of a complex at least once, as sorted
+    vertex tuples, get their simplex index: simplices are stored sorted.
     """
-    m = len(tup)
-    gram = np.zeros((m - 1, m - 1))
-    d0 = [length_of(tup[0], tup[i]) for i in range(1, m)]
-    for i in range(1, m):
-        for j in range(1, m):
-            if i == j:
-                gram[i - 1, j - 1] = d0[i - 1] ** 2
-            else:
-                dij = length_of(tup[i], tup[j])
-                gram[i - 1, j - 1] = 0.5 * (d0[i - 1] ** 2 + d0[j - 1] ** 2 - dij**2)
-    # Positive semidefinite for a valid flat simplex; tolerate roundoff.
-    w, v = np.linalg.eigh(gram)
-    if np.any(w < -1e-12 * max(1.0, w.max(initial=0.0))):
-        raise MeshError(f"edge lengths of {tup} do not embed in flat space")
-    w = np.clip(w, 0.0, None)
-    coords = v @ np.diag(np.sqrt(w))
-    return np.vstack([np.zeros(m - 1), coords])
+    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def _gram_volume(gram: np.ndarray) -> np.ndarray:
+    """Volumes sqrt(det G)/m! of the simplices with stacked (..., m, m) Grams."""
+    det = np.clip(np.linalg.det(gram), 0.0, None)
+    return np.sqrt(det) / math.factorial(gram.shape[-1])
+
+
+def _dual_flags(n: int):
+    """Barycentric dual pieces of an n-simplex, per sub-simplex degree k.
+
+    Yields ``(k, subs, delta)``.  ``subs`` are the local k-faces.  Face ``s``
+    has one piece per ordering ``p`` of the other vertices: the simplex on
+    the barycenters of the growing flag from the face up to the cell.  Row j
+    of ``delta[s, p]`` is the weight difference between the flag's (j+1)-th
+    barycenter and the face's, in coordinates 1..n, so over the edge vectors
+    from local vertex 0 the piece of a cell with Gram ``G`` has Gram
+    ``delta G deltaᵀ``.
+    """
+    def barycenter(verts):
+        w = np.zeros(n + 1)
+        w[list(verts)] = 1.0 / len(verts)
+        return w[1:]
+
+    for k in range(n + 1):
+        subs = list(itertools.combinations(range(n + 1), k + 1))
+        delta = np.zeros((len(subs), math.factorial(n - k), n - k, n))
+        for s, sub in enumerate(subs):
+            rest = [v for v in range(n + 1) if v not in sub]
+            for p, order in enumerate(itertools.permutations(rest)):
+                for j in range(n - k):
+                    delta[s, p, j] = barycenter(sub + order[: j + 1]) - barycenter(sub)
+        yield k, subs, delta
 
 
 class SimplicialComplex:
@@ -280,46 +289,43 @@ class _MetricMesh:
             self.edge_lengths = lengths
         else:
             self.edge_lengths = np.zeros(0)
-        self._volumes: dict[int, np.ndarray] = {}
-        self._dual_volumes: dict[int, np.ndarray] = {}
         self._compute_volumes()
 
-    def _length_of(self, i, j):
-        return self.edge_lengths[self.complex.simplex_index(1, (i, j))]
-
-    def _local_coords(self, tup) -> np.ndarray:
-        return _embed_from_lengths(tup, self._length_of)
+    def _gram(self, simplices: np.ndarray) -> np.ndarray:
+        """Gram matrices of each simplex's edge vectors from its first vertex,
+        G_ij = (l_0i² + l_0j² - l_ij²)/2 by the law of cosines."""
+        m = simplices.shape[1]
+        sq = np.zeros((len(simplices), m, m))
+        if m > 1:
+            i, j = np.triu_indices(m, 1)
+            edges = _row_index(simplices[:, np.stack([i, j], axis=1)].reshape(-1, 2))
+            sq[:, i, j] = sq[:, j, i] = self.edge_lengths[edges].reshape(-1, len(i)) ** 2
+        return 0.5 * (sq[:, :1, 1:] + sq[:, 1:, :1] - sq[:, 1:, 1:])
 
     def _compute_volumes(self):
         cx = self.complex
         n = cx.dim
-        vols = {k: np.zeros(cx.n_simplices(k)) for k in range(n + 1)}
-        duals = {k: np.zeros(cx.n_simplices(k)) for k in range(n + 1)}
-        vols[0][:] = 1.0
+        cells = cx.simplices[n]
+        gram = self._gram(cells)
+        # Positive semidefinite for a valid flat simplex; tolerate roundoff.
+        w = np.linalg.eigvalsh(gram)
+        floor = -1e-12 * np.maximum(1.0, w.max(axis=1, initial=0.0))
+        bad = np.any(w < floor[:, None], axis=1)
+        if bad.any():
+            raise MeshError(f"edge lengths of {tuple(cells[bad.argmax()].tolist())} "
+                            "do not embed in flat space")
+        vols = {0: np.ones(cx.n_simplices(0))}
         if n >= 1:
-            vols[1][:] = self.edge_lengths
+            vols[1] = self.edge_lengths.copy()
         for k in range(2, n + 1):
-            for i, s in enumerate(map(tuple, cx.simplices[k])):
-                vols[k][i] = simplex_volume(self._local_coords(s))
-        for t, cell in enumerate(map(tuple, cx.simplices[n])):
-            pts = self._local_coords(cell)
-            local = {v: pts[i] for i, v in enumerate(cell)}
-            bary = {}
-            for r in range(1, n + 2):
-                for sub in itertools.combinations(cell, r):
-                    bary[sub] = np.mean([local[v] for v in sub], axis=0)
-            for k in range(n + 1):
-                for sub in itertools.combinations(cell, k + 1):
-                    rest = [v for v in cell if v not in sub]
-                    total = 0.0
-                    for order in itertools.permutations(rest):
-                        chain = [bary[sub]]
-                        cur = sub
-                        for w in order:
-                            cur = tuple(sorted(cur + (w,)))
-                            chain.append(bary[cur])
-                        total += simplex_volume(np.array(chain))
-                    duals[k][cx.index[k][sub]] += total
+            vols[k] = _gram_volume(gram if k == n else self._gram(cx.simplices[k]))
+        duals = {}
+        for k, subs, delta in _dual_flags(n):
+            pieces = delta @ gram[:, None, None] @ delta.swapaxes(-1, -2)
+            size = _gram_volume(pieces).sum(axis=2)
+            index = _row_index(cells[:, subs].reshape(-1, k + 1))
+            duals[k] = np.bincount(index, weights=size.reshape(-1),
+                                   minlength=cx.n_simplices(k))
         for k in range(n + 1):
             if np.any(vols[k] <= 0):
                 raise MeshError(f"degenerate {k}-simplex (zero volume)")
@@ -343,17 +349,54 @@ class _MetricMesh:
     def total_volume(self) -> float:
         return float(self._volumes[self.complex.dim].sum())
 
+    def _submesh(self, cells, orientation_sign=1, face_labels=None):
+        """The hypersurface spanned by ``cells`` (oriented top cells, as tuples
+        of this mesh's vertices) with the inherited metric; ``face_labels``
+        name this mesh's simplices of the cells' dimension."""
+        cx = self.complex
+        verts = sorted({int(v) for c in cells for v in c})
+        vmap = {v: i for i, v in enumerate(verts)}
+        coords = cx.coordinates[verts] if cx.coordinates is not None else None
+        sub = SimplicialComplex(
+            len(verts), [tuple(vmap[v] for v in c) for c in cells], coordinates=coords
+        )
+        # The vertex map is increasing, so sorted tuples map to sorted tuples.
+        smaps = [
+            np.array([cx.index[k][tuple(verts[v] for v in s)]
+                      for s in sub.simplices[k]], dtype=int)
+            for k in range(sub.dim + 1)
+        ]
+        labels = None
+        if face_labels:
+            back = {int(f): i for i, f in enumerate(smaps[sub.dim])}
+            labels = {lab: frozenset(back[f] for f in facets)
+                      for lab, facets in face_labels.items()}
+        return HypersurfaceMesh(
+            sub,
+            edge_lengths=self.edge_lengths[smaps[1]] if sub.dim >= 1 else None,
+            orientation_sign=orientation_sign,
+            parent=self,
+            vertex_map=np.array(verts, dtype=int),
+            simplex_maps=smaps,
+            face_labels=labels,
+        )
+
+    def _closure_subsimplices(self, facet_indices, k):
+        """Indices of k-simplices contained in the closure of given facets."""
+        cx = self.complex
+        out = set()
+        for f in facet_indices:
+            tup = tuple(cx.simplices[cx.dim - 1][f])
+            for sub in itertools.combinations(tup, k + 1):
+                out.add(cx.index[k][sub])
+        return out
+
     def boundary_simplex_mask(self, k: int) -> np.ndarray:
         """Boolean mask of k-simplices contained in the boundary."""
         cx = self.complex
         mask = np.zeros(cx.n_simplices(k), dtype=bool)
-        facets = cx.boundary_facets()
-        if facets.size == 0 or k > cx.dim - 1:
-            return mask
-        for f in facets:
-            tup = tuple(cx.simplices[cx.dim - 1][f])
-            for sub in itertools.combinations(tup, k + 1):
-                mask[cx.index[k][sub]] = True
+        if k < cx.dim:
+            mask[list(self._closure_subsimplices(cx.boundary_facets(), k))] = True
         return mask
 
     def interior_simplex_mask(self, k: int) -> np.ndarray:
@@ -464,16 +507,6 @@ class RegionMesh(_MetricMesh):
             raise MeshError(f"unlabeled boundary facets: {sorted(unlabeled)}")
         return out
 
-    def _closure_subsimplices(self, facet_indices, k):
-        """Indices of k-simplices contained in the closure of given facets."""
-        cx = self.complex
-        out = set()
-        for f in facet_indices:
-            tup = tuple(cx.simplices[cx.dim - 1][f])
-            for sub in itertools.combinations(tup, k + 1):
-                out.add(cx.index[k][sub])
-        return out
-
     def _corner_strata(self):
         cx = self.complex
         if cx.dim < 2 or not self.face_labels:
@@ -503,61 +536,19 @@ class RegionMesh(_MetricMesh):
     def boundary(self):
         """The full boundary hypersurface with induced orientation, or None."""
         if self._boundary is None:
-            facets = self.complex.boundary_facets()
+            cx = self.complex
+            facets = cx.boundary_facets()
             if facets.size == 0:
                 return None
-            self._boundary = self._make_hypersurface(facets, carry_labels=True)
+            cells = []
+            for f in facets:
+                tup = tuple(int(v) for v in cx.simplices[cx.dim - 1][f])
+                # A 0-dimensional boundary keeps its vertices as they are.
+                if cx.induced_facet_sign(f) < 0 and cx.dim > 1:
+                    tup = (tup[1], tup[0]) + tup[2:]
+                cells.append(tup)
+            self._boundary = self._submesh(cells, face_labels=self.face_labels)
         return self._boundary
-
-    def _make_hypersurface(self, facet_indices, carry_labels=False):
-        cx = self.complex
-        n = cx.dim
-        facet_indices = np.asarray(sorted(int(f) for f in facet_indices))
-        verts = sorted(
-            {int(v) for f in facet_indices for v in cx.simplices[n - 1][f]}
-        )
-        vmap = {v: i for i, v in enumerate(verts)}
-        cells = []
-        for f in facet_indices:
-            tup = tuple(cx.simplices[n - 1][f])
-            sign = cx.induced_facet_sign(int(f))
-            ordered = tup if sign > 0 else (tup[1], tup[0]) + tup[2:]
-            if n - 1 == 0:
-                # 0-dimensional boundary: orientation is the sign itself.
-                ordered = tup
-            cells.append(tuple(vmap[v] for v in ordered))
-        coords = None
-        if cx.coordinates is not None:
-            coords = cx.coordinates[verts]
-        sub = SimplicialComplex(len(verts), cells, coordinates=coords)
-        inv = {i: v for v, i in vmap.items()}
-        smaps = []
-        for k in range(n):
-            arr = np.array(
-                [
-                    cx.index[k][tuple(sorted(inv[v] for v in s))]
-                    for s in map(tuple, sub.simplices[k])
-                ],
-                dtype=int,
-            )
-            smaps.append(arr)
-        lengths = self.edge_lengths[smaps[1]] if n - 1 >= 1 else None
-        labels = None
-        if carry_labels and self.face_labels:
-            back = {int(f): i for i, f in enumerate(smaps[n - 1])}
-            labels = {
-                lab: frozenset(back[f] for f in facets)
-                for lab, facets in self.face_labels.items()
-            }
-        return HypersurfaceMesh(
-            sub,
-            edge_lengths=lengths,
-            orientation_sign=1,
-            parent=self,
-            vertex_map=np.array(verts, dtype=int),
-            simplex_maps=smaps,
-            face_labels=labels,
-        )
 
     # -- export ----------------------------------------------------------------
 
@@ -579,35 +570,9 @@ def extract_face(sigma: HypersurfaceMesh, label: str) -> HypersurfaceMesh:
         raise MeshError("hypersurface has no face labels")
     if label not in sigma.face_labels:
         raise MeshError(f"unknown face label {label!r}")
-    cx = sigma.complex
-    n = cx.dim
-    facet_ids = sorted(sigma.face_labels[label])
-    verts = sorted({int(v) for f in facet_ids for v in cx.simplices[n][f]})
-    vmap = {v: i for i, v in enumerate(verts)}
-    oriented = cx.oriented_cells()
-    cells = [tuple(vmap[v] for v in oriented[f]) for f in facet_ids]
-    coords = cx.coordinates[verts] if cx.coordinates is not None else None
-    sub = SimplicialComplex(len(verts), cells, coordinates=coords)
-    inv = {i: v for v, i in vmap.items()}
-    smaps = []
-    for k in range(n + 1):
-        arr = np.array(
-            [
-                cx.index[k][tuple(sorted(inv[v] for v in s))]
-                for s in map(tuple, sub.simplices[k])
-            ],
-            dtype=int,
-        )
-        smaps.append(arr)
-    lengths = sigma.edge_lengths[smaps[1]] if n >= 1 else None
-    return HypersurfaceMesh(
-        sub,
-        edge_lengths=lengths,
-        orientation_sign=sigma.orientation_sign,
-        parent=sigma,
-        vertex_map=np.array(verts, dtype=int),
-        simplex_maps=smaps,
-    )
+    oriented = sigma.complex.oriented_cells()
+    cells = [oriented[f] for f in sorted(sigma.face_labels[label])]
+    return sigma._submesh(cells, orientation_sign=sigma.orientation_sign)
 
 
 # -- gluing ---------------------------------------------------------------------
@@ -680,7 +645,7 @@ def glue(mesh: RegionMesh, label_a: str, label_b: str, matching: dict) -> Region
             lb = mesh.edge_lengths[
                 cx.index[1][tuple(sorted(matching[v] for v in e))]
             ]
-            if abs(la - lb) > 1e-12 * max(la, lb):
+            if abs(la - lb) > tolerances.GLUE_LENGTH_REL * max(la, lb):
                 raise MeshError("matched edges differ in length; gluing must be "
                                 "an isometry")
 
@@ -706,14 +671,7 @@ def glue(mesh: RegionMesh, label_a: str, label_b: str, matching: dict) -> Region
     glued_cx = SimplicialComplex(next_id, cells, coordinates=coords)
 
     smaps, ssigns = [], []
-    face_a_closure = {
-        k: {
-            cx.index[k][sub]
-            for f in facets_a
-            for sub in itertools.combinations(tuple(cx.simplices[n - 1][f]), k + 1)
-        }
-        for k in range(n)
-    }
+    face_a_closure = {k: mesh._closure_subsimplices(facets_a, k) for k in range(n)}
     for k in range(n + 1):
         idx = np.zeros(cx.n_simplices(k), dtype=int)
         sgn = np.zeros(cx.n_simplices(k), dtype=np.int64)
@@ -772,23 +730,15 @@ def disjoint_union(a: RegionMesh, b: RegionMesh, names=("m0", "m1")) -> RegionMe
             coords = np.vstack([a.complex.coordinates, b.complex.coordinates])
     cx = SimplicialComplex(na + b.complex.n_vertices, cells, coordinates=coords)
 
-    lengths = np.zeros(cx.n_simplices(1))
-    for part, offset, mesh in ((0, 0, a), (1, na, b)):
-        for i, e in enumerate(map(tuple, mesh.complex.simplices[1])):
-            j = cx.index[1][(e[0] + offset, e[1] + offset)]
-            lengths[j] = mesh.edge_lengths[i]
-
-    n = cx.dim
-    labels = {}
-    for prefix, offset, mesh in ((names[0], 0, a), (names[1], na, b)):
-        for lab, facets in mesh.face_labels.items():
-            mapped = frozenset(
-                cx.index[n - 1][
-                    tuple(sorted(v + offset for v in mesh.complex.simplices[n - 1][f]))
-                ]
-                for f in facets
-            )
-            labels[f"{prefix}.{lab}"] = mapped
+    # Every simplex of ``b`` sorts after every simplex of ``a``, so each degree
+    # lists ``a``'s simplices, then ``b``'s, in their own order.
+    lengths = np.concatenate([a.edge_lengths, b.edge_lengths])
+    offset = a.complex.n_simplices(cx.dim - 1)
+    labels = {
+        f"{prefix}.{lab}": frozenset(int(f) + shift for f in facets)
+        for prefix, shift, mesh in ((names[0], 0, a), (names[1], offset, b))
+        for lab, facets in mesh.face_labels.items()
+    }
     return RegionMesh(cx, face_labels=labels or None, edge_lengths=lengths,
                       name=f"{names[0]}+{names[1]}")
 

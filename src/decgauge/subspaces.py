@@ -218,11 +218,15 @@ def contains(outer: Subspace, inner: Subspace,
     Returns ``(contained, max_angle)``; containment holds when all principal
     angles against ``inner``'s full dimension stay below the tolerance.
     """
+    return _contains(outer, inner, principal_angles(outer, inner), angle_tolerance)
+
+
+def _contains(outer: Subspace, inner: Subspace, angles, angle_tolerance):
+    """``contains`` from the already computed ``principal_angles(outer, inner)``."""
     if inner.dim == 0:
         return True, 0.0
     if outer.dim < inner.dim:
         return False, float(np.pi / 2)
-    angles = principal_angles(outer, inner)
     # svd of the (outer.dim x inner.dim) matrix yields inner.dim values.
     max_angle = float(angles.max(initial=0.0))
     return max_angle <= angle_tolerance, max_angle

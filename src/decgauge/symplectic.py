@@ -14,7 +14,7 @@ from . import tolerances
 from .boundary import BoundaryDatum, BoundaryError
 from .dec import Cochain, inner_product
 from .mesh import HypersurfaceMesh, extract_face
-from .subspaces import Subspace, contains, from_span, null_space
+from .subspaces import Subspace, _contains, from_span, null_space, principal_angles
 
 
 def bracket(a: BoundaryDatum, b: BoundaryDatum) -> float:
@@ -154,13 +154,16 @@ def is_coisotropic(v: Subspace, w: SymplecticSpace,
                    angle_tolerance=tolerances.PRINCIPAL_ANGLE,
                    rank_tolerance=tolerances.RANK_REL):
     """Whether the symplectic complement is contained in the subspace; the
-    complement itself is returned as ``info["complement"]``."""
+    complement itself is returned as ``info["complement"]``, and the principal
+    angles of the subspace against it as ``info["angles"]``."""
     comp = symplectic_complement(v, w, rank_tolerance)
-    ok, max_angle = contains(v, comp, angle_tolerance)
+    angles = principal_angles(v, comp)
+    ok, max_angle = _contains(v, comp, angles, angle_tolerance)
     info = {
         "dim": v.dim,
         "complement": comp,
         "complement_dim": comp.dim,
+        "angles": angles,
         "max_principal_angle": max_angle,
         "rank_ambiguous": comp.ambiguous,
     }
@@ -181,6 +184,7 @@ def is_lagrangian(v: Subspace, w: SymplecticSpace,
         "ambient_dim": w.ambient_dim,
         "complement": coiso_info["complement"],
         "complement_dim": coiso_info["complement_dim"],
+        "coisotropy_angles": coiso_info["angles"],
         "max_residual": iso_info["max_residual"],
         "max_principal_angle": coiso_info["max_principal_angle"],
         "rank_ambiguous": coiso_info["rank_ambiguous"],

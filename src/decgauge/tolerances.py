@@ -25,9 +25,6 @@ HARMONIC_REL = 1e-9
 #: Orthogonality and reconstruction of the four-way decomposition.
 HMF_REL = 1e-10
 
-#: Componentwise idempotence of the four-way decomposition.
-HMF_IDEMPOTENT_REL = 1e-9
-
 #: Residual of a claimed bulk solution under the field equation operator.
 SOLUTION_REL = 1e-9
 

@@ -91,6 +91,12 @@ def test_bad_tolerance_exit_two(capsys):
                     "--tol", "oops"]) == 2
 
 
+def test_removed_hmf_idempotent_tolerance_exit_two():
+    # The name gated nothing, so it is no longer accepted.
+    assert run_cli(["decompose", "--mesh", "disk:N=8",
+                    "--tol", "HMF_IDEMPOTENT_REL=1e-9"]) == 2
+
+
 def test_determinism_byte_identical(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -88,6 +88,14 @@ def test_inner_product_symmetric(disk8, rng):
     assert dec.inner_product(a, b) == dec.inner_product(b, a)
 
 
+def test_inner_product_symmetric_bitwise_over_many_pairs(disk8, rng):
+    n = disk8.complex.n_simplices(1)
+    for _ in range(200):
+        a = Cochain(disk8, 1, rng.standard_normal(n))
+        b = Cochain(disk8, 1, rng.standard_normal(n))
+        assert dec.inner_product(a, b) == dec.inner_product(b, a)
+
+
 def test_inner_product_diagonal_tri1(tri1):
     f = Cochain(tri1, 0, [1.0, 0.0, 0.0])
     g = Cochain(tri1, 0, [0.0, 1.0, 0.0])

@@ -4,7 +4,7 @@ import pytest
 from decgauge import builders, dec, symplectic
 from decgauge.boundary import BoundaryDatum
 from decgauge.dec import Cochain
-from decgauge.subspaces import Subspace, from_span
+from decgauge.subspaces import Subspace, from_span, principal_angles
 from decgauge.symplectic import SymplecticSpace
 
 
@@ -229,6 +229,22 @@ def test_coisotropy_applies_rank_tolerance():
     assert not ok and info["complement"].dim == 3
     flag, info = symplectic.is_lagrangian(v, w, rank_tolerance=1e-3)
     assert not flag and info["complement_dim"] == 3
+
+
+def test_coisotropy_reports_the_angles_it_decides_on():
+    # Both the contained case and the one whose complement outgrows the
+    # subspace (decided without angles) report the same principal angles.
+    w = standard_r4()
+    w.omega_matrix[1, 3], w.omega_matrix[3, 1] = 1e-6, -1e-6
+    v = from_span(np.eye(4)[:, :2])
+    for rank_tolerance, max_angle in ((1e-8, None), (1e-3, np.pi / 2)):
+        flag, info = symplectic.is_lagrangian(v, w, rank_tolerance=rank_tolerance)
+        comp = info["complement"]
+        assert np.array_equal(info["coisotropy_angles"], principal_angles(v, comp))
+        if max_angle is None:
+            assert flag and info["max_principal_angle"] == info["coisotropy_angles"].max()
+        else:
+            assert not flag and info["max_principal_angle"] == max_angle
 
 
 def test_symplectic_plane_not_isotropic():
