@@ -136,10 +136,10 @@ def trace_columns(mesh: RegionMesh, columns, sigma: HypersurfaceMesh,
     return columns[idx], flux[idx] / sigma.star_diagonal(1)[:, None]
 
 
-def coclosed_projection(sigma: HypersurfaceMesh, x) -> np.ndarray:
-    """Coclosed representatives x + d f of the columns of x, f from one solve
-    of the 0-Laplacian grounded at a vertex per component (d f ignores the
-    constants).  Boundary Laplacians are small, so the solve is dense."""
+def coclosed_potential(sigma: HypersurfaceMesh, x) -> np.ndarray:
+    """Potentials f with x + d f coclosed, one column per column of x, from
+    one solve of the 0-Laplacian grounded at a vertex per component (d f
+    ignores the constants).  Boundary Laplacians are small: a dense solve."""
     if not sigma.is_closed():
         raise BoundaryError("coclosed gauge fixing needs a closed hypersurface")
     bnd = sigma.complex.boundary_matrices[1]
@@ -148,7 +148,12 @@ def coclosed_projection(sigma: HypersurfaceMesh, x) -> np.ndarray:
     f = np.zeros((bnd.shape[0], x.shape[1]))
     f[free] = np.linalg.solve(laplacian0(sigma).toarray()[np.ix_(free, free)],
                               -(bnd @ (sigma.star_diagonal(1)[:, None] * x))[free])
-    return x + bnd.T @ f
+    return f
+
+
+def coclosed_projection(sigma: HypersurfaceMesh, x) -> np.ndarray:
+    """Coclosed representatives x + d f (:func:`coclosed_potential`)."""
+    return x + sigma.complex.boundary_matrices[1].T @ coclosed_potential(sigma, x)
 
 
 def gauge_fix_coclosed(datum: BoundaryDatum) -> BoundaryDatum:

@@ -98,7 +98,8 @@ def _check(check_id, passed, **extra):
 def _run_decompose(mesh: RegionMesh, config, tol, rng):
     k = config.degree
     alpha = Cochain(mesh, k, rng.standard_normal(mesh.complex.n_simplices(k)))
-    deco = hmf_decompose(alpha, rank_tolerance=tol["RANK_REL"])
+    deco = hmf_decompose(alpha, rank_tolerance=tol["RANK_REL"],
+                         roundoff_tolerance=tol["ROUNDOFF_REL"])
     rec_err = norm(deco.reconstruction() - alpha) / max(norm(alpha), 1e-300)
     checks = [
         _check("hmf_orthogonality", deco.residual_norm <= tol["HMF_REL"],
@@ -151,7 +152,8 @@ def _run_harmonic(mesh: RegionMesh, config, tol, rng):
 
 def _run_verify_lagrangian(mesh: RegionMesh, config, tol, rng):
     rep = verify_lagrangian(mesh, tol["RANK_REL"], tol["ISOTROPY_REL"],
-                            tol["PRINCIPAL_ANGLE"])
+                            tol["PRINCIPAL_ANGLE"], tol["SOLUTION_REL"],
+                            tol["RANK_GAP_FACTOR"])
     checks = [
         _check("lagrangian", rep["lagrangian"],
                isotropy_max=rep["isotropy_max"],
@@ -187,8 +189,8 @@ def verify_axioms(mesh: RegionMesh, tol=None, rng=None,
     else:
         eta = Cochain(mesh, 1, cols @ rng.standard_normal(cols.shape[1]))
         xi = Cochain(mesh, 1, cols @ rng.standard_normal(cols.shape[1]))
-        a = trace_solution(eta)
-        b = trace_solution(xi)
+        a = trace_solution(eta, tolerance=tol["SOLUTION_REL"])
+        b = trace_solution(xi, tolerance=tol["SOLUTION_REL"])
         eq2 = omega(a, b) - 0.5 * bracket(a, b) + 0.5 * bracket(b, a)
         eq2_scale = max(abs(bracket(a, b)), abs(bracket(b, a)), 1e-300)
         eq00, eq00_scale = action_difference_residual(eta, xi)
@@ -240,21 +242,24 @@ def verify_axioms(mesh: RegionMesh, tol=None, rng=None,
                           residual=res8 / scale8, tolerance=tol["ROUNDOFF_REL"])
 
     rep9 = verify_lagrangian(mesh, tol["RANK_REL"], tol["ISOTROPY_REL"],
-                             tol["PRINCIPAL_ANGLE"])
+                             tol["PRINCIPAL_ANGLE"], tol["SOLUTION_REL"],
+                             tol["RANK_GAP_FACTOR"])
     axioms["A9"] = _check("A9", rep9["lagrangian"],
-                          dims=rep9["dims"], isotropy_max=rep9["isotropy_max"])
+                          dims=rep9["dims"], isotropy_max=rep9["isotropy_max"],
+                          rank_ambiguous=rep9["rank_ambiguous"])
 
     if glue_fixture is None:
         strip = builders.strip(4)
         glue_fixture = (strip, "west", "east", builders.strip_end_matching(strip))
     gm, la, lb, matching = glue_fixture
     rep11 = gluing_check(gm, la, lb, matching, tol["RANK_REL"],
-                         tol["PRINCIPAL_ANGLE"], tol["GLUING_ACTION_REL"])
+                         tol["PRINCIPAL_ANGLE"], tol["GLUING_ACTION_REL"],
+                         tol["GLUE_LENGTH_REL"])
     axioms["A11"] = _check("A11", rep11["passed"],
                            dims=rep11["dims"],
                            action_residual=rep11["action_residual"])
 
-    glued = glue(gm, la, lb, matching)
+    glued = glue(gm, la, lb, matching, tol["GLUE_LENGTH_REL"])
     expected = set()
     n = gm.complex.dim
     for lab, facets in gm.face_labels.items():
@@ -284,7 +289,8 @@ def _run_glue(mesh: RegionMesh, config, tol, rng):
         with open(config.matching) as fh:
             matching = {int(k): int(v) for k, v in json.load(fh).items()}
     rep = gluing_check(mesh, la, lb, matching, tol["RANK_REL"],
-                       tol["PRINCIPAL_ANGLE"], tol["GLUING_ACTION_REL"])
+                       tol["PRINCIPAL_ANGLE"], tol["GLUING_ACTION_REL"],
+                       tol["GLUE_LENGTH_REL"])
     checks = [_check("gluing_equalizer", rep["passed"],
                      dims=rep["dims"], action_residual=rep["action_residual"],
                      max_principal_angle=rep["max_principal_angle"])]

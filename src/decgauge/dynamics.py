@@ -19,7 +19,7 @@ from . import tolerances
 from .boundary import (
     BoundaryDatum,
     BoundaryError,
-    coclosed_projection,
+    coclosed_potential,
     trace_columns,
     trace_solution,
 )
@@ -209,22 +209,27 @@ def action_difference_residual(eta: Cochain, xi: Cochain):
     return residual, scale
 
 
-def restrict(space: SolutionSpace,
-             rank_tolerance=tolerances.RANK_REL) -> Subspace:
-    """Image of the gauge-fixed solutions inside the coclosed pairs.
+def _boundary_traces(space: SolutionSpace, solution_tolerance):
+    """Traces ``[phi; phi_dot]`` of the gauge-fixed basis, a column per
+    solution (each residual-gated), boundary-gauge-fixed by one coclosed
+    projection ``phi + d f``; and the potentials ``f`` of phi's gauge fix."""
+    mesh, sigma = space.mesh, space.mesh.boundary
+    x = np.hstack(trace_columns(mesh, space.gauge_fixed_basis.columns, sigma,
+                                solution_tolerance))
+    f = coclosed_potential(sigma, x)
+    fixed = x + sigma.complex.boundary_matrices[1].T @ f
+    return np.vstack(np.hsplit(fixed, 2)), f[:, :space.gauge_fixed_dim]
 
-    All basis solutions are traced at once (each residual-gated) and
-    boundary-gauge-fixed by one coclosed projection; the span is
-    orthonormalized against the doubled boundary star weights.
-    """
-    mesh = space.mesh
-    sigma = mesh.boundary
+
+def restrict(space: SolutionSpace, rank_tolerance=tolerances.RANK_REL,
+             solution_tolerance=tolerances.SOLUTION_REL) -> Subspace:
+    """Image of the gauge-fixed solutions inside the coclosed pairs
+    (:func:`_boundary_traces`), orthonormal in the doubled boundary stars."""
+    sigma = space.mesh.boundary
     if sigma is None:
         return Subspace(np.zeros((0, 0)), gram=None,
                         rank_tolerance=rank_tolerance)
-    fixed = coclosed_projection(sigma, np.hstack(
-        trace_columns(mesh, space.gauge_fixed_basis.columns, sigma)))
-    return from_span(np.vstack(np.hsplit(fixed, 2)),
+    return from_span(_boundary_traces(space, solution_tolerance)[0],
                      gram=np.tile(sigma.star_diagonal(1), 2),
                      rank_tolerance=rank_tolerance)
 
@@ -232,9 +237,12 @@ def restrict(space: SolutionSpace,
 def verify_lagrangian(mesh: RegionMesh,
                       rank_tolerance=tolerances.RANK_REL,
                       isotropy_tolerance=tolerances.ISOTROPY_REL,
-                      angle_tolerance=tolerances.PRINCIPAL_ANGLE) -> dict:
+                      angle_tolerance=tolerances.PRINCIPAL_ANGLE,
+                      solution_tolerance=tolerances.SOLUTION_REL,
+                      gap_factor=tolerances.RANK_GAP_FACTOR) -> dict:
     """Isotropy, coisotropy, and dimension bookkeeping of the restricted
-    solution space inside the gauge-fixed boundary pairs."""
+    solution space inside the gauge-fixed boundary pairs; ``rank_ambiguous``
+    when a rank cut's gap is below ``gap_factor``."""
     sigma = mesh.boundary
     if sigma is None:
         return {
@@ -243,11 +251,12 @@ def verify_lagrangian(mesh: RegionMesh,
             "isotropy_max": 0.0,
             "coisotropy_angles": [],
             "half_dimension": True,
+            "rank_ambiguous": False,
             "lagrangian": True,
             "note": "empty boundary, trivially Lagrangian",
         }
     space = solution_space(mesh, rank_tolerance)
-    image = restrict(space, rank_tolerance)
+    image = restrict(space, rank_tolerance, solution_tolerance)
     phi = coclosed_pair_subspace(sigma, rank_tolerance)
     reduced, to_reduced, _ = SymplecticSpace.from_hypersurface(sigma).restrict(phi)
     x, y = image.columns, to_reduced(image.columns)
@@ -274,7 +283,8 @@ def verify_lagrangian(mesh: RegionMesh,
         "max_principal_angle": info["max_principal_angle"],
         "embedding_defect": embed_defect,
         "half_dimension": bool(half),
-        "rank_ambiguous": info["rank_ambiguous"],
+        "rank_ambiguous": min(sub.gap for sub in (space.gauge_fixed_basis,
+                              image, phi, image_red, comp)) < gap_factor,
         "lagrangian": bool(lag and half),
     }
 
@@ -285,50 +295,41 @@ class NotExtendableError(DynamicsError):
 
 def extend(datum: BoundaryDatum, mesh: RegionMesh,
            membership_tolerance=tolerances.EXTEND_ROUNDTRIP_REL,
-           rank_tolerance=tolerances.RANK_REL) -> Cochain:
-    """A bulk solution whose boundary datum reproduces the input.
+           rank_tolerance=tolerances.RANK_REL,
+           solution_tolerance=tolerances.SOLUTION_REL) -> Cochain:
+    """A bulk solution ``G c + d F`` whose boundary datum reproduces the input.
 
-    Membership in the image subspace is checked by orthogonal projection
-    first; the extension is then the minimum-norm solution of the stacked
-    system (field equation, tangential trace, flux trace).
-    """
+    ``c`` fits the datum on the traces of the gauge-fixed basis ``G``
+    (:func:`_boundary_traces`) by weighted least squares; its relative
+    residual is the membership test.  ``F``, the potential of the traces'
+    gauge fix extended by zero inside, makes the tangential trace phi and
+    leaves the flux alone.  The round trip is gated."""
     sigma = mesh.boundary
     if sigma is None:
         raise DynamicsError("region has no boundary to extend from")
     if datum.host is not sigma:
         raise BoundaryError("datum does not live on the region's boundary")
-    space = solution_space(mesh, rank_tolerance)
-    image = restrict(space, rank_tolerance)
     vec = datum.vector()
-    scale = float(np.sqrt(np.dot(vec, image.gram * vec)))
+    w = np.sqrt(np.tile(sigma.star_diagonal(1), 2))
+    scale = float(np.linalg.norm(w * vec))
     if scale == 0.0:
         return Cochain.zeros(mesh, 1)
-    residual = image.projection_residual(vec)
+    space = solution_space(mesh, rank_tolerance)
+    traced, potential = _boundary_traces(space, solution_tolerance)
+    c = np.linalg.lstsq(w[:, None] * traced, w * vec, rcond=None)[0]
+    residual = float(np.linalg.norm(w * (traced @ c - vec))) / scale
     if residual > membership_tolerance:
         raise NotExtendableError(
             f"datum is not extendable: projection residual {residual:.3e} "
             f"exceeds {membership_tolerance:.1e}"
         )
-
     cx = mesh.complex
-    n1 = cx.n_simplices(1)
-    el = field_equation_matrix(mesh)
-    full = curvature_adjoint_full(mesh)
-    tr_idx = sigma.simplex_maps[1]
-    trace_rows = np.zeros((len(tr_idx), n1))
-    trace_rows[np.arange(len(tr_idx)), tr_idx] = 1.0
-    flux_rows = full[tr_idx]
-    s1 = sigma.star_diagonal(1)
-    lhs = np.vstack([el, trace_rows, flux_rows])
-    rhs = np.concatenate([
-        np.zeros(el.shape[0]),
-        datum.phi.values,
-        s1 * datum.phi_dot.values,
-    ])
-    eta_values, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    eta = Cochain(mesh, 1, eta_values)
+    f = np.zeros(cx.n_simplices(0))
+    f[sigma.region_simplex_map(0)] = potential @ c
+    eta = Cochain(mesh, 1, space.gauge_fixed_basis.columns @ c
+                  + cx.boundary_matrices[1].T @ f)
 
-    back = trace_solution(eta, sigma)
+    back = trace_solution(eta, sigma, solution_tolerance)
     err = np.linalg.norm(back.vector() - vec) / max(np.linalg.norm(vec), 1e-300)
     if err > membership_tolerance:
         raise NotExtendableError(
@@ -340,7 +341,8 @@ def extend(datum: BoundaryDatum, mesh: RegionMesh,
 def gluing_check(mesh: RegionMesh, label_a: str, label_b: str, matching: dict,
                  rank_tolerance=tolerances.RANK_REL,
                  angle_tolerance=tolerances.PRINCIPAL_ANGLE,
-                 action_tolerance=tolerances.GLUING_ACTION_REL) -> dict:
+                 action_tolerance=tolerances.GLUING_ACTION_REL,
+                 length_tolerance=tolerances.GLUE_LENGTH_REL) -> dict:
     """Equalizer of the two face restrictions versus the glued solutions.
 
     Solutions on the glued region pull back to solutions on the cut region
@@ -348,7 +350,7 @@ def gluing_check(mesh: RegionMesh, label_a: str, label_b: str, matching: dict,
     computes both subspaces independently and compares them, then verifies
     the action composes across the pullback.
     """
-    glued = glue(mesh, label_a, label_b, matching)
+    glued = glue(mesh, label_a, label_b, matching, length_tolerance)
     info: GlueInfo = glued.glue_info
 
     glued_space = solution_space(glued, rank_tolerance)

@@ -9,6 +9,7 @@ the oracle's rank exactly.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from scipy import sparse
 from . import tolerances
 from .dec import Cochain, DECError, adjoint_full, codifferential, d, inner_product, norm
 from .mesh import RegionMesh
-from .subspaces import Subspace, reduced_null_space
+from .subspaces import Subspace, factorized_solve, reduced_null_space
 
 
 class HodgeError(ValueError):
@@ -181,24 +182,16 @@ class HarmonicBasis:
         return worst
 
 
-def _harmonic_kernel(mesh, k: int, rank_tolerance, dirichlet: bool) -> Subspace:
-    """Harmonic k-fields ``ker A``, ``A = [d_k; del_k S_k]``, reduced with
-    ``L = A^T diag(S_k+1, S_k-1^-1) A`` by :func:`~decgauge.subspaces.
-    reduced_null_space`: in components with a boundary vertex, unknowns not
-    kept are eliminated (``L_JJ`` is singular only on a harmonic field
-    vanishing on every kept simplex).  Neumann keeps the boundary
-    k-simplices.  Dirichlet solves on the interior k-simplices and (k-1)
-    rows, keeps those with a boundary vertex and zero-pads the kernel.
-    """
+def _hodge_system(mesh, k: int, dirichlet: bool):
+    """``(A, L, cols)``: ``A = [d_k; del_k S_k]`` on the k-simplices ``cols``
+    and the Hodge Laplacian ``L = A^T diag(S_k+1, S_k-1^-1) A``.  Neumann
+    takes every k-simplex and (k-1) row; Dirichlet the interior ones."""
     cx = mesh.complex
-    near = mesh.boundary_simplex_mask(0)
     if dirichlet:
         cols = mesh.interior_simplex_mask(k)
         rows = mesh.interior_simplex_mask(k - 1) if k else None
-        keep = near[cx.simplices[k]].any(axis=1)
     else:
         cols, rows = slice(None), slice(None)
-        keep = mesh.boundary_simplex_mask(k)
     blocks, weights = [], []
     if k < cx.dim:
         blocks.append(cx.boundary_matrices[k + 1].T[:, cols])
@@ -207,7 +200,21 @@ def _harmonic_kernel(mesh, k: int, rank_tolerance, dirichlet: bool) -> Subspace:
         blocks.append(adjoint_full(mesh, k).tocsr()[rows][:, cols])
         weights.append(1.0 / mesh.star_diagonal(k - 1)[rows])
     a = sparse.vstack(blocks).tocsr()
-    lap = a.T @ sparse.diags(np.concatenate(weights)) @ a
+    return a, a.T @ sparse.diags(np.concatenate(weights)) @ a, cols
+
+
+def _harmonic_kernel(mesh, k: int, rank_tolerance, dirichlet: bool) -> Subspace:
+    """Harmonic k-fields ``ker A`` of :func:`_hodge_system`, reduced with its
+    ``L`` by :func:`~decgauge.subspaces.reduced_null_space`: in components
+    with a boundary vertex, unknowns not kept are eliminated (``L_JJ`` is
+    singular only on a harmonic field vanishing on every kept simplex).
+    Neumann keeps the boundary k-simplices, Dirichlet the interior ones with
+    a boundary vertex (the kernel is zero-padded)."""
+    cx = mesh.complex
+    near = mesh.boundary_simplex_mask(0)
+    a, lap, cols = _hodge_system(mesh, k, dirichlet)
+    keep = (near[cx.simplices[k]].any(axis=1) if dirichlet
+            else mesh.boundary_simplex_mask(k))
     comp = cx.vertex_components()
     bounded = np.isin(comp[cx.simplices[k][cols, 0]], comp[near])
     small = reduced_null_space(a, lap, keep[cols] | ~bounded,
@@ -265,16 +272,18 @@ class HmfDecomposition:
 
     exact_dirichlet + coexact_neumann + harmonic_neumann + harmonic_exact
     reproduces the input; ``residual_norm`` is the worst relative pairwise
-    orthogonality defect among nonzero components.
+    orthogonality defect among nonzero components; ``solves`` holds the size
+    and pivot ratio of each projection solve.
     """
 
     def __init__(self, exact_dirichlet, coexact_neumann, harmonic_neumann,
-                 harmonic_exact, residual_norm):
+                 harmonic_exact, residual_norm, solves=None):
         self.exact_dirichlet = exact_dirichlet
         self.coexact_neumann = coexact_neumann
         self.harmonic_neumann = harmonic_neumann
         self.harmonic_exact = harmonic_exact
         self.residual_norm = residual_norm
+        self.solves = solves or {}
 
     def components(self):
         return (self.exact_dirichlet, self.coexact_neumann,
@@ -290,74 +299,82 @@ class HmfDecomposition:
         return {
             "component_norms": {n: norm(c) for n, c in zip(names, self.components())},
             "residual_norm": self.residual_norm,
+            "projection_solves": self.solves,
         }
 
 
-def _weighted_lstsq(mat, weights, rhs):
-    """min ||sqrt(weights) (mat x - rhs)||, with a condition estimate."""
-    if mat.shape[1] == 0:
-        return np.zeros(0)
-    w = np.sqrt(weights)
-    a = w[:, None] * mat
-    b = w * rhs
-    x, _, rank, svals = np.linalg.lstsq(a, b, rcond=None)
-    if rank > 0 and svals.size:
-        cond = svals[0] / svals[rank - 1]
-        if cond > 1e14:
-            raise HodgeError(f"ill-conditioned projection solve, cond ~ {cond:.2e}")
-    return x
+def _potential(mesh, j: int, dirichlet: bool, rhs, rank_tolerance):
+    """Solve the Hodge Laplacian of :func:`_hodge_system` for ``rhs`` (which
+    is orthogonal to its kernel), and the solve's record.  A kernel the
+    oracle predicts is grounded first: the unknowns on which the harmonic
+    basis of degree ``j`` is best conditioned are fixed at zero."""
+    _, lap, cols = _hodge_system(mesh, j, dirichlet)
+    free = np.ones(lap.shape[0], dtype=bool)
+    if (relative_betti_oracle if dirichlet else betti_oracle)(mesh, j):
+        h = (harmonic_dirichlet_basis if dirichlet else harmonic_neumann_basis)(
+            mesh, j, rank_tolerance).basis.columns[cols]
+        for _ in range(h.shape[1]):  # greedy row pivoting of h
+            i = int(np.argmax(np.einsum("ij,ij->i", h, h)))
+            free[i] = False
+            h = h - np.outer(h @ h[i], h[i]) / (h[i] @ h[i])
+    x, ratio = np.zeros(lap.shape[0]), None
+    if free.any():
+        x[free], ratio = factorized_solve(lap.tocsr()[free][:, free], rhs[free],
+                                          rank_tolerance, HodgeError)
+    return x, {"block_size": int(free.sum()), "grounded": int((~free).sum()),
+               "pivot_ratio": ratio, "rank_tolerance": rank_tolerance}
 
 
 def hmf_decompose(alpha: Cochain, mesh: RegionMesh | None = None,
                   neumann_basis: HarmonicBasis | None = None,
-                  rank_tolerance=tolerances.RANK_REL) -> HmfDecomposition:
-    """Successive orthogonal projections onto the four summands.
+                  rank_tolerance=tolerances.RANK_REL,
+                  roundoff_tolerance=tolerances.ROUNDOFF_REL) -> HmfDecomposition:
+    """Orthogonal projections onto the four summands; two independent solves.
 
-    Solves the Dirichlet potential problem for the exact part, the Neumann
-    problem for the coexact part, projects onto the harmonic Neumann basis
-    (built with ``rank_tolerance`` unless given), and assigns the remainder
-    to the exact-harmonic summand.
-    """
+    Exact part ``D x`` (``D = d_(k-1)`` on interior (k-1)-simplices): the
+    Dirichlet Hodge Laplacian of degree k-1 for ``D^T S_k alpha``.  Coexact
+    part ``B y`` (``B = S_k^-1 d_k^T S_k+1``): the Neumann one of degree k+1,
+    down term ``B^T S_k B``, for ``B^T S_k alpha``; in degree 0, ``alpha``
+    minus its weighted mean per component.  The other term of each Laplacian
+    vanishes on the solution (:func:`_potential`).  The rest is projected onto
+    the harmonic Neumann basis (built unless given); the remainder is exact
+    harmonic.  Components below ``roundoff_tolerance * |alpha|`` are left out
+    of the orthogonality defect."""
     mesh = mesh if mesh is not None else alpha.host
     if alpha.host is not mesh:
         raise DECError("cochain does not live on the given region")
     cx = mesh.complex
     k = alpha.degree
     weights = mesh.star_diagonal(k)
-
+    exact = coexact = np.zeros_like(alpha.values)
+    solves = {}
     if k >= 1:
-        interior = mesh.interior_simplex_mask(k - 1)
-        dmat = cx.boundary_matrices[k].T.toarray()[:, interior]
-        x = _weighted_lstsq(dmat, weights, alpha.values)
-        exact = Cochain(mesh, k, dmat @ x)
-    else:
-        exact = Cochain.zeros(mesh, k)
-
-    if k < cx.dim:
-        # Image of the metric adjoint of d applied to (k+1)-cochains.
-        bmat = adjoint_full(mesh, k + 1).toarray() / weights[:, None]
-        y = _weighted_lstsq(bmat, weights, alpha.values)
-        coexact = Cochain(mesh, k, bmat @ y)
-    else:
-        coexact = Cochain.zeros(mesh, k)
+        dmat = cx.boundary_matrices[k].T.tocsc()[:, mesh.interior_simplex_mask(k - 1)]
+        x, solves["exact_dirichlet"] = _potential(
+            mesh, k - 1, True, dmat.T @ (weights * alpha.values), rank_tolerance)
+        exact = dmat @ x
+    if 1 <= k < cx.dim:
+        bmat = adjoint_full(mesh, k + 1)  # S_k B
+        y, solves["coexact_neumann"] = _potential(
+            mesh, k + 1, False, bmat.T @ alpha.values, rank_tolerance)
+        coexact = bmat @ y / weights
+    elif k < cx.dim:
+        comp = cx.vertex_components()
+        mean = np.bincount(comp, weights * alpha.values) / np.bincount(comp, weights)
+        coexact = alpha.values - mean[comp]
 
     if neumann_basis is None:
         neumann_basis = harmonic_neumann_basis(mesh, k, rank_tolerance)
-    rest = alpha.values - exact.values - coexact.values
-    hn = Cochain(mesh, k, neumann_basis.basis.project(rest))
-    he = Cochain(mesh, k, rest - hn.values)
-
-    comps = (exact, coexact, hn, he)
+    rest = alpha.values - exact - coexact
+    hn = neumann_basis.basis.project(rest)
+    comps = tuple(Cochain(mesh, k, v) for v in (exact, coexact, hn, rest - hn))
     # Components at roundoff of the input carry no meaningful direction;
     # exclude them from the normalized orthogonality defect.
-    floor = 1e-13 * max(norm(alpha), 1e-300)
-    worst = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            ni, nj = norm(comps[i]), norm(comps[j])
-            if ni > floor and nj > floor:
-                worst = max(worst, abs(inner_product(comps[i], comps[j])) / (ni * nj))
-    return HmfDecomposition(*comps, residual_norm=worst)
+    floor = roundoff_tolerance * max(norm(alpha), 1e-300)
+    big = [c for c in comps if norm(c) > floor]
+    worst = max((abs(inner_product(a, b)) / (norm(a) * norm(b))
+                 for a, b in itertools.combinations(big, 2)), default=0.0)
+    return HmfDecomposition(*comps, residual_norm=worst, solves=solves)
 
 
 def coclosed_decompose(phi: Cochain,

@@ -524,12 +524,6 @@ class RegionMesh(_MetricMesh):
                 strata[(a, b)] = frozenset(common)
         return strata
 
-    def label_of_facet(self, facet_index: int) -> str:
-        for lab, facets in self.face_labels.items():
-            if facet_index in facets:
-                return lab
-        raise MeshError(f"facet {facet_index} is not a labeled boundary facet")
-
     # -- boundary --------------------------------------------------------------
 
     @property
@@ -597,13 +591,14 @@ def _facets_of_label(mesh: RegionMesh, label: str):
     return sorted(mesh.face_labels[label])
 
 
-def glue(mesh: RegionMesh, label_a: str, label_b: str, matching: dict) -> RegionMesh:
+def glue(mesh: RegionMesh, label_a: str, label_b: str, matching: dict,
+         length_tolerance=tolerances.GLUE_LENGTH_REL) -> RegionMesh:
     """Glue a region along two disjoint, isometric labeled faces.
 
     ``matching`` is a vertex bijection from the vertices of face ``label_a``
     onto those of face ``label_b``; it must identify the two faces
     simplex-by-simplex, reversing the induced boundary orientation, and
-    matched edges must have equal length.
+    matched edges must have equal length to ``length_tolerance``.
     """
     if label_a == label_b:
         raise MeshError("cannot glue a face to itself")
@@ -645,7 +640,7 @@ def glue(mesh: RegionMesh, label_a: str, label_b: str, matching: dict) -> Region
             lb = mesh.edge_lengths[
                 cx.index[1][tuple(sorted(matching[v] for v in e))]
             ]
-            if abs(la - lb) > tolerances.GLUE_LENGTH_REL * max(la, lb):
+            if abs(la - lb) > length_tolerance * max(la, lb):
                 raise MeshError("matched edges differ in length; gluing must be "
                                 "an isometry")
 

@@ -39,12 +39,12 @@ class Subspace:
     gram : positive diagonal of the inner product.
     rank_tolerance : relative singular value cut used to fix the rank.
     singular_values : spectrum of the generating matrix (may be empty).
-    ambiguous : True when retained and discarded singular values are closer
-        than the configured gap factor.
+    gap : retained over discarded singular value at the rank cut (inf
+        without a cut); ``ambiguous`` when below ``RANK_GAP_FACTOR``.
     """
 
     def __init__(self, columns, gram=None, rank_tolerance=tolerances.RANK_REL,
-                 singular_values=None, ambiguous=False):
+                 singular_values=None, gap=np.inf):
         columns = np.atleast_2d(np.asarray(columns, dtype=float))
         self.columns = columns
         self.gram = _as_gram(gram, columns.shape[0])
@@ -54,7 +54,11 @@ class Subspace:
             if singular_values is not None
             else np.zeros(0)
         )
-        self.ambiguous = bool(ambiguous)
+        self.gap = float(gap)
+
+    @property
+    def ambiguous(self) -> bool:
+        return self.gap < tolerances.RANK_GAP_FACTOR
 
     @property
     def dim(self) -> int:
@@ -95,10 +99,9 @@ def from_span(matrix, gram=None, rank_tolerance=tolerances.RANK_REL) -> Subspace
     u, s, _ = np.linalg.svd(w[:, None] * matrix, full_matrices=False)
     smax = s.max()
     rank = int(np.sum(s > rank_tolerance * smax))
-    ambiguous = _gap_ambiguous(s, rank)
     cols = u[:, :rank] / w[:, None]
     return Subspace(cols, gram, rank_tolerance, singular_values=s,
-                    ambiguous=ambiguous)
+                    gap=_gap(s, rank))
 
 
 def null_space(matrix, gram=None, rank_tolerance=tolerances.RANK_REL,
@@ -108,6 +111,7 @@ def null_space(matrix, gram=None, rank_tolerance=tolerances.RANK_REL,
     ``matrix`` may have zero rows; ``n_columns`` disambiguates the ambient
     dimension in that case.  With ``embed`` (full column rank) ``matrix`` is
     ``A @ embed`` and the result ``embed @ ker(matrix)``, in ``embed``'s rows.
+    A wide matrix takes the full right basis from its SVD, unpadded.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
@@ -117,17 +121,9 @@ def null_space(matrix, gram=None, rank_tolerance=tolerances.RANK_REL,
         return from_span(eye, gram=_as_gram(gram, eye.shape[0]),
                          rank_tolerance=rank_tolerance)
     matrix = np.atleast_2d(matrix)
-    rows, cols = matrix.shape
-    if rows < cols:
-        # Pad square so the economy SVD still returns a complete right basis.
-        matrix = np.vstack([matrix, np.zeros((cols - rows, cols))])
-    _, s, vt = np.linalg.svd(matrix, full_matrices=False)
+    _, s, vt = np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
     smax = s.max() if s.size else 0.0
-    if smax == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > rank_tolerance * smax))
-    ambiguous = _gap_ambiguous(s[:min(rows, cols)], rank)
+    rank = int(np.sum(s > rank_tolerance * smax)) if smax > 0 else 0
     kernel = vt[rank:].T if embed is None else embed @ vt[rank:].T
     g = _as_gram(gram, kernel.shape[0])
     if kernel.shape[1] == 0:
@@ -142,9 +138,31 @@ def null_space(matrix, gram=None, rank_tolerance=tolerances.RANK_REL,
             out = Subspace(cols_g, g, rank_tolerance)
         except np.linalg.LinAlgError:
             out = from_span(kernel, gram=g, rank_tolerance=rank_tolerance)
-    out.singular_values = s
-    out.ambiguous = out.ambiguous or ambiguous
+    out.singular_values, out.gap = s, min(out.gap, _gap(s, rank))
     return out
+
+
+def factorized_solve(block, rhs, rank_tolerance=tolerances.RANK_REL,
+                     error=ValueError):
+    """Solution and pivot ratio of the sparse SPD ``block`` for ``rhs``: dense
+    Cholesky up to ``DENSE_BLOCK_MAX`` unknowns, SuperLU above.  A pivot
+    ratio (smallest over largest) not above the rank tolerance raises ``error``."""
+    try:
+        if block.shape[0] > DENSE_BLOCK_MAX:
+            from scipy.sparse.linalg import splu
+            lu = splu(block.tocsc())
+            pivots, x = np.abs(lu.U.diagonal()), lu.solve(rhs)
+        else:
+            pivots = np.diag(np.linalg.cholesky(block.toarray())) ** 2
+            x = np.linalg.solve(block.toarray(), rhs)
+    except (RuntimeError, np.linalg.LinAlgError):  # exactly singular
+        pivots = np.zeros(1)
+    ratio = float(pivots.min() / max(pivots.max(), 1e-300))
+    if not ratio > rank_tolerance:
+        raise error(f"factorized block of {block.shape[0]} unknowns is "
+                    f"singular (pivot ratio {ratio:.1e}, rank tolerance "
+                    f"{rank_tolerance:.1e})")
+    return x, ratio
 
 
 def reduced_null_space(a, lap, kept, gram=None,
@@ -154,10 +172,9 @@ def reduced_null_space(a, lap, kept, gram=None,
 
     The rows ``J`` of the sparse PSD ``lap`` (e.g. ``a^T W a``, ``W`` a
     positive diagonal) must vanish on ``ker a``.  So ``ker a = E ker(a E)``,
-    ``E = [I_keep; -lap_JJ^-1 lap_J,keep]``: one factorization of ``lap_JJ``
-    (dense Cholesky up to ``DENSE_BLOCK_MAX``, SuperLU above), a dense null
-    space of ``a E`` only.  A pivot ratio of ``lap_JJ`` not above the rank
-    tolerance raises ``error``.  Nothing eliminated: ``null_space(a)``.
+    ``E = [I_keep; -lap_JJ^-1 lap_J,keep]``: one :func:`factorized_solve`
+    of ``lap_JJ`` (its pivot gate raises ``error``), a dense null space of
+    ``a E`` only.  Nothing eliminated: ``null_space(a)``.
     """
     elim, keep = np.flatnonzero(~kept), np.flatnonzero(kept)
     if not elim.size:
@@ -166,31 +183,16 @@ def reduced_null_space(a, lap, kept, gram=None,
     e = np.zeros((a.shape[1], keep.size))
     e[keep, np.arange(keep.size)] = 1.0
     lap = lap.tocsr()
-    block, rhs = lap[elim][:, elim], lap[elim][:, keep].toarray()
-    try:
-        if elim.size > DENSE_BLOCK_MAX:
-            from scipy.sparse.linalg import splu
-            lu = splu(block.tocsc())
-            pivots, e[elim] = np.abs(lu.U.diagonal()), -lu.solve(rhs)
-        else:
-            pivots = np.diag(np.linalg.cholesky(block.toarray())) ** 2
-            e[elim] = -np.linalg.solve(block.toarray(), rhs)
-    except (RuntimeError, np.linalg.LinAlgError):  # exactly singular
-        pivots = np.zeros(1)
-    ratio = pivots.min() / max(pivots.max(), 1e-300)
-    if not ratio > rank_tolerance:
-        raise error(f"interior block of the boundary reduction is singular "
-                    f"(pivot ratio {ratio:.1e}, rank tolerance "
-                    f"{rank_tolerance:.1e})")
+    e[elim] = -factorized_solve(lap[elim][:, elim], lap[elim][:, keep].toarray(),
+                                rank_tolerance, error)[0]
     return null_space(a @ e, gram=gram, rank_tolerance=rank_tolerance,
                       n_columns=keep.size, embed=e)
 
 
-def _gap_ambiguous(s, rank, factor=tolerances.RANK_GAP_FACTOR) -> bool:
-    if rank == 0 or rank >= s.size:
-        return False
-    kept, dropped = s[rank - 1], s[rank]
-    return bool(dropped > 0 and kept / dropped < factor)
+def _gap(s, rank) -> float:
+    if rank == 0 or rank >= s.size or not s[rank] > 0:
+        return np.inf
+    return float(s[rank - 1] / s[rank])
 
 
 def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:

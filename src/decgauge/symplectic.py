@@ -57,19 +57,11 @@ class SymplecticSpace:
     def ambient_dim(self) -> int:
         return self.omega_matrix.shape[0]
 
-    def evaluate(self, x, y) -> float:
-        return float(np.asarray(x) @ self.omega_matrix @ np.asarray(y))
-
     def kernel(self, rank_tolerance=tolerances.RANK_REL) -> Subspace:
         """Degeneracy directions of the two-form, reported explicitly."""
         return null_space(self.omega_matrix, gram=self.gram,
                           rank_tolerance=rank_tolerance,
                           n_columns=self.ambient_dim)
-
-    def subspace(self, spanning_vectors) -> Subspace:
-        return from_span(np.column_stack(spanning_vectors)
-                         if isinstance(spanning_vectors, (list, tuple))
-                         else spanning_vectors, gram=self.gram)
 
     def restrict(self, phi_subspace: Subspace):
         """Reduced symplectic space on a subspace, with coordinate maps.
@@ -117,7 +109,7 @@ def coclosed_pair_subspace(sigma: HypersurfaceMesh,
     out = Subspace(cols, gram=np.concatenate([s, s]),
                    rank_tolerance=rank_tolerance,
                    singular_values=single.singular_values,
-                   ambiguous=single.ambiguous)
+                   gap=single.gap)
     return out
 
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from decgauge import subspaces
 
@@ -86,3 +87,23 @@ def test_small_angle_resolved_below_arccos_floor():
         assert angles.shape == (2,)
         assert np.isclose(angles.max(), theta, rtol=1e-6)
         assert angles.min() < 1e-15
+
+
+def test_wide_null_space_matches_padded_svd(rng):
+    # a wide matrix takes its full right basis from one SVD, unpadded
+    mat = rng.standard_normal((30, 70))
+    mat[-5:] = mat[:5]  # rank 25
+    wide = subspaces.null_space(mat)
+    padded = subspaces.null_space(np.vstack([mat, np.zeros((40, 70))]))
+    assert wide.dim == padded.dim == 45
+    assert subspaces.principal_angles(wide, padded).max() < 1e-12
+    assert np.abs(mat @ wide.columns).max() < 1e-12
+    assert wide.singular_values.shape == (30,)
+    assert wide.ambiguous is padded.ambiguous is False
+
+
+def test_rank_cut_reports_its_gap():
+    mat = np.diag([1.0, 1e-3, 1e-20])
+    for sub in (subspaces.null_space(mat), subspaces.from_span(mat)):
+        assert sub.gap == pytest.approx(1e17) and not sub.ambiguous
+    assert subspaces.from_span(np.eye(3)).gap == np.inf
