@@ -33,32 +33,27 @@ class DynamicsError(ValueError):
     """Solver failure, non-extendable datum, or gluing mismatch."""
 
 
-def curvature_adjoint_full(mesh: RegionMesh) -> np.ndarray:
-    """All rows of d^T S_2 d acting on 1-cochains."""
-    cx = mesh.complex
-    d1 = cx.boundary_matrices[2].T
-    return (d1.T @ sparse.diags(mesh.star_diagonal(2)) @ d1).toarray()
+def _curvature_adjoint(mesh: RegionMesh) -> sparse.csr_matrix:
+    """All rows of d^T S_2 d acting on 1-cochains, sparse."""
+    d1 = mesh.complex.boundary_matrices[2].T
+    return (d1.T @ sparse.diags(mesh.star_diagonal(2)) @ d1).tocsr()
 
 
 def field_equation_matrix(mesh: RegionMesh) -> np.ndarray:
-    """Interior-edge rows of the curvature adjoint: the bulk field equation."""
+    """The bulk field equation (interior rows of the curvature adjoint), dense."""
     if mesh.complex.dim < 2:
         raise DynamicsError("field equation needs a region of dimension >= 2")
-    full = curvature_adjoint_full(mesh)
-    return full[mesh.interior_simplex_mask(1)]
+    return _curvature_adjoint(mesh)[mesh.interior_simplex_mask(1)].toarray()
 
 
 class SolutionSpace:
-    """Solutions of the bulk equation and their coclosed Neumann representatives.
+    """Solutions ``g + d f`` of the bulk equation, ``g`` gauge-fixed.
 
     ``gauge_fixed_basis`` is ``ker A`` computed reduced onto the boundary
     edges (see :func:`solution_space`); its ``singular_values`` are the
-    spectrum of the reduced matrix ``A E``, not of ``A``.
-
-    The full solution basis is computed on first access; every gauge orbit
-    meets the gauge-fixed space exactly once, so its dimension is the
-    gauge-fixed dimension plus the exact gauge directions, and that identity
-    is asserted whenever the full basis is materialized.
+    spectrum of the reduced matrix ``A E``, not of ``A``.  Every gauge orbit
+    meets it once, S_1-orthogonally, so ``dim`` adds the ``n_0 -
+    components`` exact directions and no full basis is ever built.
     """
 
     def __init__(self, mesh: RegionMesh, gauge_fixed: Subspace,
@@ -66,56 +61,27 @@ class SolutionSpace:
         self.mesh = mesh
         self.gauge_fixed_basis = gauge_fixed
         self.rank_tolerance = rank_tolerance
-        self._basis = None
-
-    @property
-    def exact_gauge_dim(self) -> int:
-        cx = self.mesh.complex
-        return cx.n_simplices(0) - cx.n_components()
-
-    @property
-    def basis(self) -> Subspace:
-        if self._basis is None:
-            el = field_equation_matrix(self.mesh)
-            self._basis = null_space(
-                el, gram=self.mesh.star_diagonal(1),
-                rank_tolerance=self.rank_tolerance,
-                n_columns=self.mesh.complex.n_simplices(1),
-            )
-            if self._basis.dim != self.dim:
-                raise DynamicsError(
-                    f"solution dimension {self._basis.dim} != gauge-fixed "
-                    f"dimension {self.gauge_fixed_basis.dim} plus "
-                    f"{self.exact_gauge_dim} exact gauge directions"
-                )
-        return self._basis
 
     @property
     def dim(self) -> int:
-        return self.gauge_fixed_basis.dim + self.exact_gauge_dim
+        cx = self.mesh.complex
+        return self.gauge_fixed_dim + cx.n_simplices(0) - cx.n_components()
 
     @property
     def gauge_fixed_dim(self) -> int:
         return self.gauge_fixed_basis.dim
 
-    def solutions(self):
-        return [
-            Cochain(self.mesh, 1, self.basis.columns[:, j])
-            for j in range(self.basis.dim)
-        ]
-
     def gauge_fixed_solutions(self):
-        return [
-            Cochain(self.mesh, 1, self.gauge_fixed_basis.columns[:, j])
-            for j in range(self.gauge_fixed_basis.dim)
-        ]
+        return [Cochain(self.mesh, 1, c) for c in self.gauge_fixed_basis.columns.T]
 
-    def report(self) -> dict:
-        return {
-            "dim": self.dim,
-            "gauge_fixed_dim": self.gauge_fixed_dim,
-            "exact_gauge_dim": self.exact_gauge_dim,
-        }
+    def random_solutions(self, rng, count: int) -> np.ndarray:
+        """``count`` random solutions ``G.project(x) + d f`` as columns, ``x``
+        and ``f`` standard normal; the projection, unlike coefficients on
+        the basis, does not depend on how the basis is rotated."""
+        cx = self.mesh.complex
+        x = rng.standard_normal((cx.n_simplices(1), count))
+        f = rng.standard_normal((cx.n_simplices(0), count))
+        return self.gauge_fixed_basis.project(x) + cx.boundary_matrices[1].T @ f
 
 
 def solution_space(mesh: RegionMesh,
@@ -132,8 +98,7 @@ def solution_space(mesh: RegionMesh,
     if mesh.complex.dim < 2:
         raise DynamicsError("field equation needs a region of dimension >= 2")
     cx = mesh.complex
-    d1 = cx.boundary_matrices[2].T
-    k = (d1.T @ sparse.diags(mesh.star_diagonal(2)) @ d1).tocsr()
+    k = _curvature_adjoint(mesh)
     gauge = (cx.boundary_matrices[1] @ sparse.diags(mesh.star_diagonal(1))).tocsr()
     a = sparse.vstack([k[mesh.interior_simplex_mask(1)], gauge]).tocsr()
     comp = cx.vertex_components()[cx.simplices[1][:, 0]]
@@ -146,23 +111,26 @@ def solution_space(mesh: RegionMesh,
     return SolutionSpace(mesh, gauge_fixed, rank_tolerance)
 
 
+def actions(mesh: RegionMesh, columns):
+    """Actions ``<d a, d a>`` of the 1-cochain columns, and their attainable
+    magnitudes (absolute-value arithmetic): flat fields have action at
+    roundoff of that scale, so action identities are judged against it."""
+    d1 = mesh.complex.boundary_matrices[2].T
+    s2 = mesh.star_diagonal(2)
+    da, absd = d1 @ columns, abs(d1) @ np.abs(columns)
+    return s2 @ (da * da), s2 @ (absd * absd)
+
+
 def action(eta: Cochain) -> float:
     """<d eta, d eta> with the degree-2 inner product; zero iff flat."""
     if eta.degree != 1:
         raise DECError("the action takes 1-cochains")
-    deta = d(eta)
-    return inner_product(deta, deta)
+    return float(actions(eta.host, eta.values)[0])
 
 
 def action_scale(eta: Cochain) -> float:
-    """Attainable magnitude of the action sum (absolute-value arithmetic).
-
-    Flat fields have action at roundoff of this scale, not of the action
-    value itself, so residuals of action identities are judged against it.
-    """
-    cx = eta.host.complex
-    absd = abs(cx.boundary_matrices[2].T) @ np.abs(eta.values)
-    return float(np.dot(absd, eta.host.star_diagonal(2) * absd))
+    """Attainable magnitude of the action sum (see :func:`actions`)."""
+    return float(actions(eta.host, eta.values)[1])
 
 
 def theta(eta: Cochain, variation: Cochain) -> float:
@@ -239,10 +207,12 @@ def verify_lagrangian(mesh: RegionMesh,
                       isotropy_tolerance=tolerances.ISOTROPY_REL,
                       angle_tolerance=tolerances.PRINCIPAL_ANGLE,
                       solution_tolerance=tolerances.SOLUTION_REL,
-                      gap_factor=tolerances.RANK_GAP_FACTOR) -> dict:
+                      gap_factor=tolerances.RANK_GAP_FACTOR,
+                      space: SolutionSpace | None = None) -> dict:
     """Isotropy, coisotropy, and dimension bookkeeping of the restricted
     solution space inside the gauge-fixed boundary pairs; ``rank_ambiguous``
-    when a rank cut's gap is below ``gap_factor``."""
+    when a rank cut's gap is below ``gap_factor``.  ``space``, the mesh's
+    :func:`solution_space` if a caller already built it, is not rebuilt."""
     sigma = mesh.boundary
     if sigma is None:
         return {
@@ -255,7 +225,7 @@ def verify_lagrangian(mesh: RegionMesh,
             "lagrangian": True,
             "note": "empty boundary, trivially Lagrangian",
         }
-    space = solution_space(mesh, rank_tolerance)
+    space = space or solution_space(mesh, rank_tolerance)
     image = restrict(space, rank_tolerance, solution_tolerance)
     phi = coclosed_pair_subspace(sigma, rank_tolerance)
     reduced, to_reduced, _ = SymplecticSpace.from_hypersurface(sigma).restrict(phi)
@@ -338,83 +308,101 @@ def extend(datum: BoundaryDatum, mesh: RegionMesh,
     return eta
 
 
+def _matched_rows(mesh: RegionMesh, label_a: str, matching: dict, curvature):
+    """Sparse rows per edge ``a`` of face ``label_a`` and its matched edge
+    ``b`` (resorting sign ``s``): ``R_trace = a - s b`` (traces agree) and
+    ``R_flux = K_a + s K_b`` (fluxes cancel, ``K`` the curvature adjoint)."""
+    cx = mesh.complex
+    pairs = {}
+    for f in mesh.face_labels[label_a]:
+        for e in itertools.combinations(map(int, cx.simplices[cx.dim - 1][f]), 2):
+            mapped = [matching[v] for v in e]
+            pairs[cx.index[1][e]] = (cx.index[1][tuple(sorted(mapped))],
+                                     1.0 if mapped[0] < mapped[1] else -1.0)
+    ia = sorted(pairs)
+    ib, sb = zip(*(pairs[i] for i in ia))
+    rows, shape = np.arange(len(ia)), (len(ia), cx.n_simplices(1))
+    pa = sparse.csr_matrix((np.ones(len(ia)), (rows, ia)), shape=shape)
+    pb = sparse.csr_matrix((sb, (rows, ib)), shape=shape)
+    return (pa - pb).tocsr(), ((pa + pb) @ curvature).tocsr()
+
+
 def gluing_check(mesh: RegionMesh, label_a: str, label_b: str, matching: dict,
                  rank_tolerance=tolerances.RANK_REL,
                  angle_tolerance=tolerances.PRINCIPAL_ANGLE,
                  action_tolerance=tolerances.GLUING_ACTION_REL,
-                 length_tolerance=tolerances.GLUE_LENGTH_REL) -> dict:
-    """Equalizer of the two face restrictions versus the glued solutions.
+                 length_tolerance=tolerances.GLUE_LENGTH_REL,
+                 solution_tolerance=tolerances.SOLUTION_REL) -> dict:
+    """Glued solutions versus the equalizer of the two face restrictions
+    (matched traces agree, matched fluxes cancel), modulo gauge.
 
-    Solutions on the glued region pull back to solutions on the cut region
-    whose matched traces agree and whose matched fluxes cancel; the check
-    computes both subspaces independently and compares them, then verifies
-    the action composes across the pullback.
+    Every solution is ``g + d f`` (:class:`SolutionSpace`), so with ``P``
+    the pullback and ``G``, ``G'`` the cut and glued gauge-fixed bases:
+    containment is ``[K_I; R_trace; R_flux] P G' = 0`` to
+    ``solution_tolerance`` and ``R_trace d P_0 = 0`` exactly; the
+    equalizer is ``G ker [R_flux G; N^T R_trace G]``, ``N = ker (R_trace
+    d)^T``, plus ``n_0 - rank(R_trace d) - components`` exact fields.
+    Containment and equal dimensions make the spaces equal; also ``P G'``
+    projected onto ``G`` must span the gauge-fixed equalizer, and the action
+    compose across ``P``.
     """
     glued = glue(mesh, label_a, label_b, matching, length_tolerance)
     info: GlueInfo = glued.glue_info
-
-    glued_space = solution_space(glued, rank_tolerance)
-    pullback_cols = np.column_stack([
-        info.pull_back(1, glued_space.basis.columns[:, j])
-        for j in range(glued_space.dim)
-    ]) if glued_space.dim else np.zeros((mesh.complex.n_simplices(1), 0))
-    pulled = from_span(pullback_cols, gram=mesh.star_diagonal(1),
-                       rank_tolerance=rank_tolerance)
-
     cx = mesh.complex
-    n = cx.dim
-    n1 = cx.n_simplices(1)
-    el = field_equation_matrix(mesh)
-    full = curvature_adjoint_full(mesh)
+    curvature = _curvature_adjoint(mesh)
+    trace, flux = _matched_rows(mesh, label_a, matching, curvature)
+    space, glued_space = (solution_space(m, rank_tolerance) for m in (mesh, glued))
+    pulled = info.pull_back(1, glued_space.gauge_fixed_basis.columns)
 
-    # Matched edge pairs across the two faces, with resorting signs.
-    pair_of = {}
-    for f in sorted(mesh.face_labels[label_a]):
-        tup = tuple(cx.simplices[n - 1][f])
-        for e in itertools.combinations(tup, 2):
-            ia = cx.index[1][e]
-            ib = cx.index[1][tuple(sorted(matching[v] for v in e))]
-            sa = 1
-            mapped = [matching[v] for v in e]
-            sb = 1 if mapped[0] < mapped[1] else -1
-            pair_of[ia] = (ib, sa, sb)
-    trace_rows = []
-    flux_rows = []
-    for ia, (ib, sa, sb) in sorted(pair_of.items()):
-        row = np.zeros(n1)
-        row[ia] = sa
-        row[ib] -= sb
-        trace_rows.append(row)
-        flux_rows.append(sa * full[ia] + sb * full[ib])
-    stacked = np.vstack([el] + trace_rows + flux_rows)
-    equalizer = null_space(stacked, gram=mesh.star_diagonal(1),
-                           rank_tolerance=rank_tolerance, n_columns=n1)
+    rows = sparse.vstack([curvature[mesh.interior_simplex_mask(1)], trace, flux])
+    containment = float((np.linalg.norm(rows @ pulled, axis=0) / np.maximum(
+        np.linalg.norm(abs(rows) @ np.abs(pulled), axis=0), 1e-300)).max(initial=0.0))
+    trace_d = (trace @ cx.boundary_matrices[1].T).tocsc()
+    p0 = sparse.csr_matrix((np.ones(cx.n_vertices), (np.arange(cx.n_vertices),
+                                                     info.simplex_maps[0])))
+    gauge_leak = float(abs(trace_d @ p0).max())
 
-    angles = principal_angles(pulled, equalizer)
-    max_angle = float(angles.max(initial=0.0))
-    dims_equal = pulled.dim == equalizer.dim
+    # In coordinates on G.  Ranks are cut against the unreduced rows and
+    # columns: when every solution matches, the reduced constraints are
+    # roundoff, and their own largest singular value would keep it.
+    g = space.gauge_fixed_basis
+    seam = np.flatnonzero(np.diff(trace_d.indptr))  # vertices under the rows
+    left = null_space(trace_d[:, seam].toarray().T, n_columns=trace.shape[0])
+    rows_scale = np.sqrt(sparse.vstack([trace, flux]).power(2) @ (1.0 / g.gram)).max()
+    constraint = np.vstack([flux @ g.columns, left.columns.T @ (trace @ g.columns)])
+    equalizer = null_space(constraint, rank_tolerance=rank_tolerance,
+                           n_columns=g.dim, scale=rows_scale)
+    pulled_gf = from_span(g.coords(pulled), rank_tolerance=rank_tolerance,
+                          scale=np.sqrt(g.gram @ pulled ** 2).max(initial=0.0))
+    max_angle = float(principal_angles(pulled_gf, equalizer).max(initial=0.0))
+    equalizer_dim = (equalizer.dim + cx.n_vertices - (trace.shape[0] - left.dim)
+                     - cx.n_components())
 
-    worst_action = 0.0
-    for j in range(glued_space.dim):
-        vals = glued_space.basis.columns[:, j]
-        eta_glued = Cochain(glued, 1, vals)
-        eta_cut = Cochain(mesh, 1, info.pull_back(1, vals))
-        scale = max(action_scale(eta_glued), action_scale(eta_cut), 1e-300)
-        worst_action = max(
-            worst_action, abs(action(eta_glued) - action(eta_cut)) / scale
-        )
+    # The action composes on G' and on three random full glued solutions.
+    mixed = np.hstack([glued_space.gauge_fixed_basis.columns,
+                       glued_space.random_solutions(np.random.default_rng(0), 3)])
+    s_glued, scale_glued = actions(glued, mixed)
+    s_cut, scale_cut = actions(mesh, info.pull_back(1, mixed))
+    worst_action = float((np.abs(s_glued - s_cut) / np.maximum(
+        np.maximum(scale_glued, scale_cut), 1e-300)).max(initial=0.0))
 
-    passed = (dims_equal and max_angle <= angle_tolerance
-              and worst_action <= action_tolerance)
+    passed = (glued_space.dim == equalizer_dim and pulled_gf.dim == equalizer.dim
+              and max_angle <= angle_tolerance and containment <= solution_tolerance
+              and gauge_leak == 0.0 and worst_action <= action_tolerance)
     return {
         "mesh": mesh.name,
         "glued_mesh": glued.name,
         "dims": {
             "glued_solutions": glued_space.dim,
-            "equalizer": equalizer.dim,
+            "equalizer": equalizer_dim,
+            "glued_gauge_fixed": glued_space.gauge_fixed_dim,
+            "pulled_gauge_fixed": pulled_gf.dim,
+            "equalizer_gauge_fixed": equalizer.dim,
         },
+        "containment_residual": containment,
+        "trace_gauge_leak": gauge_leak,
         "max_principal_angle": max_angle,
         "action_residual": worst_action,
-        "matched_edges": len(pair_of),
+        "matched_edges": int(trace.shape[0]),
         "passed": bool(passed),
     }

@@ -581,8 +581,9 @@ class GlueInfo:
         self.simplex_signs = simplex_signs    # per k: resorting parity
 
     def pull_back(self, k, values_on_glued):
-        """Cochain pullback: values on the glued complex to the parent."""
-        return self.simplex_signs[k] * values_on_glued[self.simplex_maps[k]]
+        """Cochain pullback: values on the glued complex to the parent (a
+        vector, or a matrix column by column)."""
+        return (self.simplex_signs[k] * values_on_glued[self.simplex_maps[k]].T).T
 
 
 def _facets_of_label(mesh: RegionMesh, label: str):

@@ -69,8 +69,9 @@ class Subspace:
         return self.columns.shape[0]
 
     def coords(self, x: np.ndarray) -> np.ndarray:
-        """Coefficients of the gram-orthogonal projection of ``x``."""
-        return self.columns.T @ (self.gram * np.asarray(x, dtype=float))
+        """Coefficients of the gram-orthogonal projection of ``x`` (a vector,
+        or a matrix column by column)."""
+        return self.columns.T @ (self.gram * np.asarray(x, dtype=float).T).T
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return self.columns @ self.coords(x)
@@ -88,8 +89,10 @@ class Subspace:
         return float(np.abs(g - np.eye(self.dim)).max()) if self.dim else 0.0
 
 
-def from_span(matrix, gram=None, rank_tolerance=tolerances.RANK_REL) -> Subspace:
-    """Gram-orthonormal basis of the column span, rank cut at the tolerance."""
+def from_span(matrix, gram=None, rank_tolerance=tolerances.RANK_REL,
+              scale=None) -> Subspace:
+    """Gram-orthonormal basis of the column span, rank cut at the tolerance
+    times ``scale`` (default: the largest singular value)."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     dim = matrix.shape[0]
     gram = _as_gram(gram, dim)
@@ -97,21 +100,23 @@ def from_span(matrix, gram=None, rank_tolerance=tolerances.RANK_REL) -> Subspace
         return Subspace(np.zeros((dim, 0)), gram, rank_tolerance)
     w = np.sqrt(gram)
     u, s, _ = np.linalg.svd(w[:, None] * matrix, full_matrices=False)
-    smax = s.max()
-    rank = int(np.sum(s > rank_tolerance * smax))
+    rank = int(np.sum(s > rank_tolerance * (s.max() if scale is None else scale)))
     cols = u[:, :rank] / w[:, None]
     return Subspace(cols, gram, rank_tolerance, singular_values=s,
                     gap=_gap(s, rank))
 
 
 def null_space(matrix, gram=None, rank_tolerance=tolerances.RANK_REL,
-               n_columns=None, embed=None) -> Subspace:
+               n_columns=None, embed=None, scale=None) -> Subspace:
     """Gram-orthonormal basis of the kernel of ``matrix``.
 
     ``matrix`` may have zero rows; ``n_columns`` disambiguates the ambient
     dimension in that case.  With ``embed`` (full column rank) ``matrix`` is
     ``A @ embed`` and the result ``embed @ ker(matrix)``, in ``embed``'s rows.
-    A wide matrix takes the full right basis from its SVD, unpadded.
+    A wide matrix takes the full right basis from its SVD, unpadded.  The
+    rank cut is the tolerance times ``scale``, by default the largest
+    singular value; a matrix that reduces larger rows, and may be roundoff
+    when they all vanish, must pass the scale of those rows.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
@@ -122,7 +127,7 @@ def null_space(matrix, gram=None, rank_tolerance=tolerances.RANK_REL,
                          rank_tolerance=rank_tolerance)
     matrix = np.atleast_2d(matrix)
     _, s, vt = np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
-    smax = s.max() if s.size else 0.0
+    smax = (s.max() if s.size else 0.0) if scale is None else scale
     rank = int(np.sum(s > rank_tolerance * smax)) if smax > 0 else 0
     kernel = vt[rank:].T if embed is None else embed @ vt[rank:].T
     g = _as_gram(gram, kernel.shape[0])

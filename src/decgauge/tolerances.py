@@ -16,8 +16,10 @@ RANK_REL = 1e-8
 #: Gap factor below which a rank decision is flagged as ambiguous.
 RANK_GAP_FACTOR = 10.0
 
-#: Subspace containment: all principal angles below this (radians).
-PRINCIPAL_ANGLE = 1e-7
+#: Subspace containment: all principal angles below this (radians).  The
+#: sine-based angles of equal subspaces read at most 5e-15 on the benchmark
+#: meshes, so the gate sits four orders above its noise.
+PRINCIPAL_ANGLE = 1e-10
 
 #: Harmonic basis defining property, ||d a|| + ||d* a|| <= this * ||a||.
 HARMONIC_REL = 1e-9

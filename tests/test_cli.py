@@ -6,6 +6,7 @@ import pytest
 from decgauge import builders, cli, dynamics
 from decgauge.cli import ExperimentConfig
 from decgauge.dec import Cochain
+from dense_oracles import full_basis
 
 
 def run_cli(args):
@@ -207,7 +208,7 @@ def test_corrupted_star_weights_break_identities(rng):
     # blow past its gate, demonstrating the check's sensitivity.
     m = builders.disk(8)
     space = dynamics.solution_space(m)
-    cols = space.basis.columns
+    cols = full_basis(space).columns
     eta = Cochain(m, 1, cols @ rng.standard_normal(cols.shape[1]))
     xi = Cochain(m, 1, cols @ rng.standard_normal(cols.shape[1]))
     residual, scale = dynamics.action_difference_residual(eta, xi)

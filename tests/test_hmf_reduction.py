@@ -196,7 +196,6 @@ def test_extend_does_not_assemble_the_dense_bulk_system(disk8, monkeypatch):
         raise AssertionError("dense bulk system assembled")
 
     monkeypatch.setattr(dynamics, "field_equation_matrix", refuse)
-    monkeypatch.setattr(dynamics, "curvature_adjoint_full", refuse)
     eta = dynamics.solution_space(disk8).gauge_fixed_solutions()[0]
     datum = boundary.gauge_fix_coclosed(boundary.trace_solution(eta))
     dynamics.extend(datum, disk8)

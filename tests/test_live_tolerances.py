@@ -61,3 +61,14 @@ def test_glue_length_rel_gates_the_gluing(disk8):
     tight = tolerances.table({"GLUE_LENGTH_REL": 1e-300})
     with pytest.raises(mesh.MeshError, match="differ in length"):
         cli.verify_axioms(disk8, tol=tight, glue_fixture=fixture)
+
+
+def test_solution_rel_gates_the_gluing_containment(tmp_path):
+    # the pulled-back glued solutions meet the matched rows to roundoff,
+    # which no positive residual can pass below 1e-300
+    out = tmp_path / "glue.json"
+    args = ["glue", "--mesh", "strip:N=8", "--faces", "west", "east", "--out", str(out)]
+    assert cli.main(args) == 0
+    assert cli.main(args + ["--tol", "SOLUTION_REL=1e-300"]) == cli.EXIT_CHECK_FAILED
+    check = json.loads(out.read_text())["checks"][0]
+    assert not check["passed"] and check["containment_residual"] > 1e-300

@@ -107,3 +107,25 @@ def test_rank_cut_reports_its_gap():
     for sub in (subspaces.null_space(mat), subspaces.from_span(mat)):
         assert sub.gap == pytest.approx(1e17) and not sub.ambiguous
     assert subspaces.from_span(np.eye(3)).gap == np.inf
+
+
+def test_rank_cut_against_a_given_scale(rng):
+    # A matrix that reduces rows of size one, and is roundoff because they
+    # all vanish on the subspace, has full kernel only when cut against
+    # the rows' scale; cut against its own largest value it looks full rank.
+    noise = 1e-17 * rng.standard_normal((3, 2))
+    assert subspaces.null_space(noise).dim == 0
+    assert subspaces.null_space(noise, scale=1.0).dim == 2
+    assert subspaces.from_span(noise).dim == 2
+    assert subspaces.from_span(noise, scale=1.0).dim == 0
+    exact = np.array([[1.0, 0.0], [0.0, 1e-3]])
+    assert subspaces.from_span(exact, scale=1.0).dim == 2
+    assert subspaces.null_space(exact, rank_tolerance=1e-2, scale=1.0).dim == 1
+
+
+def test_coords_of_a_matrix_are_the_columns_coords(rng):
+    sub = subspaces.from_span(rng.standard_normal((6, 2)), gram=rng.uniform(1, 2, 6))
+    x = rng.standard_normal((6, 3))
+    coords = sub.coords(x)
+    for j in range(3):
+        assert np.allclose(coords[:, j], sub.coords(x[:, j]), rtol=0, atol=1e-14)
