@@ -13,6 +13,11 @@ import numpy as np
 from .mesh import HypersurfaceMesh, MeshError, RegionMesh, SimplicialComplex
 
 
+def _path_edges(cx: SimplicialComplex, verts) -> np.ndarray:
+    """Indices of the edges joining consecutive vertices of ``verts``."""
+    return cx.simplex_indices(1, np.column_stack([verts[:-1], verts[1:]]))
+
+
 def disk(n: int = 16) -> RegionMesh:
     """Regular n-gon fan of circumradius 1 with a single labeled rim."""
     if n < 3:
@@ -21,9 +26,7 @@ def disk(n: int = 16) -> RegionMesh:
     coords = np.vstack([[0.0, 0.0], np.column_stack([np.cos(angles), np.sin(angles)])])
     cells = [(0, 1 + k, 1 + (k + 1) % n) for k in range(n)]
     cx = SimplicialComplex(n + 1, cells, coordinates=coords)
-    rim = {
-        cx.index[1][tuple(sorted((1 + k, 1 + (k + 1) % n)))] for k in range(n)
-    }
+    rim = _path_edges(cx, 1 + np.arange(n + 1) % n)
     return RegionMesh(cx, face_labels={"rim": rim}, name=f"disk:N={n}")
 
 
@@ -43,13 +46,10 @@ def annulus(n: int = 16, inner_radius: float = 0.5) -> RegionMesh:
         cells.append((a, b, n + a))
         cells.append((b, n + b, n + a))
     cx = SimplicialComplex(2 * n, cells, coordinates=coords)
-    outer_f = {cx.index[1][tuple(sorted((k, (k + 1) % n)))] for k in range(n)}
-    inner_f = {
-        cx.index[1][tuple(sorted((n + k, n + (k + 1) % n)))] for k in range(n)
-    }
+    ring = np.arange(n + 1) % n
     return RegionMesh(
         cx,
-        face_labels={"outer": outer_f, "inner": inner_f},
+        face_labels={"outer": _path_edges(cx, ring), "inner": _path_edges(cx, n + ring)},
         name=f"annulus:N={n}",
     )
 
@@ -65,10 +65,11 @@ def square_annulus() -> RegionMesh:
         cells.append((a, b, 4 + a))
         cells.append((b, 4 + b, 4 + a))
     cx = SimplicialComplex(8, cells, coordinates=coords)
-    outer_f = {cx.index[1][tuple(sorted((k, (k + 1) % 4)))] for k in range(4)}
-    inner_f = {cx.index[1][tuple(sorted((4 + k, 4 + (k + 1) % 4)))] for k in range(4)}
+    ring = np.arange(5) % 4
     return RegionMesh(
-        cx, face_labels={"outer": outer_f, "inner": inner_f}, name="ann8"
+        cx,
+        face_labels={"outer": _path_edges(cx, ring), "inner": _path_edges(cx, 4 + ring)},
+        name="ann8",
     )
 
 
@@ -76,27 +77,18 @@ def _grid_region(nx: int, ny: int, width: float, height: float, name: str) -> Re
     """Axis-aligned rectangle triangulated on an (nx+1) x (ny+1) grid."""
     xs = np.linspace(0.0, width, nx + 1)
     ys = np.linspace(0.0, height, ny + 1)
-    coords = np.array([[x, y] for y in ys for x in xs])
+    coords = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
     vid = lambda i, j: j * (nx + 1) + i
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i, j + 1), vid(i + 1, j + 1)
-            cells.append((a, b, d))
-            cells.append((a, d, c))
+    j, i = np.divmod(np.arange(nx * ny), nx)
+    a, b, c, d = vid(i, j), vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1)
+    cells = np.stack([a, b, d, a, d, c], axis=1).reshape(-1, 3)
     cx = SimplicialComplex((nx + 1) * (ny + 1), cells, coordinates=coords)
-    south = {cx.index[1][tuple(sorted((vid(i, 0), vid(i + 1, 0))))] for i in range(nx)}
-    north = {
-        cx.index[1][tuple(sorted((vid(i, ny), vid(i + 1, ny))))] for i in range(nx)
-    }
-    west = {cx.index[1][tuple(sorted((vid(0, j), vid(0, j + 1))))] for j in range(ny)}
-    east = {
-        cx.index[1][tuple(sorted((vid(nx, j), vid(nx, j + 1))))] for j in range(ny)
-    }
+    xi, yj = np.arange(nx + 1), np.arange(ny + 1)
+    sides = {"south": vid(xi, 0), "east": vid(nx, yj), "north": vid(xi, ny),
+             "west": vid(0, yj)}
     return RegionMesh(
         cx,
-        face_labels={"south": south, "east": east, "north": north, "west": west},
+        face_labels={side: _path_edges(cx, verts) for side, verts in sides.items()},
         name=name,
     )
 
@@ -139,9 +131,7 @@ def tetrahedron() -> RegionMesh:
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     )
     cx = SimplicialComplex(4, [(0, 1, 2, 3)], coordinates=coords)
-    labels = {}
-    for i, f in enumerate(map(tuple, cx.simplices[2])):
-        labels[f"f{i}"] = {cx.index[2][f]}
+    labels = {f"f{i}": {i} for i in range(cx.n_simplices(2))}
     return RegionMesh(cx, face_labels=labels, name="tetrahedron")
 
 

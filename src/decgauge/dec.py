@@ -194,8 +194,10 @@ def normal_trace(alpha: Cochain, sigma: HypersurfaceMesh) -> Cochain:
     return Cochain(sigma, k - 1, raw[idx] / sigma.star_diagonal(k - 1))
 
 
-def adjointness_defect(f: Cochain, alpha: Cochain) -> float:
-    """Residual of <df, a> - <f, d* a> - boundary pairing; zero to roundoff.
+def adjointness_defect(f: Cochain, alpha: Cochain) -> tuple[float, float]:
+    """Residual of <df, a> - <f, d* a> - boundary pairing, zero to roundoff,
+    and its natural scale: the largest magnitude of the three terms, the
+    boundary pairing's summed in absolute values.
 
     ``f`` has degree k-1 and ``alpha`` degree k on the same region.
     """
@@ -205,29 +207,15 @@ def adjointness_defect(f: Cochain, alpha: Cochain) -> float:
     host = f.host
     lhs = inner_product(d(f), alpha)
     mid = inner_product(f, codifferential(alpha))
-    boundary = 0.0
+    boundary = absolute = 0.0
     if isinstance(host, RegionMesh) and host.boundary is not None:
         sigma = host.boundary
         tr = tangential_trace(f, sigma)
         nt = normal_trace(alpha, sigma)
         w = sigma.star_diagonal(f.degree)
         boundary = float(np.dot(tr.values, w * nt.values))
-    return lhs - mid - boundary
-
-
-def adjointness_scale(f: Cochain, alpha: Cochain) -> float:
-    """Natural magnitude for judging the adjointness residual."""
-    host = f.host
-    lhs = abs(inner_product(d(f), alpha))
-    mid = abs(inner_product(f, codifferential(alpha)))
-    boundary = 0.0
-    if isinstance(host, RegionMesh) and host.boundary is not None:
-        sigma = host.boundary
-        tr = tangential_trace(f, sigma)
-        nt = normal_trace(alpha, sigma)
-        w = sigma.star_diagonal(f.degree)
-        boundary = float(np.dot(np.abs(tr.values), w * np.abs(nt.values)))
-    return max(lhs, mid, boundary, 1e-30)
+        absolute = float(np.dot(np.abs(tr.values), w * np.abs(nt.values)))
+    return lhs - mid - boundary, max(abs(lhs), abs(mid), absolute, 1e-30)
 
 
 def integrate(alpha: Cochain) -> float:

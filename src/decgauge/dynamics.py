@@ -10,8 +10,6 @@ pairs at rank tolerance.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 from scipy import sparse
 
@@ -151,29 +149,33 @@ def theta(eta: Cochain, variation: Cochain) -> float:
     return -2.0 * inner_product(tr, nt)
 
 
-def theta_scale(eta: Cochain, variation: Cochain) -> float:
-    """Attainable magnitude of the theta pairing (absolute-value arithmetic)."""
-    mesh = eta.host
-    sigma = mesh.boundary
-    if sigma is None:
-        return 0.0
-    cx = mesh.complex
-    d1 = abs(cx.boundary_matrices[2].T)
-    absflux = d1.T @ (mesh.star_diagonal(2) * (d1 @ np.abs(eta.values)))
-    idx = sigma.simplex_maps[1]
-    return 2.0 * float(np.dot(np.abs(variation.values[idx]), absflux[idx]))
-
-
 def action_difference_residual(eta: Cochain, xi: Cochain):
-    """Residual and scale of the action-difference identity on a solution pair."""
+    """Residual and scale of the action-difference identity on a solution pair.
+
+    The residual is S(eta) - S(xi) + (theta(eta, v) + theta(xi, v)) / 2 with
+    v = eta - xi; the scale sums the same terms in absolute-value arithmetic
+    (see :func:`actions`).  The trace of v and each flux are taken once.
+    """
+    if eta.degree != 1:
+        raise DECError("the action takes 1-cochains")
+    mesh = eta.host
     delta = eta - xi
-    residual = (action(eta) - action(xi)
-                + 0.5 * theta(eta, delta) + 0.5 * theta(xi, delta))
-    scale = max(
-        action_scale(eta) + action_scale(xi)
-        + 0.5 * theta_scale(eta, delta) + 0.5 * theta_scale(xi, delta),
-        1e-300,
-    )
+    (s_eta, abs_eta), (s_xi, abs_xi) = (actions(mesh, c.values) for c in (eta, xi))
+    thetas, theta_scales = [0.0, 0.0], [0.0, 0.0]
+    sigma = mesh.boundary
+    if sigma is not None:
+        tr = tangential_trace(delta, sigma)
+        idx = sigma.simplex_maps[1]
+        abs_tr = np.abs(delta.values[idx])
+        d1, s2 = abs(mesh.complex.boundary_matrices[2].T), mesh.star_diagonal(2)
+        for i, c in enumerate((eta, xi)):
+            thetas[i] = -2.0 * inner_product(tr, normal_trace(d(c), sigma))
+            absflux = d1.T @ (s2 * (d1 @ np.abs(c.values)))
+            theta_scales[i] = 2.0 * float(np.dot(abs_tr, absflux[idx]))
+    residual = (float(s_eta) - float(s_xi)
+                + 0.5 * thetas[0] + 0.5 * thetas[1])
+    scale = max(float(abs_eta) + float(abs_xi)
+                + 0.5 * theta_scales[0] + 0.5 * theta_scales[1], 1e-300)
     return residual, scale
 
 
@@ -313,14 +315,14 @@ def _matched_rows(mesh: RegionMesh, label_a: str, matching: dict, curvature):
     ``b`` (resorting sign ``s``): ``R_trace = a - s b`` (traces agree) and
     ``R_flux = K_a + s K_b`` (fluxes cancel, ``K`` the curvature adjoint)."""
     cx = mesh.complex
-    pairs = {}
-    for f in mesh.face_labels[label_a]:
-        for e in itertools.combinations(map(int, cx.simplices[cx.dim - 1][f]), 2):
-            mapped = [matching[v] for v in e]
-            pairs[cx.index[1][e]] = (cx.index[1][tuple(sorted(mapped))],
-                                     1.0 if mapped[0] < mapped[1] else -1.0)
-    ia = sorted(pairs)
-    ib, sb = zip(*(pairs[i] for i in ia))
+    facets = cx.simplices[cx.dim - 1][sorted(mesh.face_labels[label_a])]
+    edges = facets[:, np.transpose(np.triu_indices(cx.dim, 1))].reshape(-1, 2)
+    ia, first = np.unique(cx.simplex_indices(1, edges), return_index=True)
+    image = np.arange(cx.n_vertices)
+    image[list(matching)] = list(matching.values())
+    mapped = image[edges[first]]
+    ib = cx.simplex_indices(1, mapped)
+    sb = np.where(mapped[:, 0] < mapped[:, 1], 1.0, -1.0)
     rows, shape = np.arange(len(ia)), (len(ia), cx.n_simplices(1))
     pa = sparse.csr_matrix((np.ones(len(ia)), (rows, ia)), shape=shape)
     pb = sparse.csr_matrix((sb, (rows, ib)), shape=shape)

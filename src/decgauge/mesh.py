@@ -32,17 +32,23 @@ class MeshError(ValueError):
     """Invalid complex, labeling, or gluing data."""
 
 
-def _sort_parity(cell) -> int:
-    """Sign of the permutation that sorts ``cell`` (must have distinct entries)."""
-    cell = list(cell)
-    sign = 1
-    for i in range(len(cell)):
-        for j in range(i + 1, len(cell)):
-            if cell[i] > cell[j]:
-                sign = -sign
-            elif cell[i] == cell[j]:
-                raise MeshError(f"degenerate cell {tuple(cell)}")
-    return sign
+def _parity(rows: np.ndarray) -> np.ndarray:
+    """Sign of the permutation that sorts each row (rows of distinct entries)."""
+    i, j = np.triu_indices(rows.shape[1], 1)
+    return 1 - 2 * ((rows[:, i] > rows[:, j]).sum(axis=1) % 2)
+
+
+def _unique_rows(rows: np.ndarray):
+    """The distinct rows in lexicographic order, and each row's position
+    among them (``np.unique(rows, axis=0, return_inverse=True)``, by one
+    ``lexsort`` of the integer columns instead of a sort of row records)."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    index = np.empty(len(rows), dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    return ranked[new], index
 
 
 def _row_index(rows: np.ndarray) -> np.ndarray:
@@ -51,7 +57,7 @@ def _row_index(rows: np.ndarray) -> np.ndarray:
     Rows that list every k-simplex of a complex at least once, as sorted
     vertex tuples, get their simplex index: simplices are stored sorted.
     """
-    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+    return _unique_rows(rows)[1]
 
 
 def _gram_volume(gram: np.ndarray) -> np.ndarray:
@@ -90,6 +96,11 @@ def _dual_flags(n: int):
 class SimplicialComplex:
     """Oriented simplicial complex of dimension ``dim``.
 
+    Its topology is the sorted simplex arrays and the integer boundary
+    matrices alone: cofaces, the induced boundary orientation and face
+    closures are all read off the matrices, and every lookup from vertex
+    rows to simplex indices goes through :meth:`simplex_indices`.
+
     Parameters
     ----------
     n_vertices : int
@@ -102,71 +113,66 @@ class SimplicialComplex:
     """
 
     def __init__(self, n_vertices, cells, coordinates=None):
-        cells = [tuple(int(v) for v in c) for c in cells]
-        if not cells:
+        if len(cells) == 0:
             raise MeshError("complex needs at least one top cell")
-        sizes = {len(c) for c in cells}
-        if len(sizes) != 1:
+        try:
+            cells = np.array(cells, dtype=np.int64)
+        except ValueError:
+            raise MeshError("cells of mixed dimension") from None
+        if cells.ndim != 2:
             raise MeshError("cells of mixed dimension")
-        self.dim = len(cells[0]) - 1
+        self.dim = cells.shape[1] - 1
         self.n_vertices = int(n_vertices)
-        for c in cells:
-            if any(v < 0 or v >= self.n_vertices for v in c):
-                raise MeshError(f"cell {c} references unknown vertex")
+        unknown = ((cells < 0) | (cells >= self.n_vertices)).any(axis=1)
+        if unknown.any():
+            raise MeshError(f"cell {tuple(cells[unknown.argmax()].tolist())} "
+                            "references unknown vertex")
         if coordinates is not None:
             coordinates = np.asarray(coordinates, dtype=float)
             if coordinates.shape[0] != self.n_vertices:
                 raise MeshError("coordinate count does not match vertex count")
         self.coordinates = coordinates
 
-        sorted_cells = [tuple(sorted(c)) for c in cells]
-        if len(set(sorted_cells)) != len(sorted_cells):
+        ranked = np.sort(cells, axis=1)
+        degenerate = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+        if degenerate.any():
+            cell = tuple(cells[degenerate.argmax()].tolist())
+            raise MeshError(f"degenerate cell {cell}")
+        top, where = _unique_rows(ranked)
+        if len(top) != len(cells):
             raise MeshError("repeated top cell")
-        self.orientation = np.array([_sort_parity(c) for c in cells], dtype=np.int64)
+        # Top cells are stored sorted; each keeps the parity of its input order.
+        self.orientation = np.empty(len(cells), dtype=np.int64)
+        self.orientation[where] = _parity(cells)
 
-        # Enumerate all faces of all dimensions, lexicographically ordered.
-        self.simplices: list[np.ndarray] = []
-        self.index: list[dict] = []
-        for k in range(self.dim + 1):
-            faces = set()
-            for c in sorted_cells:
-                faces.update(itertools.combinations(c, k + 1))
-            ordered = sorted(faces)
-            self.simplices.append(np.array(ordered, dtype=np.int64))
-            self.index.append({s: i for i, s in enumerate(ordered)})
-        # Top cells were re-sorted lexicographically; carry orientation along.
-        perm = {self.index[self.dim][s]: j for j, s in enumerate(sorted_cells)}
-        self.orientation = np.array(
-            [self.orientation[perm[i]] for i in range(len(cells))], dtype=np.int64
-        )
-
-        self.boundary_matrices = self._build_boundary_matrices()
+        # Each degree is the distinct faces of the degree above, in
+        # lexicographic order; each face's position is its row in d_k.
+        self.simplices = [top]
+        self.boundary_matrices = []
+        for k in range(self.dim, 0, -1):
+            above = self.simplices[0]
+            drop = np.nonzero(~np.eye(k + 1, dtype=bool))[1].reshape(k + 1, k)
+            faces, rows = _unique_rows(above[:, drop].reshape(-1, k))
+            signs = np.tile(1 - 2 * (np.arange(k + 1) % 2), len(above))
+            cols = np.repeat(np.arange(len(above)), k + 1)
+            self.simplices.insert(0, faces)
+            self.boundary_matrices.insert(0, sparse.csr_matrix(
+                (signs, (rows, cols)), shape=(len(faces), len(above))))
+        self.boundary_matrices.insert(0, None)
         # Exact ranks of the boundary matrices, filled in by the homology
         # oracle: key (k, relative), relative meaning restricted to interior
         # simplices.
         self.rank_cache: dict[tuple[int, bool], int] = {}
         self._check_dd_zero()
-        self._facet_cofaces = self._build_facet_cofaces()
+        # Per (dim-1)-simplex, the sum of its cofaces' orientations times
+        # their signs in d_dim: the induced boundary orientation on a boundary
+        # facet, 0 on an interior facet whose two cells agree.
+        self.induced_signs = (self.boundary_matrices[self.dim] @ self.orientation
+                              if self.dim else np.zeros(0, dtype=np.int64))
         self._check_manifold_and_orientation()
+        self._components = self._vertex_components()
 
     # -- construction helpers -------------------------------------------------
-
-    def _build_boundary_matrices(self):
-        mats = [None]
-        for k in range(1, self.dim + 1):
-            rows, cols, vals = [], [], []
-            for j, s in enumerate(map(tuple, self.simplices[k])):
-                for i in range(k + 1):
-                    face = s[:i] + s[i + 1 :]
-                    rows.append(self.index[k - 1][face])
-                    cols.append(j)
-                    vals.append((-1) ** i)
-            m = sparse.csr_matrix(
-                (np.array(vals, dtype=np.int64), (rows, cols)),
-                shape=(len(self.simplices[k - 1]), len(self.simplices[k])),
-            )
-            mats.append(m)
-        return mats
 
     def _check_dd_zero(self):
         for k in range(2, self.dim + 1):
@@ -174,95 +180,85 @@ class SimplicialComplex:
             if prod.nnz and np.any(prod.data != 0):
                 raise MeshError("boundary of boundary is nonzero")
 
-    def _build_facet_cofaces(self):
-        """For each (dim-1)-simplex, the list of (cell index, incidence sign)."""
-        if self.dim == 0:
-            return []
-        bnd = self.boundary_matrices[self.dim].tocsc()
-        cofaces = [[] for _ in range(len(self.simplices[self.dim - 1]))]
-        for j in range(bnd.shape[1]):
-            start, end = bnd.indptr[j], bnd.indptr[j + 1]
-            for r, v in zip(bnd.indices[start:end], bnd.data[start:end]):
-                cofaces[r].append((j, int(v)))
-        return cofaces
-
     def _check_manifold_and_orientation(self):
         if self.dim == 0:
             return
-        for f, hits in enumerate(self._facet_cofaces):
-            if len(hits) > 2:
-                raise MeshError(
-                    f"facet {tuple(self.simplices[self.dim - 1][f])} shared by "
-                    f"{len(hits)} top cells (non-manifold)"
-                )
-            if len(hits) == 2:
-                (t1, s1), (t2, s2) = hits
-                if self.orientation[t1] * s1 + self.orientation[t2] * s2 != 0:
-                    raise MeshError(
-                        "inconsistently oriented cells across facet "
-                        f"{tuple(self.simplices[self.dim - 1][f])}"
-                    )
+        cofaces = np.diff(self.boundary_matrices[self.dim].indptr)
+        facets = self.simplices[self.dim - 1]
+        crowded = cofaces > 2
+        if crowded.any():
+            f = crowded.argmax()
+            raise MeshError(f"facet {tuple(facets[f].tolist())} shared by "
+                            f"{cofaces[f]} top cells (non-manifold)")
+        clash = (cofaces == 2) & (self.induced_signs != 0)
+        if clash.any():
+            raise MeshError("inconsistently oriented cells across facet "
+                            f"{tuple(facets[clash.argmax()].tolist())}")
+
+    def _vertex_components(self) -> np.ndarray:
+        """Component label per vertex, numbered by each component's smallest
+        vertex: each edge hooks the larger of its endpoints' roots onto the
+        smaller, then every vertex jumps to its root, until no edge joins
+        two roots."""
+        edges = self.simplices[1] if self.dim else np.zeros((0, 2), dtype=np.int64)
+        root = np.arange(self.n_vertices)
+        while True:
+            a, b = root[edges[:, 0]], root[edges[:, 1]]
+            if np.array_equal(a, b):
+                return np.unique(root, return_inverse=True)[1]
+            np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+            while not np.array_equal(root[root], root):
+                root = root[root]
 
     # -- queries ---------------------------------------------------------------
 
     def n_simplices(self, k: int) -> int:
         return len(self.simplices[k])
 
+    def simplex_indices(self, k: int, rows) -> np.ndarray:
+        """Index of the k-simplex on each row's vertices (in any order), or -1
+        where the row spans no k-simplex of the complex."""
+        table = self.simplices[k]
+        rows = np.sort(np.asarray(rows, dtype=np.int64).reshape(-1, k + 1), axis=1)
+        index = _row_index(np.vstack([table, rows]))
+        owner = np.full(index.max() + 1, -1)
+        owner[index[:len(table)]] = np.arange(len(table))
+        return owner[index[len(table):]]
+
     def simplex_index(self, k: int, tup) -> int:
-        try:
-            return self.index[k][tuple(sorted(tup))]
-        except KeyError:
-            raise MeshError(f"no {k}-simplex {tuple(tup)} in complex") from None
+        tup = tuple(int(v) for v in tup)
+        i = self.simplex_indices(k, [tup])[0] if len(tup) == k + 1 else -1
+        if i < 0:
+            raise MeshError(f"no {k}-simplex {tup} in complex")
+        return int(i)
 
     def boundary_facets(self) -> np.ndarray:
         """Indices of (dim-1)-simplices incident to exactly one top cell."""
-        if self.dim == 0:
-            return np.array([], dtype=int)
-        return np.array(
-            [f for f, hits in enumerate(self._facet_cofaces) if len(hits) == 1],
-            dtype=int,
-        )
+        return np.flatnonzero(self.induced_signs)
 
-    def induced_facet_sign(self, facet_index: int) -> int:
-        """Boundary orientation sign of a boundary facet."""
-        (cell, s) = self._facet_cofaces[facet_index][0]
-        return int(self.orientation[cell] * s)
+    def facet_closure(self, facets, k: int) -> np.ndarray:
+        """Mask of the k-simplices that are faces of the given facets
+        ((dim-1)-simplex indices), by repeated ``|d_j| @ mask``."""
+        mask = np.zeros(self.n_simplices(self.dim - 1), dtype=np.int64)
+        mask[np.fromiter(facets, dtype=np.int64)] = 1
+        for j in range(self.dim - 1, k, -1):
+            mask = abs(self.boundary_matrices[j]) @ mask
+        return mask > 0
 
     def vertex_components(self) -> np.ndarray:
         """Connected component label per vertex (via the 1-skeleton)."""
-        adj = [[] for _ in range(self.n_vertices)]
-        if self.dim >= 1:
-            for a, b in self.simplices[1]:
-                adj[a].append(b)
-                adj[b].append(a)
-        labels = -np.ones(self.n_vertices, dtype=int)
-        comp = 0
-        for start in range(self.n_vertices):
-            if labels[start] >= 0:
-                continue
-            stack = [start]
-            labels[start] = comp
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if labels[w] < 0:
-                        labels[w] = comp
-                        stack.append(w)
-            comp += 1
-        return labels
+        return self._components
 
     def n_components(self) -> int:
-        return int(self.vertex_components().max()) + 1
+        return int(self._components.max()) + 1
 
-    def oriented_cells(self) -> list[tuple]:
-        """Top cells as ordered tuples realizing their orientation sign."""
-        out = []
-        for i, s in enumerate(map(tuple, self.simplices[self.dim])):
-            if self.orientation[i] > 0 or self.dim == 0:
-                out.append(s)
-            else:
-                out.append((s[1], s[0]) + s[2:])
-        return out
+    def oriented_cells(self) -> np.ndarray:
+        """Top cells as vertex rows realizing their orientation sign."""
+        cells = self.simplices[self.dim].copy()
+        if self.dim:
+            flip = self.orientation < 0
+            cells[flip, :2] = cells[flip, 1::-1]
+        return cells
 
 
 class _MetricMesh:
@@ -350,54 +346,39 @@ class _MetricMesh:
         return float(self._volumes[self.complex.dim].sum())
 
     def _submesh(self, cells, orientation_sign=1, face_labels=None):
-        """The hypersurface spanned by ``cells`` (oriented top cells, as tuples
+        """The hypersurface spanned by ``cells`` (oriented top cells, as rows
         of this mesh's vertices) with the inherited metric; ``face_labels``
         name this mesh's simplices of the cells' dimension."""
         cx = self.complex
-        verts = sorted({int(v) for c in cells for v in c})
-        vmap = {v: i for i, v in enumerate(verts)}
+        verts, local = np.unique(cells, return_inverse=True)
         coords = cx.coordinates[verts] if cx.coordinates is not None else None
-        sub = SimplicialComplex(
-            len(verts), [tuple(vmap[v] for v in c) for c in cells], coordinates=coords
-        )
-        # The vertex map is increasing, so sorted tuples map to sorted tuples.
-        smaps = [
-            np.array([cx.index[k][tuple(verts[v] for v in s)]
-                      for s in sub.simplices[k]], dtype=int)
-            for k in range(sub.dim + 1)
-        ]
+        sub = SimplicialComplex(len(verts), local.reshape(cells.shape),
+                                coordinates=coords)
+        # The vertex map is increasing, so sorted rows map to sorted rows.
+        smaps = [cx.simplex_indices(k, verts[rows])
+                 for k, rows in enumerate(sub.simplices)]
         labels = None
         if face_labels:
-            back = {int(f): i for i, f in enumerate(smaps[sub.dim])}
-            labels = {lab: frozenset(back[f] for f in facets)
+            back = np.full(cx.n_simplices(sub.dim), -1)
+            back[smaps[sub.dim]] = np.arange(sub.n_simplices(sub.dim))
+            labels = {lab: frozenset(back[sorted(facets)].tolist())
                       for lab, facets in face_labels.items()}
         return HypersurfaceMesh(
             sub,
             edge_lengths=self.edge_lengths[smaps[1]] if sub.dim >= 1 else None,
             orientation_sign=orientation_sign,
             parent=self,
-            vertex_map=np.array(verts, dtype=int),
+            vertex_map=verts,
             simplex_maps=smaps,
             face_labels=labels,
         )
 
-    def _closure_subsimplices(self, facet_indices, k):
-        """Indices of k-simplices contained in the closure of given facets."""
-        cx = self.complex
-        out = set()
-        for f in facet_indices:
-            tup = tuple(cx.simplices[cx.dim - 1][f])
-            for sub in itertools.combinations(tup, k + 1):
-                out.add(cx.index[k][sub])
-        return out
-
     def boundary_simplex_mask(self, k: int) -> np.ndarray:
         """Boolean mask of k-simplices contained in the boundary."""
         cx = self.complex
-        mask = np.zeros(cx.n_simplices(k), dtype=bool)
-        if k < cx.dim:
-            mask[list(self._closure_subsimplices(cx.boundary_facets(), k))] = True
-        return mask
+        if k >= cx.dim:
+            return np.zeros(cx.n_simplices(k), dtype=bool)
+        return cx.facet_closure(cx.boundary_facets(), k)
 
     def interior_simplex_mask(self, k: int) -> np.ndarray:
         return ~self.boundary_simplex_mask(k)
@@ -514,14 +495,12 @@ class RegionMesh(_MetricMesh):
         strata = {}
         labels = sorted(self.face_labels)
         k = cx.dim - 2
-        closures = {
-            lab: self._closure_subsimplices(self.face_labels[lab], k)
-            for lab in labels
-        }
+        closures = {lab: cx.facet_closure(self.face_labels[lab], k)
+                    for lab in labels}
         for a, b in itertools.combinations(labels, 2):
-            common = closures[a] & closures[b]
-            if common:
-                strata[(a, b)] = frozenset(common)
+            common = np.flatnonzero(closures[a] & closures[b])
+            if common.size:
+                strata[(a, b)] = frozenset(common.tolist())
         return strata
 
     # -- boundary --------------------------------------------------------------
@@ -534,13 +513,11 @@ class RegionMesh(_MetricMesh):
             facets = cx.boundary_facets()
             if facets.size == 0:
                 return None
-            cells = []
-            for f in facets:
-                tup = tuple(int(v) for v in cx.simplices[cx.dim - 1][f])
-                # A 0-dimensional boundary keeps its vertices as they are.
-                if cx.induced_facet_sign(f) < 0 and cx.dim > 1:
-                    tup = (tup[1], tup[0]) + tup[2:]
-                cells.append(tup)
+            cells = cx.simplices[cx.dim - 1][facets]
+            # A 0-dimensional boundary keeps its vertices as they are.
+            if cx.dim > 1:
+                flip = cx.induced_signs[facets] < 0
+                cells[flip, :2] = cells[flip, 1::-1]
             self._boundary = self._submesh(cells, face_labels=self.face_labels)
         return self._boundary
 
@@ -564,8 +541,7 @@ def extract_face(sigma: HypersurfaceMesh, label: str) -> HypersurfaceMesh:
         raise MeshError("hypersurface has no face labels")
     if label not in sigma.face_labels:
         raise MeshError(f"unknown face label {label!r}")
-    oriented = sigma.complex.oriented_cells()
-    cells = [oriented[f] for f in sorted(sigma.face_labels[label])]
+    cells = sigma.complex.oriented_cells()[sorted(sigma.face_labels[label])]
     return sigma._submesh(cells, orientation_sign=sigma.orientation_sign)
 
 
@@ -610,102 +586,76 @@ def glue(mesh: RegionMesh, label_a: str, label_b: str, matching: dict,
     if len(facets_a) != len(facets_b):
         raise MeshError("faces are not combinatorially isomorphic (facet counts)")
 
-    verts_a = {int(v) for f in facets_a for v in cx.simplices[n - 1][f]}
-    verts_b = {int(v) for f in facets_b for v in cx.simplices[n - 1][f]}
-    if verts_a & verts_b:
+    rows_a = cx.simplices[n - 1][facets_a]
+    verts_a = np.unique(rows_a)
+    verts_b = np.unique(cx.simplices[n - 1][facets_b])
+    if np.intersect1d(verts_a, verts_b).size:
         raise MeshError("faces share vertices; gluing along intersecting faces "
                         "is not supported")
-    matching = {int(a): int(b) for a, b in matching.items()}
-    if set(matching) != verts_a or set(matching.values()) != verts_b:
+    src = np.fromiter(matching.keys(), dtype=np.int64, count=len(matching))
+    dst = np.fromiter(matching.values(), dtype=np.int64, count=len(matching))
+    if not (np.array_equal(np.sort(src), verts_a)
+            and np.array_equal(np.unique(dst), verts_b)):
         raise MeshError("matching is not a bijection between the face vertex sets")
+    image = np.arange(cx.n_vertices)
+    image[src] = dst
 
     # The matching must map facets to facets and reverse induced orientation.
-    facet_set_b = {tuple(cx.simplices[n - 1][f]): f for f in facets_b}
-    for f in facets_a:
-        tup = tuple(cx.simplices[n - 1][f])
-        image = tuple(sorted(matching[v] for v in tup))
-        if image not in facet_set_b:
-            raise MeshError("matching does not map facets onto facets")
-        fb = facet_set_b[image]
-        sign_a = cx.induced_facet_sign(f)
-        sign_b = cx.induced_facet_sign(fb)
-        mapped = [matching[v] for v in tup]
-        if sign_a * _sort_parity(mapped) * sign_b != -1:
-            raise MeshError("matching does not reverse orientation")
+    mapped = image[rows_a]
+    facets_ab = cx.simplex_indices(n - 1, mapped)
+    if not np.isin(facets_ab, facets_b).all():
+        raise MeshError("matching does not map facets onto facets")
+    signs = cx.induced_signs
+    if np.any(signs[facets_a] * _parity(mapped) * signs[facets_ab] != -1):
+        raise MeshError("matching does not reverse orientation")
 
     # Matched edges must be isometric.
-    for f in facets_a:
-        tup = tuple(cx.simplices[n - 1][f])
-        for e in itertools.combinations(tup, 2):
-            la = mesh.edge_lengths[cx.index[1][e]]
-            lb = mesh.edge_lengths[
-                cx.index[1][tuple(sorted(matching[v] for v in e))]
-            ]
-            if abs(la - lb) > length_tolerance * max(la, lb):
-                raise MeshError("matched edges differ in length; gluing must be "
-                                "an isometry")
+    edges = rows_a[:, np.transpose(np.triu_indices(n, 1))].reshape(-1, 2)
+    la = mesh.edge_lengths[cx.simplex_indices(1, edges)]
+    lb = mesh.edge_lengths[cx.simplex_indices(1, image[edges])]
+    if np.any(np.abs(la - lb) > length_tolerance * np.maximum(la, lb)):
+        raise MeshError("matched edges differ in length; gluing must be "
+                        "an isometry")
 
-    # Quotient vertex set: b-vertices collapse onto their a-partners.
-    collapse = {b: a for a, b in matching.items()}
-    new_id = {}
-    next_id = 0
-    for v in range(cx.n_vertices):
-        if v in collapse:
-            continue
-        new_id[v] = next_id
-        next_id += 1
-    for b, a in collapse.items():
-        new_id[b] = new_id[a]
-
-    cells = [tuple(new_id[v] for v in c) for c in cx.oriented_cells()]
-    coords = None
-    if cx.coordinates is not None:
-        coords = np.zeros((next_id, cx.coordinates.shape[1]))
-        for v in range(cx.n_vertices):
-            if v not in collapse:
-                coords[new_id[v]] = cx.coordinates[v]
-    glued_cx = SimplicialComplex(next_id, cells, coordinates=coords)
+    # Quotient vertex set: b-vertices collapse onto their a-partners.  A cell
+    # holding a matched pair collapses, and the complex rejects it.
+    keep = np.ones(cx.n_vertices, dtype=bool)
+    keep[dst] = False
+    new_id = np.cumsum(keep) - 1
+    new_id[dst] = new_id[src]
+    coords = cx.coordinates[keep] if cx.coordinates is not None else None
+    glued_cx = SimplicialComplex(int(keep.sum()), new_id[cx.oriented_cells()],
+                                 coordinates=coords)
 
     smaps, ssigns = [], []
-    face_a_closure = {k: mesh._closure_subsimplices(facets_a, k) for k in range(n)}
     for k in range(n + 1):
-        idx = np.zeros(cx.n_simplices(k), dtype=int)
-        sgn = np.zeros(cx.n_simplices(k), dtype=np.int64)
-        for i, s in enumerate(map(tuple, cx.simplices[k])):
-            image = [new_id[v] for v in s]
-            if len(set(image)) != len(image):
-                raise MeshError("gluing collapses a simplex")
-            idx[i] = glued_cx.index[k][tuple(sorted(image))]
-            sgn[i] = _sort_parity(image)
-        smaps.append(idx)
-        ssigns.append(sgn)
+        images = new_id[cx.simplices[k]]
+        smaps.append(glued_cx.simplex_indices(k, images))
+        ssigns.append(_parity(images))
         # Only the matched face pairs may merge; any further collision means
         # the quotient is not a simplicial complex (mesh too coarse).
-        expected = cx.n_simplices(k) - (len(face_a_closure[k]) if k < n else 0)
-        if glued_cx.n_simplices(k) != expected:
+        merged = int(cx.facet_closure(facets_a, k).sum()) if k < n else 0
+        if glued_cx.n_simplices(k) != cx.n_simplices(k) - merged:
             raise MeshError(
                 f"gluing identifies {k}-simplices beyond the matched faces; "
                 "refine the mesh"
             )
 
-    lengths = np.zeros(glued_cx.n_simplices(1))
-    for i in range(cx.n_simplices(1)):
-        lengths[smaps[1][i]] = mesh.edge_lengths[i]
-
-    glued_labels = {}
-    for lab, facets in mesh.face_labels.items():
-        if lab in (label_a, label_b):
-            continue
-        glued_labels[lab] = frozenset(int(smaps[n - 1][f]) for f in facets)
+    # A merged edge keeps the length of its later preimage (both agree).
+    last = np.zeros(glued_cx.n_simplices(1), dtype=int)
+    np.maximum.at(last, smaps[1], np.arange(cx.n_simplices(1)))
+    glued_labels = {lab: frozenset(smaps[n - 1][sorted(facets)].tolist())
+                    for lab, facets in mesh.face_labels.items()
+                    if lab not in (label_a, label_b)}
 
     out = RegionMesh(
         glued_cx,
         face_labels=glued_labels or None,
-        edge_lengths=lengths,
+        edge_lengths=mesh.edge_lengths[last],
         name=f"{mesh.name}/glued[{label_a}~{label_b}]" if mesh.name else "glued",
     )
     out.glue_info = GlueInfo(
-        vertex_map=np.array([new_id[v] for v in range(cx.n_vertices)], dtype=int),
+        vertex_map=new_id,
         simplex_maps=smaps,
         simplex_signs=ssigns,
     )
@@ -717,9 +667,7 @@ def disjoint_union(a: RegionMesh, b: RegionMesh, names=("m0", "m1")) -> RegionMe
     if a.complex.dim != b.complex.dim:
         raise MeshError("regions of different dimension")
     na = a.complex.n_vertices
-    cells = a.complex.oriented_cells() + [
-        tuple(v + na for v in c) for c in b.complex.oriented_cells()
-    ]
+    cells = np.vstack([a.complex.oriented_cells(), b.complex.oriented_cells() + na])
     coords = None
     if a.complex.coordinates is not None and b.complex.coordinates is not None:
         if a.complex.coordinates.shape[1] == b.complex.coordinates.shape[1]:
@@ -780,18 +728,15 @@ def load_off(path, labels) -> RegionMesh:
         raise MeshError(f"{path}: malformed OFF data: {exc}") from None
     if any(len(c) != 3 for c in cells):
         raise MeshError(f"{path}: only triangle cells are supported")
-    coords = np.asarray(coords)
+    coords, cells = np.asarray(coords), np.array(cells, dtype=np.int64)
     if np.allclose(coords[:, 2], 0.0):
         coords = coords[:, :2]
         # Planar triangles are reoriented counterclockwise.
-        fixed = []
-        for c in cells:
-            p = coords[list(c)]
-            area2 = (p[1][0] - p[0][0]) * (p[2][1] - p[0][1]) - (
-                p[2][0] - p[0][0]
-            ) * (p[1][1] - p[0][1])
-            fixed.append(c if area2 > 0 else (c[1], c[0], c[2]))
-        cells = fixed
+        p = coords[cells]
+        area2 = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                 - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        flip = ~(area2 > 0)
+        cells[flip, :2] = cells[flip, 1::-1]
     cx = SimplicialComplex(nv, cells, coordinates=coords)
 
     if isinstance(labels, (str, Path)):
@@ -800,12 +745,14 @@ def load_off(path, labels) -> RegionMesh:
     face_labels = None
     if labels:
         face_labels = {}
-        for key, lab in labels.items():
-            tup = tuple(sorted(int(t) for t in str(key).split(",")))
-            idx = cx.index[cx.dim - 1].get(tup)
-            if idx is None:
+        rows = [[int(t) for t in str(key).split(",")] for key in labels]
+        fit = [len(r) == cx.dim for r in rows]
+        idx = np.full(len(rows), -1)
+        idx[fit] = cx.simplex_indices(cx.dim - 1, [r for r, ok in zip(rows, fit) if ok])
+        for (key, lab), i in zip(labels.items(), idx.tolist()):
+            if i < 0:
                 raise MeshError(f"label sidecar names unknown facet {key!r}")
-            face_labels.setdefault(str(lab), set()).add(idx)
+            face_labels.setdefault(str(lab), set()).add(i)
     return RegionMesh(cx, face_labels=face_labels, name=path.stem)
 
 

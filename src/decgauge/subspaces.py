@@ -158,8 +158,11 @@ def factorized_solve(block, rhs, rank_tolerance=tolerances.RANK_REL,
             lu = splu(block.tocsc())
             pivots, x = np.abs(lu.U.diagonal()), lu.solve(rhs)
         else:
-            pivots = np.diag(np.linalg.cholesky(block.toarray())) ** 2
-            x = np.linalg.solve(block.toarray(), rhs)
+            # numpy has no triangular solve and scipy.linalg stays out of
+            # this path, so the factor gives the pivots and an LU the solve.
+            dense = block.toarray()
+            pivots = np.diag(np.linalg.cholesky(dense)) ** 2
+            x = np.linalg.solve(dense, rhs)
     except (RuntimeError, np.linalg.LinAlgError):  # exactly singular
         pivots = np.zeros(1)
     ratio = float(pivots.min() / max(pivots.max(), 1e-300))

@@ -252,7 +252,7 @@ def test_holonomy_three_homologous_representatives(ann8):
     cx = ann8.complex
 
     def edge(u, v):
-        return cx.index[1][tuple(sorted((u, v)))], 1 if u < v else -1
+        return cx.simplex_index(1, (u, v)), 1 if u < v else -1
 
     inner = [edge(4, 5), edge(5, 6), edge(6, 7), edge(7, 4)]
     detour = [edge(4, 5), edge(5, 6), edge(6, 7), edge(7, 0), edge(0, 4)]

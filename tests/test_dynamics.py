@@ -72,7 +72,7 @@ def test_action_additivity_disjoint_union(disk8, ann8, rng):
     for offset, m in ((0, disk8), (disk8.complex.n_vertices, ann8)):
         vals = np.zeros(m.complex.n_simplices(1))
         for i, e in enumerate(map(tuple, m.complex.simplices[1])):
-            j = union.complex.index[1][(e[0] + offset, e[1] + offset)]
+            j = union.complex.simplex_index(1, (e[0] + offset, e[1] + offset))
             vals[i] = eta.values[j]
         parts.append(dynamics.action(Cochain(m, 1, vals)))
     assert np.isclose(dynamics.action(eta), sum(parts), rtol=1e-13)

@@ -41,7 +41,7 @@ def dense_equalizer(m, label_a, matching):
     for f in sorted(m.face_labels[label_a]):
         for e in itertools.combinations(tuple(cx.simplices[cx.dim - 1][f]), 2):
             mapped = [matching[v] for v in e]
-            ia, ib = cx.index[1][e], cx.index[1][tuple(sorted(mapped))]
+            ia, ib = cx.simplex_index(1, e), cx.simplex_index(1, mapped)
             sb = 1 if mapped[0] < mapped[1] else -1
             trace = np.zeros(n1)
             trace[ia], trace[ib] = 1.0, -sb

@@ -270,3 +270,39 @@ def test_hypersurface_reversal_shares_metric(ann8):
     assert rev.orientation_sign == -bd.orientation_sign
     values = np.ones(bd.complex.n_simplices(1))
     assert rev.integral(values) == -bd.integral(values)
+
+
+def _unit_square_glued_across():
+    # Each cell of the 1 x 1 square holds a matched west/east vertex pair,
+    # so the quotient collapses it.
+    sq = builders.square(1)
+    return mesh.glue(sq, "west", "east", builders.strip_end_matching(sq))
+
+
+def _sidecar_with_unknown_facet(tmp_path):
+    path = tmp_path / "tri.off"
+    path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    return mesh.load_off(path, {"0,1": "rim", "0,5": "rim"})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda tmp: SimplicialComplex(3, [(0, 0, 1)]), r"degenerate cell \(0, 0, 1\)"),
+    (lambda tmp: SimplicialComplex(3, [(0, 1, 3)]),
+     r"cell \(0, 1, 3\) references unknown vertex"),
+    (lambda tmp: SimplicialComplex(4, [(0, 1, 2), (1, 2, 3, 0)]), "cells of mixed dimension"),
+    (lambda tmp: SimplicialComplex(3, []), "complex needs at least one top cell"),
+    (lambda tmp: SimplicialComplex(3, [(0, 1, 2)], coordinates=np.zeros((2, 2))),
+     "coordinate count does not match vertex count"),
+    (lambda tmp: mesh.glue(builders.square(2), "south", "east", {}), "faces share vertices"),
+    (lambda tmp: mesh.glue(builders.strip(4), "west", "east", {0: 4, 5: 4}),
+     "matching is not a bijection"),
+    (lambda tmp: mesh.glue(builders.square(2), "west", "east", {0: 2, 3: 8, 6: 5}),
+     "matching does not map facets onto facets"),
+    (lambda tmp: _unit_square_glued_across(), r"degenerate cell \(0, 0, 1\)"),
+    (_sidecar_with_unknown_facet, "label sidecar names unknown facet '0,5'"),
+], ids=["degenerate cell", "unknown vertex", "mixed dimension", "no cells",
+        "coordinate count", "glue shared vertices", "glue not bijective",
+        "glue facets not onto facets", "glue collapsed simplex", "sidecar unknown facet"])
+def test_mesh_error_paths(build, message, tmp_path):
+    with pytest.raises(MeshError, match=message):
+        build(tmp_path)

@@ -98,7 +98,7 @@ def test_disjoint_union_additivity(rng):
     joint_dot = np.zeros(cx.n_simplices(1))
     for offset, m in ((0, c1), (n1, c2)):
         for i, e in enumerate(map(tuple, m.complex.simplices[1])):
-            j = cx.index[1][(e[0] + offset, e[1] + offset)]
+            j = cx.simplex_index(1, (e[0] + offset, e[1] + offset))
             joint_phi[j] = vals[m][0][i]
             joint_dot[j] = vals[m][1][i]
     a_union = BoundaryDatum(Cochain(union, 1, joint_phi),
