@@ -8,6 +8,8 @@ polygon formulas in tests.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .mesh import HypersurfaceMesh, MeshError, RegionMesh, SimplicialComplex
@@ -170,6 +172,37 @@ def solid_torus(k: int = 8, major_radius: float = 2.0) -> RegionMesh:
     return RegionMesh(cx, face_labels={"shell": shell}, name=f"solid_torus:K={k}")
 
 
+def cube(n: int = 2) -> RegionMesh:
+    """Unit cube on an n x n x n grid, each voxel cut into the 6 tetrahedra
+    of its main diagonal (Freudenthal/Kuhn), each oriented by the sign of
+    its determinant.  Faces "west"/"east" (x), "south"/"north" (y) and
+    "bottom"/"top" (z) meet in 12 corner edges: the first builtin 3D mesh
+    with interior edges and vertices."""
+    if n < 1:
+        raise MeshError("cube needs n >= 1")
+    grid = np.stack(np.meshgrid(*[np.arange(n + 1)] * 3, indexing="ij"),
+                    axis=-1)[..., ::-1].reshape(-1, 3)  # vertex v = (x, y, z)
+    steps = np.eye(3, dtype=int)[list(itertools.permutations(range(3)))]
+    corners = np.concatenate([np.zeros((6, 1, 3), dtype=int),
+                              np.cumsum(steps, axis=1)], axis=1)  # (6, 4, 3)
+    origins = grid[(grid < n).all(axis=1)]
+    vid = lambda p: (p[..., 2] * (n + 1) + p[..., 1]) * (n + 1) + p[..., 0]
+    cells = vid(origins[:, None, None] + corners).reshape(-1, 4)
+    coords = grid / n
+    edges = coords[cells[:, 1:]] - coords[cells[:, :1]]
+    flip = np.linalg.det(edges) < 0
+    cells[flip, :2] = cells[flip, 1::-1]
+    cx = SimplicialComplex(len(grid), cells, coordinates=coords)
+    facets = cx.boundary_facets()
+    at = grid[cx.simplices[2][facets]]  # (facets, 3 vertices, 3 axes)
+    labels = {}
+    for axis, (low, high) in enumerate((("west", "east"), ("south", "north"),
+                                        ("bottom", "top"))):
+        for label, value in ((low, 0), (high, n)):
+            labels[label] = facets[(at[:, :, axis] == value).all(axis=1)]
+    return RegionMesh(cx, face_labels=labels, name=f"cube:N={n}")
+
+
 def circle(n: int = 24, length: float = 2 * np.pi) -> HypersurfaceMesh:
     """Closed polygonal loop of n edges with total length as given."""
     if n < 3:
@@ -190,6 +223,7 @@ _BUILDERS = {
     "strip": lambda **kw: strip(int(kw.get("N", 4))),
     "tetrahedron": lambda **kw: tetrahedron(),
     "solid_torus": lambda **kw: solid_torus(int(kw.get("K", 8))),
+    "cube": lambda **kw: cube(int(kw.get("N", 2))),
 }
 
 

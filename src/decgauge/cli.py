@@ -153,11 +153,12 @@ def _run_harmonic(mesh: RegionMesh, config, tol, rng):
 def _run_verify_lagrangian(mesh: RegionMesh, config, tol, rng):
     rep = verify_lagrangian(mesh, tol["RANK_REL"], tol["ISOTROPY_REL"],
                             tol["PRINCIPAL_ANGLE"], tol["SOLUTION_REL"],
-                            tol["RANK_GAP_FACTOR"])
+                            tol["RANK_GAP_FACTOR"], tol["COCLOSED_INPUT_REL"])
     checks = [
         _check("lagrangian", rep["lagrangian"],
                isotropy_max=rep["isotropy_max"],
                max_principal_angle=rep.get("max_principal_angle", 0.0),
+               embedding_defect=rep.get("embedding_defect", 0.0),
                half_dimension=rep["half_dimension"]),
     ]
     return checks, rep
@@ -244,7 +245,7 @@ def verify_axioms(mesh: RegionMesh, tol=None, rng=None,
 
     rep9 = verify_lagrangian(mesh, tol["RANK_REL"], tol["ISOTROPY_REL"],
                              tol["PRINCIPAL_ANGLE"], tol["SOLUTION_REL"],
-                             tol["RANK_GAP_FACTOR"], space)
+                             tol["RANK_GAP_FACTOR"], tol["COCLOSED_INPUT_REL"])
     axioms["A9"] = _check("A9", rep9["lagrangian"],
                           dims=rep9["dims"], isotropy_max=rep9["isotropy_max"],
                           rank_ambiguous=rep9["rank_ambiguous"])
@@ -308,10 +309,11 @@ def _run_ym2d(mesh: RegionMesh, config, tol, rng):
     checks.append(_check("lagrangian_line", line["passed"],
                          max_relative_residual=line["max_relative_residual"],
                          tolerance=tol["STOKES_LINE_REL"]))
-    form = reduced_form_check(mesh.boundary)
+    form = reduced_form_check(mesh.boundary, tol["REDUCED_FORM_REL"])
     body["reduced_form"] = form
     checks.append(_check("reduced_form_kappa_half", form["kappa_matches_half"],
-                         kappa=form["kappa"], prose_kappa=form["prose_kappa"]))
+                         kappa=form["kappa"], prose_kappa=form["prose_kappa"],
+                         tolerance=tol["REDUCED_FORM_REL"]))
     checks.append(_check("factor_discrepancy_flagged",
                          form["factor_discrepancy_flagged"]))
     if config.output:

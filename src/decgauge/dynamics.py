@@ -3,9 +3,10 @@
 The field equation operator keeps the interior-edge rows of the full
 curvature adjoint; its boundary rows are exactly the normal flux paired by
 the boundary two-form.  That split makes the restricted solution pairing
-symmetric, so isotropy of the image holds to roundoff, and the image of
-the gauge-fixed solutions is verified to be Lagrangian inside the coclosed
-pairs at rank tolerance.
+symmetric, so isotropy of the image holds to roundoff.  The image is the
+graph of the Dirichlet-to-Neumann map over the coclosed boundary traces,
+and it is verified to be Lagrangian inside the coclosed pairs from that
+map alone.
 """
 
 from __future__ import annotations
@@ -22,9 +23,17 @@ from .boundary import (
     trace_solution,
 )
 from .dec import Cochain, DECError, d, inner_product, normal_trace, tangential_trace
+from .hodge import dirichlet_extension, relative_betti_oracle
 from .mesh import GlueInfo, RegionMesh, glue
-from .subspaces import Subspace, from_span, null_space, principal_angles, reduced_null_space
-from .symplectic import SymplecticSpace, coclosed_pair_subspace, is_lagrangian
+from .subspaces import (
+    Subspace,
+    _contains,
+    from_span,
+    null_space,
+    principal_angles,
+    reduced_null_space,
+)
+from .symplectic import coclosed_subspace
 
 
 class DynamicsError(ValueError):
@@ -204,17 +213,45 @@ def restrict(space: SolutionSpace, rank_tolerance=tolerances.RANK_REL,
                      rank_tolerance=rank_tolerance)
 
 
+def _graph(m) -> Subspace:
+    """Orthonormal basis of graph(m), the span of ``[I; m]``."""
+    return Subspace(np.linalg.qr(np.vstack([np.eye(len(m)), m]))[0])
+
+
 def verify_lagrangian(mesh: RegionMesh,
                       rank_tolerance=tolerances.RANK_REL,
                       isotropy_tolerance=tolerances.ISOTROPY_REL,
                       angle_tolerance=tolerances.PRINCIPAL_ANGLE,
                       solution_tolerance=tolerances.SOLUTION_REL,
                       gap_factor=tolerances.RANK_GAP_FACTOR,
-                      space: SolutionSpace | None = None) -> dict:
-    """Isotropy, coisotropy, and dimension bookkeeping of the restricted
-    solution space inside the gauge-fixed boundary pairs; ``rank_ambiguous``
-    when a rank cut's gap is below ``gap_factor``.  ``space``, the mesh's
-    :func:`solution_space` if a caller already built it, is not rebuilt."""
+                      coclosed_tolerance=tolerances.COCLOSED_INPUT_REL) -> dict:
+    """The restricted solutions inside the coclosed boundary pairs, as the
+    graph of the Dirichlet-to-Neumann map ``Lam`` (phi to the flux of its
+    extension) over the coclosed traces; no solution space is built.
+
+    ``Q`` (:func:`~decgauge.symplectic.coclosed_subspace`, r columns) is
+    extended into the bulk by one :func:`~decgauge.hodge.dirichlet_extension`
+    ``A``, and the fluxes are taken with every column's bulk residual gated.
+    In the coordinates ``(Q c, Q c_dot)`` of the coclosed pairs the image is
+    graph(M), ``M = Q^T S Lam Q``, and the two-form is ``sign/2 [[0, I],
+    [-I, 0]]``.  So half-dimension holds by construction, and what is
+    measured is:
+
+    - isotropy, the form on the orthonormalized graph (scale 1/2);
+    - Green's identity ``M = (dA)^T S_2 dA`` (the bulk action of the
+      extensions), which makes M symmetric: the largest gap plus one unit
+      roundoff of the sums' magnitudes, relative to the largest action, and
+      gated by ``isotropy_tolerance`` too; unlike the symmetry, it is not
+      vacuous when r = 1;
+    - coisotropy: the symplectic complement is graph(M^T), and its principal
+      angles against graph(M) must stay below ``angle_tolerance``;
+    - the fluxes' distance from span Q (``embedding_defect``, each pair
+      relative to its norm), at most ``coclosed_tolerance``.
+
+    ``gauge_fixed`` is the exact count ``r - c(bd M) + c_bounded(M) + b_1(M,
+    bd M)`` (components of the boundary, components of M with a boundary,
+    relative Betti number); ``rank_ambiguous`` when the gap of Q or of the
+    grounding Dirichlet basis is below ``gap_factor``."""
     sigma = mesh.boundary
     if sigma is None:
         return {
@@ -227,37 +264,62 @@ def verify_lagrangian(mesh: RegionMesh,
             "lagrangian": True,
             "note": "empty boundary, trivially Lagrangian",
         }
-    space = space or solution_space(mesh, rank_tolerance)
-    image = restrict(space, rank_tolerance, solution_tolerance)
-    phi = coclosed_pair_subspace(sigma, rank_tolerance)
-    reduced, to_reduced, _ = SymplecticSpace.from_hypersurface(sigma).restrict(phi)
-    x, y = image.columns, to_reduced(image.columns)
-    embed_defect = float((np.linalg.norm(phi.columns @ y - x, axis=0) / np.maximum(
-        np.linalg.norm(x, axis=0), 1e-300)).max(initial=0.0))
-    image_red = from_span(y, rank_tolerance=rank_tolerance)
+    if mesh.complex.dim < 2:
+        raise DynamicsError("field equation needs a region of dimension >= 2")
+    cx, s = mesh.complex, sigma.star_diagonal(1)
+    q = coclosed_subspace(sigma, rank_tolerance)
+    x = np.zeros((cx.n_simplices(1), q.dim))
+    x[sigma.region_simplex_map(1)] = q.columns
+    x, solve, grounding = dirichlet_extension(mesh, x, rank_tolerance)
+    flux = trace_columns(mesh, x, sigma, solution_tolerance)[1]
+    m = q.coords(flux)
+    # |[q; flux]| >= |q| = 1: the distance of each image pair from the pairs
+    off = flux - q.columns @ m
+    embed_defect = float((np.sqrt(s @ off ** 2) / np.sqrt(1.0 + s @ flux ** 2)
+                          ).max(initial=0.0))
+    da = cx.boundary_matrices[2].T @ x
+    energy = da.T @ (mesh.star_diagonal(2)[:, None] * da)
+    # A gap below one unit roundoff of what the two sums accumulate is not
+    # resolved, so that much is added: a computed zero is not an exact one.
+    resolution = np.finfo(float).eps / 2 * (
+        (np.abs(q.columns) * np.abs(s[:, None] * flux)).sum(axis=0)
+        + np.diag(energy)).max(initial=0.0)
+    green = float((np.abs(m - energy).max(initial=0.0) + resolution)
+                  / max(np.diag(energy).max(initial=0.0), 1e-300))
 
-    lag, info = is_lagrangian(image_red, reduced, isotropy_tolerance,
-                              angle_tolerance, rank_tolerance)
-    comp = info["complement"]
-    half = (phi.dim == 2 * image_red.dim)
+    image, comp = _graph(m), _graph(m.T)
+    top, bottom = np.vsplit(image.columns, 2)
+    iso = float(np.abs(0.5 * sigma.orientation_sign * (top.T @ bottom - bottom.T @ top)
+                       ).max(initial=0.0))
+    angles = principal_angles(image, comp)
+    coiso, max_angle = _contains(image, comp, angles, angle_tolerance)
+    phi_dim = 2 * q.dim
+    half = phi_dim == 2 * image.dim
+    gauge_fixed = (q.dim - sigma.complex.n_components()
+                   + np.unique(cx.vertex_components()[sigma.vertex_map]).size
+                   + relative_betti_oracle(mesh, 1))
+    gaps = [q.gap] + ([grounding.gap] if grounding is not None else [])
     return {
         "mesh": mesh.name,
         "dims": {
-            "solution_space": space.dim,
-            "gauge_fixed": space.gauge_fixed_dim,
-            "phi_space": phi.dim,
-            "image": image_red.dim,
+            "solution_space": gauge_fixed + cx.n_simplices(0) - cx.n_components(),
+            "gauge_fixed": gauge_fixed,
+            "phi_space": phi_dim,
+            "image": image.dim,
             "complement": comp.dim,
         },
-        "isotropy_max": info["max_residual"],
-        "isotropy_scale": info.get("scale", 1.0),
-        "coisotropy_angles": [float(a) for a in info["coisotropy_angles"]],
-        "max_principal_angle": info["max_principal_angle"],
+        "isotropy_max": iso,
+        "isotropy_scale": 0.5,
+        "green_residual": green,
+        "coisotropy_angles": [float(a) for a in angles],
+        "max_principal_angle": max_angle,
         "embedding_defect": embed_defect,
+        "extension_solve": solve,
         "half_dimension": bool(half),
-        "rank_ambiguous": min(sub.gap for sub in (space.gauge_fixed_basis,
-                              image, phi, image_red, comp)) < gap_factor,
-        "lagrangian": bool(lag and half),
+        "rank_ambiguous": min(gaps) < gap_factor,
+        "lagrangian": bool(iso <= isotropy_tolerance * 0.5
+                           and green <= isotropy_tolerance and coiso and half
+                           and embed_defect <= coclosed_tolerance),
     }
 
 

@@ -182,10 +182,11 @@ class HarmonicBasis:
         return worst
 
 
-def _hodge_system(mesh, k: int, dirichlet: bool):
-    """``(A, L, cols)``: ``A = [d_k; del_k S_k]`` on the k-simplices ``cols``
-    and the Hodge Laplacian ``L = A^T diag(S_k+1, S_k-1^-1) A``.  Neumann
-    takes every k-simplex and (k-1) row; Dirichlet the interior ones."""
+def _hodge_rows(mesh, k: int, dirichlet: bool):
+    """``(A, w, cols)``: the rows ``A = [d_k; del_k S_k]`` of the Hodge system
+    on every k-simplex, their weights ``w = (S_k+1, S_k-1^-1)`` and the
+    unknowns ``cols``.  Neumann takes every k-simplex and (k-1) row;
+    Dirichlet the interior ones."""
     cx = mesh.complex
     if dirichlet:
         cols = mesh.interior_simplex_mask(k)
@@ -194,13 +195,20 @@ def _hodge_system(mesh, k: int, dirichlet: bool):
         cols, rows = slice(None), slice(None)
     blocks, weights = [], []
     if k < cx.dim:
-        blocks.append(cx.boundary_matrices[k + 1].T[:, cols])
+        blocks.append(cx.boundary_matrices[k + 1].T)
         weights.append(mesh.star_diagonal(k + 1))
     if k >= 1:
-        blocks.append(adjoint_full(mesh, k).tocsr()[rows][:, cols])
+        blocks.append(adjoint_full(mesh, k).tocsr()[rows])
         weights.append(1.0 / mesh.star_diagonal(k - 1)[rows])
-    a = sparse.vstack(blocks).tocsr()
-    return a, a.T @ sparse.diags(np.concatenate(weights)) @ a, cols
+    return sparse.vstack(blocks).tocsr(), np.concatenate(weights), cols
+
+
+def _hodge_system(mesh, k: int, dirichlet: bool):
+    """``(A, L, cols)``: the rows of :func:`_hodge_rows` on the unknowns
+    ``cols`` and the Hodge Laplacian ``L = A^T diag(w) A``."""
+    a, w, cols = _hodge_rows(mesh, k, dirichlet)
+    a = a[:, cols]
+    return a, a.T @ sparse.diags(w) @ a, cols
 
 
 def _harmonic_kernel(mesh, k: int, rank_tolerance, dirichlet: bool) -> Subspace:
@@ -303,26 +311,47 @@ class HmfDecomposition:
         }
 
 
-def _potential(mesh, j: int, dirichlet: bool, rhs, rank_tolerance):
-    """Solve the Hodge Laplacian of :func:`_hodge_system` for ``rhs`` (which
-    is orthogonal to its kernel), and the solve's record.  A kernel the
-    oracle predicts is grounded first: the unknowns on which the harmonic
-    basis of degree ``j`` is best conditioned are fixed at zero."""
-    _, lap, cols = _hodge_system(mesh, j, dirichlet)
+def _potential(mesh, j: int, dirichlet: bool, lap, cols, rhs, rank_tolerance):
+    """Solve the Hodge Laplacian ``lap`` of degree ``j`` on the unknowns
+    ``cols`` (:func:`_hodge_system`) for ``rhs`` (a vector or one column per
+    right-hand side, orthogonal to its kernel); the solve's record; and the
+    harmonic basis it was grounded on, or None.  A kernel the oracle
+    predicts is grounded first: the unknowns on which the harmonic basis of
+    degree ``j`` is best conditioned are fixed at zero."""
     free = np.ones(lap.shape[0], dtype=bool)
+    basis = None
     if (relative_betti_oracle if dirichlet else betti_oracle)(mesh, j):
-        h = (harmonic_dirichlet_basis if dirichlet else harmonic_neumann_basis)(
-            mesh, j, rank_tolerance).basis.columns[cols]
+        basis = (harmonic_dirichlet_basis if dirichlet else harmonic_neumann_basis)(
+            mesh, j, rank_tolerance).basis
+        h = basis.columns[cols]
         for _ in range(h.shape[1]):  # greedy row pivoting of h
             i = int(np.argmax(np.einsum("ij,ij->i", h, h)))
             free[i] = False
             h = h - np.outer(h @ h[i], h[i]) / (h[i] @ h[i])
-    x, ratio = np.zeros(lap.shape[0]), None
+    x, ratio = np.zeros(np.shape(rhs)), None
     if free.any():
         x[free], ratio = factorized_solve(lap.tocsr()[free][:, free], rhs[free],
                                           rank_tolerance, HodgeError)
     return x, {"block_size": int(free.sum()), "grounded": int((~free).sum()),
-               "pivot_ratio": ratio, "rank_tolerance": rank_tolerance}
+               "pivot_ratio": ratio, "rank_tolerance": rank_tolerance}, basis
+
+
+def dirichlet_extension(mesh: RegionMesh, x, rank_tolerance=tolerances.RANK_REL):
+    """The 1-cochain columns equal to ``x`` on the boundary edges that solve
+    the Dirichlet Hodge Laplacian ``L`` of degree 1 on the interior edges
+    ``J``: ``L_JJ y_J = -L_J,bd x_bd``, one :func:`_potential` solve
+    (grounded on H^1(M, boundary) when it is nonzero, an empty block without
+    interior edges).  So ``d^T S_2 d y`` and ``del_1 S_1 y`` vanish on the
+    interior edges and vertices.  Returns them, the solve's record and the
+    grounding Dirichlet basis (None unless one was built)."""
+    rows, w, interior = _hodge_rows(mesh, 1, True)
+    a = rows[:, interior]
+    y = np.array(x, dtype=float)
+    y[interior] = 0.0
+    rhs = -(a.T @ (w[:, None] * (rows @ y)))
+    y[interior], record, grounding = _potential(
+        mesh, 1, True, a.T @ sparse.diags(w) @ a, interior, rhs, rank_tolerance)
+    return y, record, grounding
 
 
 def hmf_decompose(alpha: Cochain, mesh: RegionMesh | None = None,
@@ -350,13 +379,16 @@ def hmf_decompose(alpha: Cochain, mesh: RegionMesh | None = None,
     solves = {}
     if k >= 1:
         dmat = cx.boundary_matrices[k].T.tocsc()[:, mesh.interior_simplex_mask(k - 1)]
-        x, solves["exact_dirichlet"] = _potential(
-            mesh, k - 1, True, dmat.T @ (weights * alpha.values), rank_tolerance)
+        _, lap, cols = _hodge_system(mesh, k - 1, True)
+        x, solves["exact_dirichlet"], _ = _potential(
+            mesh, k - 1, True, lap, cols, dmat.T @ (weights * alpha.values),
+            rank_tolerance)
         exact = dmat @ x
     if 1 <= k < cx.dim:
         bmat = adjoint_full(mesh, k + 1)  # S_k B
-        y, solves["coexact_neumann"] = _potential(
-            mesh, k + 1, False, bmat.T @ alpha.values, rank_tolerance)
+        _, lap, cols = _hodge_system(mesh, k + 1, False)
+        y, solves["coexact_neumann"], _ = _potential(
+            mesh, k + 1, False, lap, cols, bmat.T @ alpha.values, rank_tolerance)
         coexact = bmat @ y / weights
     elif k < cx.dim:
         comp = cx.vertex_components()

@@ -27,6 +27,11 @@ from scipy import sparse
 
 from . import tolerances
 
+#: Input validation, not a gated tolerance (builders never see a run's
+#: table): a cell's edge-length Gram may have eigenvalues down to minus this
+#: times its largest (at least 1) and still count as a flat simplex.
+FLAT_GRAM_FLOOR = 1e-12
+
 
 class MeshError(ValueError):
     """Invalid complex, labeling, or gluing data."""
@@ -305,7 +310,7 @@ class _MetricMesh:
         gram = self._gram(cells)
         # Positive semidefinite for a valid flat simplex; tolerate roundoff.
         w = np.linalg.eigvalsh(gram)
-        floor = -1e-12 * np.maximum(1.0, w.max(axis=1, initial=0.0))
+        floor = -FLAT_GRAM_FLOOR * np.maximum(1.0, w.max(axis=1, initial=0.0))
         bad = np.any(w < floor[:, None], axis=1)
         if bad.any():
             raise MeshError(f"edge lengths of {tuple(cells[bad.argmax()].tolist())} "

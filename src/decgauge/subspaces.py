@@ -147,6 +147,21 @@ def null_space(matrix, gram=None, rank_tolerance=tolerances.RANK_REL,
     return out
 
 
+def _cholesky_solve(factor, rhs, block=64):
+    """Solve ``factor factor^T x = rhs`` by blocked forward and back
+    substitution.  numpy has no triangular solve and scipy.linalg stays out
+    of this path, so each diagonal block goes through a small LU."""
+    x = np.array(rhs, dtype=float)
+    starts = range(0, factor.shape[0], block)
+    for i in starts:
+        j = i + block
+        x[i:j] = np.linalg.solve(factor[i:j, i:j], x[i:j] - factor[i:j, :i] @ x[:i])
+    for i in reversed(starts):
+        j = i + block
+        x[i:j] = np.linalg.solve(factor[i:j, i:j].T, x[i:j] - factor[j:, i:j].T @ x[j:])
+    return x
+
+
 def factorized_solve(block, rhs, rank_tolerance=tolerances.RANK_REL,
                      error=ValueError):
     """Solution and pivot ratio of the sparse SPD ``block`` for ``rhs``: dense
@@ -158,11 +173,9 @@ def factorized_solve(block, rhs, rank_tolerance=tolerances.RANK_REL,
             lu = splu(block.tocsc())
             pivots, x = np.abs(lu.U.diagonal()), lu.solve(rhs)
         else:
-            # numpy has no triangular solve and scipy.linalg stays out of
-            # this path, so the factor gives the pivots and an LU the solve.
-            dense = block.toarray()
-            pivots = np.diag(np.linalg.cholesky(dense)) ** 2
-            x = np.linalg.solve(dense, rhs)
+            factor = np.linalg.cholesky(block.toarray())
+            pivots = np.diag(factor) ** 2
+            x = _cholesky_solve(factor, rhs)
     except (RuntimeError, np.linalg.LinAlgError):  # exactly singular
         pivots = np.zeros(1)
     ratio = float(pivots.min() / max(pivots.max(), 1e-300))

@@ -85,14 +85,11 @@ class SymplecticSpace:
         return reduced, to_reduced, from_reduced
 
 
-def coclosed_pair_subspace(sigma: HypersurfaceMesh,
-                           rank_tolerance=tolerances.RANK_REL) -> Subspace:
-    """The gauge-fixed pairs: both components coclosed on the hypersurface.
-
-    The constraint is block diagonal over the two slots, so the kernel is
-    computed once on the single-slot operator and assembled.  A rank cut
-    missing the exact dimension (edges minus exact gauge directions) raises.
-    """
+def coclosed_subspace(sigma: HypersurfaceMesh,
+                      rank_tolerance=tolerances.RANK_REL) -> Subspace:
+    """S-orthonormal basis of the coclosed 1-cochains on the hypersurface,
+    the kernel of ``del_1 S_1``.  A rank cut missing the exact dimension
+    (edges minus exact gauge directions) raises."""
     cx = sigma.complex
     n = cx.n_simplices(1)
     s = sigma.star_diagonal(1)
@@ -102,15 +99,24 @@ def coclosed_pair_subspace(sigma: HypersurfaceMesh,
     if single.dim != n - gauge:
         raise BoundaryError(f"coclosed dimension {single.dim} != {n} edges "
                             f"minus {gauge} exact gauge directions")
-    r = single.dim
+    return single
+
+
+def coclosed_pair_subspace(sigma: HypersurfaceMesh,
+                           rank_tolerance=tolerances.RANK_REL) -> Subspace:
+    """The gauge-fixed pairs: both components coclosed on the hypersurface.
+
+    The constraint is block diagonal over the two slots, so the kernel is
+    one :func:`coclosed_subspace`, assembled twice.
+    """
+    single = coclosed_subspace(sigma, rank_tolerance)
+    n, r = single.columns.shape
     cols = np.zeros((2 * n, 2 * r))
     cols[:n, :r] = single.columns
     cols[n:, r:] = single.columns
-    out = Subspace(cols, gram=np.concatenate([s, s]),
-                   rank_tolerance=rank_tolerance,
-                   singular_values=single.singular_values,
-                   gap=single.gap)
-    return out
+    return Subspace(cols, gram=np.tile(single.gram, 2),
+                    rank_tolerance=rank_tolerance,
+                    singular_values=single.singular_values, gap=single.gap)
 
 
 def symplectic_complement(v: Subspace, w: SymplecticSpace,

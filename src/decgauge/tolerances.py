@@ -57,8 +57,13 @@ HOLONOMY_MOD_REL = 1e-10
 #: Round trip of extension after restriction, and membership projection.
 EXTEND_ROUNDTRIP_REL = 1e-8
 
-#: Acceptable coclosedness defect of inputs that claim to be coclosed.
+#: Acceptable coclosedness defect of inputs that claim to be coclosed, and
+#: of the fluxes of extended solutions (their distance from the coclosed
+#: traces in verify-lagrangian).
 COCLOSED_INPUT_REL = 1e-8
+
+#: Measured coefficient of the reduced two-form against its one-half.
+REDUCED_FORM_REL = 1e-12
 
 #: Matched edge lengths must agree to this before a gluing is accepted.
 GLUE_LENGTH_REL = 1e-12

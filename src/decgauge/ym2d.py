@@ -127,15 +127,16 @@ def lagrangian_line_check(mesh: RegionMesh,
     }
 
 
-def reduced_form_check(sigma: HypersurfaceMesh) -> dict:
+def reduced_form_check(sigma: HypersurfaceMesh,
+                       tolerance=tolerances.REDUCED_FORM_REL) -> dict:
     """Measured coefficient of the reduced two-form on constant data.
 
     Evaluates the boundary two-form on constant pairs and reports kappa in
     omega = kappa * length * (c c_dot' - c' c_dot).  The implemented
-    formula carries the one-half, so kappa = 1/2; the companion prose
-    description of the reduced structure as length times the area form
-    (kappa = 1) disagrees by that factor, and the report flags the
-    discrepancy rather than normalizing it away.
+    formula carries the one-half, so kappa = 1/2 (to ``tolerance``); the
+    companion prose description of the reduced structure as length times
+    the area form (kappa = 1) disagrees by that factor, and the report
+    flags the discrepancy rather than normalizing it away.
     """
     if sigma.complex.dim != 1 or not sigma.is_closed():
         raise Ym2dError("the reduced form lives on closed 1D loops")
@@ -149,7 +150,7 @@ def reduced_form_check(sigma: HypersurfaceMesh) -> dict:
         "omega_on_unit_pair": measured,
         "kappa": kappa,
         "prose_kappa": 1.0,
-        "kappa_matches_half": bool(abs(kappa - 0.5) <= 1e-12),
+        "kappa_matches_half": bool(abs(kappa - 0.5) <= tolerance),
         "factor_discrepancy_flagged": True,
     }
 

@@ -4,12 +4,23 @@ The library never densifies the n1-wide field equation: it works on the
 gauge-fixed space and adds the exact fields ``d f`` where it needs full
 solutions.  These helpers build the dense operators and the SVD basis of
 the full solution space, so tests can check the reduced paths against them.
+The Lagrangian check of the library reads the Dirichlet-to-Neumann map;
+:func:`svd_lagrangian` is the route through the solution space, the
+restriction and the 2n-wide two-form that it replaced.
 """
 
 import numpy as np
 
+from decgauge import tolerances
 from decgauge.dec import Cochain
-from decgauge.subspaces import Subspace, null_space
+from decgauge.dynamics import restrict, solution_space
+from decgauge.subspaces import Subspace, from_span, null_space
+from decgauge.symplectic import (
+    SymplecticSpace,
+    _omega_scale,
+    coclosed_pair_subspace,
+    is_lagrangian,
+)
 
 
 def curvature_adjoint_full(mesh) -> np.ndarray:
@@ -39,3 +50,39 @@ def solutions(space):
     """The columns of :func:`full_basis` as cochains."""
     cols = full_basis(space).columns
     return [Cochain(space.mesh, 1, cols[:, j]) for j in range(cols.shape[1])]
+
+
+def svd_lagrangian(mesh, rank_tolerance=tolerances.RANK_REL,
+                   isotropy_tolerance=tolerances.ISOTROPY_REL,
+                   angle_tolerance=tolerances.PRINCIPAL_ANGLE,
+                   solution_tolerance=tolerances.SOLUTION_REL) -> dict:
+    """The Lagrangian check by SVDs: the gauge-fixed solution space, its
+    restricted image in the coclosed pairs, both reduced by the 2n x 2n
+    two-form, and the symplectic complement by a null space."""
+    sigma = mesh.boundary
+    space = solution_space(mesh, rank_tolerance)
+    image = restrict(space, rank_tolerance, solution_tolerance)
+    phi = coclosed_pair_subspace(sigma, rank_tolerance)
+    reduced, to_reduced, _ = SymplecticSpace.from_hypersurface(sigma).restrict(phi)
+    x, y = image.columns, to_reduced(image.columns)
+    embed_defect = float((np.linalg.norm(phi.columns @ y - x, axis=0) / np.maximum(
+        np.linalg.norm(x, axis=0), 1e-300)).max(initial=0.0))
+    image_red = from_span(y, rank_tolerance=rank_tolerance)
+    lag, info = is_lagrangian(image_red, reduced, isotropy_tolerance,
+                              angle_tolerance, rank_tolerance)
+    half = phi.dim == 2 * image_red.dim
+    return {
+        "dims": {
+            "solution_space": space.dim,
+            "gauge_fixed": space.gauge_fixed_dim,
+            "phi_space": phi.dim,
+            "image": image_red.dim,
+            "complement": info["complement"].dim,
+        },
+        "isotropy_max": info["max_residual"],
+        "isotropy_scale": _omega_scale(reduced),
+        "max_principal_angle": info["max_principal_angle"],
+        "embedding_defect": embed_defect,
+        "half_dimension": bool(half),
+        "lagrangian": bool(lag and half),
+    }

@@ -85,7 +85,7 @@ def with_boundary_and_faces(region):
 
 
 BUILTINS = ["disk:N=8", "annulus:N=16", "ann8", "square:N=4", "strip:N=4",
-            "tetrahedron", "solid_torus:K=4"]
+            "tetrahedron", "solid_torus:K=4", "cube:N=2"]
 
 
 @pytest.mark.parametrize("spec", BUILTINS)

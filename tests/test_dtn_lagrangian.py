@@ -1,0 +1,201 @@
+"""The Lagrangian check through the Dirichlet-to-Neumann map against the SVD
+route it replaced (``dense_oracles.svd_lagrangian``), its fault detection,
+and the builtin cube that gives its extension solve interior vertices."""
+
+import json
+
+import numpy as np
+import pytest
+from dense_oracles import svd_lagrangian
+from hypothesis import given, settings
+from test_oracle import relabelled
+
+from decgauge import builders, cli, dynamics, mesh, tolerances
+from decgauge.symplectic import SymplecticSpace
+
+ISO, ANGLE = tolerances.ISOTROPY_REL, tolerances.PRINCIPAL_ANGLE
+
+
+def glued_strip():
+    st = builders.strip(4)
+    return mesh.glue(st, "west", "east", builders.strip_end_matching(st))
+
+
+def annulus_and_torus():
+    torus = mesh.region_from_hypersurface(builders.solid_torus(8).boundary,
+                                          name="torus_surface")
+    return mesh.disjoint_union(builders.annulus(8), torus)
+
+
+REGIONS = {
+    **{spec: (lambda spec=spec: builders.from_spec(spec)) for spec in (
+        "disk:N=8", "annulus:N=16", "ann8", "square:N=4", "strip:N=4",
+        "tetrahedron", "solid_torus:K=4", "solid_torus:K=8", "cube:N=2",
+        "cube:N=3")},
+    "glued strip": glued_strip,
+    "annulus + torus": annulus_and_torus,
+    "two annuli": lambda: mesh.disjoint_union(builders.annulus(8),
+                                              builders.square_annulus()),
+}
+
+
+def assert_matches_oracle(m):
+    new, old = dynamics.verify_lagrangian(m), svd_lagrangian(m)
+    assert new["dims"] == old["dims"]
+    assert new["lagrangian"] is old["lagrangian"] is True
+    assert new["half_dimension"] is old["half_dimension"] is True
+    for rep in (new, old):
+        assert rep["isotropy_max"] <= ISO * rep["isotropy_scale"]
+        assert rep["max_principal_angle"] <= ANGLE
+    assert new["green_residual"] <= ISO
+    assert new["embedding_defect"] <= tolerances.COCLOSED_INPUT_REL
+    return new
+
+
+@pytest.mark.parametrize("name", sorted(REGIONS))
+def test_matches_svd_route(name):
+    assert_matches_oracle(REGIONS[name]())
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(relabelled())
+def test_matches_svd_route_under_relabelling(case):
+    assert_matches_oracle(case[1])
+
+
+def test_counts_without_a_boundary_component():
+    # The torus has no boundary: its two harmonic fields are grounded in the
+    # extension solve and counted in b_1(M, bd M), not in c_bounded(M).
+    rep = assert_matches_oracle(annulus_and_torus())
+    assert rep["dims"]["gauge_fixed"] == 2 - 2 + 1 + 3
+    assert rep["extension_solve"]["grounded"] == 3
+
+
+def test_extension_solve_record():
+    rep = dynamics.verify_lagrangian(builders.cube(2))
+    solve = rep["extension_solve"]
+    assert sorted(solve) == ["block_size", "grounded", "pivot_ratio", "rank_tolerance"]
+    assert solve["block_size"] == 26 and solve["grounded"] == 0
+    assert solve["pivot_ratio"] > tolerances.RANK_REL
+    # every edge of a shell is a boundary edge: no solve at all
+    shell = dynamics.verify_lagrangian(builders.solid_torus(8))["extension_solve"]
+    assert shell == {"block_size": 0, "grounded": 0, "pivot_ratio": None,
+                     "rank_tolerance": tolerances.RANK_REL}
+
+
+@pytest.mark.parametrize("spec", ["annulus:N=16", "solid_torus:K=8", "cube:N=2"])
+def test_builds_no_solution_space_or_two_form(spec, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solution space or 2n-wide two-form built")
+
+    monkeypatch.setattr(dynamics, "solution_space", refuse)
+    monkeypatch.setattr(SymplecticSpace, "from_hypersurface", refuse)
+    out = tmp_path / "r.json"
+    assert cli.main(["verify-lagrangian", "--mesh", spec, "--out", str(out)]) == cli.EXIT_OK
+    assert json.loads(out.read_text())["detail"]["lagrangian"] is True
+
+
+# -- faults --------------------------------------------------------------------
+
+def flipped_flux(label):
+    """Traces whose flux has the wrong sign on the edges of one face."""
+    original = dynamics.trace_columns
+
+    def traces(m, columns, sigma, tolerance):
+        phi, flux = original(m, columns, sigma, tolerance)
+        flux = flux.copy()
+        flux[mesh.extract_face(sigma, label).simplex_maps[1]] *= -1.0
+        return phi, flux
+
+    return traces
+
+
+def poisoned_star():
+    """Traces whose fluxes are normalized by a corrupted boundary star weight
+    (one edge's dual volume tripled); every other reading sees the clean one."""
+    original = dynamics.trace_columns
+
+    def traces(m, columns, sigma, tolerance):
+        volumes = sigma.dual_volumes(1)
+        clean = volumes[0]
+        volumes[0] = 3.0 * clean
+        try:
+            return original(m, columns, sigma, tolerance)
+        finally:
+            volumes[0] = clean
+
+    return traces
+
+
+@pytest.mark.parametrize("spec, fault", [
+    ("annulus:N=16", flipped_flux("inner")),
+    ("cube:N=2", flipped_flux("top")),
+    ("annulus:N=16", poisoned_star()),
+    ("cube:N=2", poisoned_star()),
+], ids=["flip-annulus", "flip-cube", "star-annulus", "star-cube"])
+def test_fault_fails_the_check(spec, fault, monkeypatch, tmp_path):
+    monkeypatch.setattr(dynamics, "trace_columns", fault)
+    out = tmp_path / "r.json"
+    assert cli.main(["verify-lagrangian", "--mesh", spec, "--out", str(out)]) == \
+        cli.EXIT_CHECK_FAILED
+    report = json.loads(out.read_text())
+    assert report["checks"][0]["id"] == "lagrangian"
+    detail = report["detail"]
+    assert detail["lagrangian"] is False
+    # with r > 1 each measure sees the fault on its own
+    assert detail["isotropy_max"] > ISO * detail["isotropy_scale"]
+    assert detail["green_residual"] > ISO
+    assert detail["max_principal_angle"] > ANGLE
+
+
+@pytest.mark.parametrize("spec, fault", [
+    ("square:N=8", flipped_flux("north")),
+    ("square:N=8", poisoned_star()),
+    ("solid_torus:K=8", flipped_flux("shell")),
+], ids=["flip-square", "star-square", "flip-shell"])
+def test_green_identity_sees_what_symmetry_cannot(spec, fault, monkeypatch):
+    # With one coclosed trace (a square) every line is Lagrangian, and a flux
+    # of the wrong sign everywhere (one-face shell) leaves M symmetric: the
+    # SVD route passes these, Green's identity does not.
+    monkeypatch.setattr(dynamics, "trace_columns", fault)
+    m = builders.from_spec(spec)
+    assert svd_lagrangian(m)["lagrangian"] is True
+    rep = dynamics.verify_lagrangian(m)
+    assert rep["isotropy_max"] <= ISO * rep["isotropy_scale"]
+    assert rep["green_residual"] > 1e-3
+    assert rep["lagrangian"] is False
+
+
+# -- the cube --------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cube_has_interior_and_corners(n):
+    m = builders.cube(n)
+    cx = m.complex
+    assert cx.n_simplices(3) == 6 * n ** 3
+    assert m.interior_simplex_mask(1).sum() > 0
+    assert m.interior_simplex_mask(0).sum() == (n - 1) ** 3
+    assert sorted(m.face_labels) == ["bottom", "east", "north", "south", "top", "west"]
+    assert all(len(f) == 2 * n * n for f in m.face_labels.values())
+    assert len(m.strata) == 12 and all(len(s) == n for s in m.strata.values())
+    assert np.isclose(m.total_volume(), 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cube_passes_lagrangian_harmonic_and_decompose(n, tmp_path):
+    out = tmp_path / "r.json"
+    spec = f"cube:N={n}"
+
+    def run(*args):
+        code = cli.main([*args, "--mesh", spec, "--out", str(out)])
+        return code, json.loads(out.read_text())
+
+    code, report = run("verify-lagrangian")
+    assert code == cli.EXIT_OK and report["detail"]["lagrangian"]
+    for k, (betti, relative) in enumerate(zip((1, 0, 0, 0), (0, 0, 0, 1))):
+        code, report = run("harmonic", "--degree", str(k))
+        assert code == cli.EXIT_OK
+        assert report["detail"]["neumann_dim"] == betti
+        assert report["detail"]["dirichlet_dim"] == relative
+        code, report = run("decompose", "--degree", str(k))
+        assert code == cli.EXIT_OK and report["passed"]

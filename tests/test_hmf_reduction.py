@@ -202,7 +202,8 @@ def test_extend_does_not_assemble_the_dense_bulk_system(disk8, monkeypatch):
 
 
 GUARDED = (["decompose", "--mesh", "square:N=16", "--degree", "1"],
-           ["harmonic", "--mesh", "annulus:N=256", "--degree", "1"])
+           ["harmonic", "--mesh", "annulus:N=256", "--degree", "1"],
+           ["verify-lagrangian", "--mesh", "solid_torus:K=16"])
 
 
 @pytest.mark.parametrize("argv", GUARDED, ids=lambda a: " ".join(a[:3]))

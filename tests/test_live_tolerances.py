@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from decgauge import builders, cli, mesh, tolerances
+from decgauge import builders, cli, mesh, tolerances, ym2d
 
 
 def axioms_report(tmp_path, *tol):
@@ -72,3 +72,36 @@ def test_solution_rel_gates_the_gluing_containment(tmp_path):
     assert cli.main(args + ["--tol", "SOLUTION_REL=1e-300"]) == cli.EXIT_CHECK_FAILED
     check = json.loads(out.read_text())["checks"][0]
     assert not check["passed"] and check["containment_residual"] > 1e-300
+
+
+def ym2d_report(tmp_path, *tol):
+    out = tmp_path / "ym2d.json"
+    args = ["ym2d", "--mesh", "disk:N=16", "--out", str(out)]
+    for item in tol:
+        args += ["--tol", item]
+    code = cli.main(args)
+    check = next(c for c in json.loads(out.read_text())["checks"]
+                 if c["id"] == "reduced_form_kappa_half")
+    return code, check
+
+
+def test_reduced_form_rel_gates_kappa(tmp_path, monkeypatch):
+    # a two-form off by 1e-9 fails at the default 1e-12 and passes at 1e-6
+    code, check = ym2d_report(tmp_path)
+    assert code == 0 and check["passed"] and check["tolerance"] == 1e-12
+    original = ym2d.omega
+    monkeypatch.setattr(ym2d, "omega", lambda a, b: original(a, b) * (1 + 2e-9))
+    code, check = ym2d_report(tmp_path)
+    assert code == cli.EXIT_CHECK_FAILED and not check["passed"]
+    code, check = ym2d_report(tmp_path, "REDUCED_FORM_REL=1e-6")
+    assert code == 0 and check["passed"] and check["tolerance"] == 1e-6
+
+
+def test_coclosed_input_rel_gates_the_fluxes(tmp_path):
+    # the fluxes lie in the coclosed traces to roundoff, never exactly
+    out = tmp_path / "lag.json"
+    args = ["verify-lagrangian", "--mesh", "cube:N=2", "--out", str(out)]
+    assert cli.main(args) == 0
+    assert cli.main(args + ["--tol", "COCLOSED_INPUT_REL=1e-300"]) == cli.EXIT_CHECK_FAILED
+    detail = json.loads(out.read_text())["detail"]
+    assert detail["lagrangian"] is False and detail["embedding_defect"] > 1e-300

@@ -129,3 +129,16 @@ def test_coords_of_a_matrix_are_the_columns_coords(rng):
     coords = sub.coords(x)
     for j in range(3):
         assert np.allclose(coords[:, j], sub.coords(x[:, j]), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_blocked_cholesky_solve_matches_lu(n, rng):
+    # forward and back substitution by blocks of 64, across block edges
+    a = rng.standard_normal((n, n))
+    spd = a @ a.T + n * np.eye(n)
+    factor = np.linalg.cholesky(spd)
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        x = subspaces._cholesky_solve(factor, rhs)
+        ref = np.linalg.solve(spd, rhs)
+        assert x.shape == ref.shape
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
