@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+from scipy import sparse
 
 from . import tolerances
 from .dec import (
@@ -21,11 +22,11 @@ from .dec import (
     codifferential,
     d,
     inner_product,
-    laplacian0,
     norm,
 )
 from .hodge import harmonic_neumann_basis
 from .mesh import HypersurfaceMesh, RegionMesh
+from .subspaces import factorized_solve
 
 
 class BoundaryError(ValueError):
@@ -136,24 +137,27 @@ def trace_columns(mesh: RegionMesh, columns, sigma: HypersurfaceMesh,
     return columns[idx], flux[idx] / sigma.star_diagonal(1)[:, None]
 
 
-def coclosed_potential(sigma: HypersurfaceMesh, x) -> np.ndarray:
-    """Potentials f with x + d f coclosed, one column per column of x, from
-    one solve of the 0-Laplacian grounded at a vertex per component (d f
-    ignores the constants).  Boundary Laplacians are small: a dense solve."""
-    if not sigma.is_closed():
+def coclosed_potential(host, x) -> np.ndarray:
+    """Potentials f with x + d f coclosed at every vertex, one column per
+    column of x, on a closed hypersurface (the boundary gauge fix) or a
+    region (the bulk one): one :func:`~decgauge.subspaces.factorized_solve`
+    of the 0-Laplacian grounded at a vertex per component (d f ignores the
+    constants), pivot-gated."""
+    if isinstance(host, HypersurfaceMesh) and not host.is_closed():
         raise BoundaryError("coclosed gauge fixing needs a closed hypersurface")
-    bnd = sigma.complex.boundary_matrices[1]
+    bnd = host.complex.boundary_matrices[1]
     free = np.ones(bnd.shape[0], dtype=bool)
-    free[np.unique(sigma.complex.vertex_components(), return_index=True)[1]] = False
+    free[np.unique(host.complex.vertex_components(), return_index=True)[1]] = False
+    rows, s1 = bnd[free], host.star_diagonal(1)  # rows of d^T at free vertices
     f = np.zeros((bnd.shape[0], x.shape[1]))
-    f[free] = np.linalg.solve(laplacian0(sigma).toarray()[np.ix_(free, free)],
-                              -(bnd @ (sigma.star_diagonal(1)[:, None] * x))[free])
+    f[free] = factorized_solve(rows @ sparse.diags(s1) @ rows.T,
+                               -(rows @ (s1[:, None] * x)), error=BoundaryError)[0]
     return f
 
 
-def coclosed_projection(sigma: HypersurfaceMesh, x) -> np.ndarray:
+def coclosed_projection(host, x) -> np.ndarray:
     """Coclosed representatives x + d f (:func:`coclosed_potential`)."""
-    return x + sigma.complex.boundary_matrices[1].T @ coclosed_potential(sigma, x)
+    return x + host.complex.boundary_matrices[1].T @ coclosed_potential(host, x)
 
 
 def gauge_fix_coclosed(datum: BoundaryDatum) -> BoundaryDatum:

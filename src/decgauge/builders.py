@@ -110,21 +110,19 @@ def strip(n: int = 4, height: int = 1) -> RegionMesh:
 
 
 def strip_end_matching(mesh: RegionMesh) -> dict:
-    """Canonical vertex matching of a strip's west face onto its east face."""
+    """Canonical vertex matching of a region's west face onto its east face
+    (strips, squares, cubes): the vertices of each face's facets, paired in
+    the order of every coordinate but x."""
     cx = mesh.complex
     for lab in ("west", "east"):
         if lab not in mesh.face_labels:
             raise MeshError("mesh has no west/east faces to match")
-    coords = cx.coordinates
-    west = sorted(
-        {int(v) for f in mesh.face_labels["west"] for v in cx.simplices[1][f]},
-        key=lambda v: coords[v][1],
-    )
-    east = sorted(
-        {int(v) for f in mesh.face_labels["east"] for v in cx.simplices[1][f]},
-        key=lambda v: coords[v][1],
-    )
-    return dict(zip(west, east))
+
+    def side(label):
+        verts = np.unique(cx.simplices[cx.dim - 1][sorted(mesh.face_labels[label])])
+        return verts[np.lexsort(cx.coordinates[verts, 1:].T[::-1])].tolist()
+
+    return dict(zip(side("west"), side("east")))
 
 
 def tetrahedron() -> RegionMesh:

@@ -150,10 +150,15 @@ def _run_harmonic(mesh: RegionMesh, config, tol, rng):
     return checks, body
 
 
+def _lagrangian(space, tol) -> dict:
+    """:func:`verify_lagrangian` of the space under the run's tolerances."""
+    return verify_lagrangian(space, tol["ISOTROPY_REL"], tol["PRINCIPAL_ANGLE"],
+                             tol["SOLUTION_REL"], tol["RANK_GAP_FACTOR"],
+                             tol["COCLOSED_INPUT_REL"])
+
+
 def _run_verify_lagrangian(mesh: RegionMesh, config, tol, rng):
-    rep = verify_lagrangian(mesh, tol["RANK_REL"], tol["ISOTROPY_REL"],
-                            tol["PRINCIPAL_ANGLE"], tol["SOLUTION_REL"],
-                            tol["RANK_GAP_FACTOR"], tol["COCLOSED_INPUT_REL"])
+    rep = _lagrangian(solution_space(mesh, tol["RANK_REL"]), tol)
     checks = [
         _check("lagrangian", rep["lagrangian"],
                isotropy_max=rep["isotropy_max"],
@@ -243,9 +248,7 @@ def verify_axioms(mesh: RegionMesh, tol=None, rng=None,
     axioms["A8"] = _check("A8", res8 <= tol["ROUNDOFF_REL"] * scale8,
                           residual=res8 / scale8, tolerance=tol["ROUNDOFF_REL"])
 
-    rep9 = verify_lagrangian(mesh, tol["RANK_REL"], tol["ISOTROPY_REL"],
-                             tol["PRINCIPAL_ANGLE"], tol["SOLUTION_REL"],
-                             tol["RANK_GAP_FACTOR"], tol["COCLOSED_INPUT_REL"])
+    rep9 = _lagrangian(space, tol)
     axioms["A9"] = _check("A9", rep9["lagrangian"],
                           dims=rep9["dims"], isotropy_max=rep9["isotropy_max"],
                           rank_ambiguous=rep9["rank_ambiguous"])

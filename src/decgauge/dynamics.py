@@ -6,10 +6,13 @@ the boundary two-form.  That split makes the restricted solution pairing
 symmetric, so isotropy of the image holds to roundoff.  The image is the
 graph of the Dirichlet-to-Neumann map over the coclosed boundary traces,
 and it is verified to be Lagrangian inside the coclosed pairs from that
-map alone.
+map alone.  The same Dirichlet extension of boundary traces gives the
+solution space, the restriction and the extension of boundary data.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy import sparse
@@ -18,21 +21,14 @@ from . import tolerances
 from .boundary import (
     BoundaryDatum,
     BoundaryError,
-    coclosed_potential,
+    coclosed_projection,
     trace_columns,
     trace_solution,
 )
 from .dec import Cochain, DECError, d, inner_product, normal_trace, tangential_trace
 from .hodge import dirichlet_extension, relative_betti_oracle
 from .mesh import GlueInfo, RegionMesh, glue
-from .subspaces import (
-    Subspace,
-    _contains,
-    from_span,
-    null_space,
-    principal_angles,
-    reduced_null_space,
-)
+from .subspaces import Subspace, _contains, from_span, null_space, principal_angles
 from .symplectic import coclosed_subspace
 
 
@@ -54,19 +50,26 @@ def field_equation_matrix(mesh: RegionMesh) -> np.ndarray:
 
 
 class SolutionSpace:
-    """Solutions ``g + d f`` of the bulk equation, ``g`` gauge-fixed.
-
-    ``gauge_fixed_basis`` is ``ker A`` computed reduced onto the boundary
-    edges (see :func:`solution_space`); its ``singular_values`` are the
-    spectrum of the reduced matrix ``A E``, not of ``A``.  Every gauge orbit
-    meets it once, S_1-orthogonally, so ``dim`` adds the ``n_0 -
-    components`` exact directions and no full basis is ever built.
+    """Solutions of the bulk equation, from the Dirichlet extension ``A``
+    (``extension``, its solve record ``solve``) of ``Q`` (``coclosed``, the
+    r S-orthonormal coclosed boundary 1-cochains; None without a boundary),
+    and the Dirichlet harmonic basis ``H`` the solve was grounded on
+    (``grounding``, or None).  A solution with zero trace is closed, so it
+    lies in ``H`` plus exact fields: every solution is ``A c + H h + d f``.
+    ``gauge_fixed_dim`` is the exact count ``r - c(bd M) + c_bounded(M) +
+    b_1(M, bd M)`` (components of the boundary and of M with a boundary,
+    relative Betti number); ``dim`` adds the ``n_0 - components`` exact
+    directions.  No full basis is ever built.
     """
 
-    def __init__(self, mesh: RegionMesh, gauge_fixed: Subspace,
-                 rank_tolerance=tolerances.RANK_REL):
+    def __init__(self, mesh: RegionMesh, coclosed, extension, grounding,
+                 solve: dict, gauge_fixed_dim: int, rank_tolerance):
         self.mesh = mesh
-        self.gauge_fixed_basis = gauge_fixed
+        self.coclosed = coclosed
+        self.extension = extension
+        self.grounding = grounding
+        self.solve = solve
+        self.gauge_fixed_dim = int(gauge_fixed_dim)
         self.rank_tolerance = rank_tolerance
 
     @property
@@ -74,9 +77,24 @@ class SolutionSpace:
         cx = self.mesh.complex
         return self.gauge_fixed_dim + cx.n_simplices(0) - cx.n_components()
 
-    @property
-    def gauge_fixed_dim(self) -> int:
-        return self.gauge_fixed_basis.dim
+    @functools.cached_property
+    def gauge_fixed_basis(self) -> Subspace:
+        """The solutions S_1-orthogonal to every ``d f``: ``[A, H]`` less its
+        exact part (:func:`~decgauge.boundary.coclosed_projection`, one
+        grounded vertex-Laplacian solve), orthonormalized.  The exact
+        Dirichlet fields drop out at the rank cut; a rank other than
+        ``gauge_fixed_dim`` raises.  Built on first use."""
+        x = self.extension
+        if self.grounding is not None:
+            x = np.hstack([x, self.grounding.columns])
+        basis = from_span(coclosed_projection(self.mesh, x) if x.size else x,
+                          gram=self.mesh.star_diagonal(1),
+                          rank_tolerance=self.rank_tolerance)
+        if basis.dim != self.gauge_fixed_dim:
+            raise DynamicsError(
+                f"gauge-fixed rank {basis.dim} != exact count "
+                f"{self.gauge_fixed_dim}; singular values {basis.singular_values}")
+        return basis
 
     def gauge_fixed_solutions(self):
         return [Cochain(self.mesh, 1, c) for c in self.gauge_fixed_basis.columns.T]
@@ -93,29 +111,24 @@ class SolutionSpace:
 
 def solution_space(mesh: RegionMesh,
                    rank_tolerance=tolerances.RANK_REL) -> SolutionSpace:
-    """Gauge-fixed solutions ``ker A``, ``A = [K_I; D]`` (bulk equation on
-    interior edges, coclosed gauge ``D = del_1 S_1`` at every vertex).
-
-    With ``L = K + D^T S_0^-1 D`` every ``a`` in ``ker A`` solves
-    ``L_J a = 0``, ``J`` the interior edges of components with a boundary,
-    so :func:`~decgauge.subspaces.reduced_null_space` eliminates them.
-    ``L_JJ`` is singular on harmonic fields vanishing on the kept edges (so
-    boundaryless components are kept whole); then ``DynamicsError``.
-    """
-    if mesh.complex.dim < 2:
-        raise DynamicsError("field equation needs a region of dimension >= 2")
+    """``Q``, its Dirichlet extension ``A``, the grounding basis and the
+    exact gauge-fixed count (see :class:`SolutionSpace`).  A singular
+    interior block, or a kernel the relative Betti number does not predict,
+    raises in the extension's pivot gate."""
     cx = mesh.complex
-    k = _curvature_adjoint(mesh)
-    gauge = (cx.boundary_matrices[1] @ sparse.diags(mesh.star_diagonal(1))).tocsr()
-    a = sparse.vstack([k[mesh.interior_simplex_mask(1)], gauge]).tocsr()
-    comp = cx.vertex_components()[cx.simplices[1][:, 0]]
-    on_boundary = mesh.boundary_simplex_mask(1)
-    kept = on_boundary | ~np.isin(comp, comp[on_boundary])
-    lap = k + gauge.T @ sparse.diags(1.0 / mesh.star_diagonal(0)) @ gauge
-    gauge_fixed = reduced_null_space(a, lap, kept, gram=mesh.star_diagonal(1),
-                                     rank_tolerance=rank_tolerance,
-                                     error=DynamicsError)
-    return SolutionSpace(mesh, gauge_fixed, rank_tolerance)
+    if cx.dim < 2:
+        raise DynamicsError("field equation needs a region of dimension >= 2")
+    sigma = mesh.boundary
+    x, q, bounded = np.zeros((cx.n_simplices(1), 0)), None, 0
+    if sigma is not None:
+        q = coclosed_subspace(sigma, rank_tolerance)
+        x = np.zeros((cx.n_simplices(1), q.dim))
+        x[sigma.region_simplex_map(1)] = q.columns
+        bounded = (np.unique(cx.vertex_components()[sigma.vertex_map]).size
+                   - sigma.complex.n_components())
+    x, solve, grounding = dirichlet_extension(mesh, x, rank_tolerance)
+    count = x.shape[1] + bounded + relative_betti_oracle(mesh, 1)
+    return SolutionSpace(mesh, q, x, grounding, solve, count, rank_tolerance)
 
 
 def actions(mesh: RegionMesh, columns):
@@ -188,27 +201,19 @@ def action_difference_residual(eta: Cochain, xi: Cochain):
     return residual, scale
 
 
-def _boundary_traces(space: SolutionSpace, solution_tolerance):
-    """Traces ``[phi; phi_dot]`` of the gauge-fixed basis, a column per
-    solution (each residual-gated), boundary-gauge-fixed by one coclosed
-    projection ``phi + d f``; and the potentials ``f`` of phi's gauge fix."""
-    mesh, sigma = space.mesh, space.mesh.boundary
-    x = np.hstack(trace_columns(mesh, space.gauge_fixed_basis.columns, sigma,
-                                solution_tolerance))
-    f = coclosed_potential(sigma, x)
-    fixed = x + sigma.complex.boundary_matrices[1].T @ f
-    return np.vstack(np.hsplit(fixed, 2)), f[:, :space.gauge_fixed_dim]
-
-
 def restrict(space: SolutionSpace, rank_tolerance=tolerances.RANK_REL,
              solution_tolerance=tolerances.SOLUTION_REL) -> Subspace:
-    """Image of the gauge-fixed solutions inside the coclosed pairs
-    (:func:`_boundary_traces`), orthonormal in the doubled boundary stars."""
+    """Image of the solutions inside the coclosed pairs, orthonormal in the
+    doubled boundary stars: the span of ``[Q; flux A]`` (each extension's
+    bulk residual gated).  The grounding fields and ``d f`` add nothing:
+    the first are closed with zero trace, the second leave the coclosed
+    part of the trace and the flux alone."""
     sigma = space.mesh.boundary
     if sigma is None:
         return Subspace(np.zeros((0, 0)), gram=None,
                         rank_tolerance=rank_tolerance)
-    return from_span(_boundary_traces(space, solution_tolerance)[0],
+    flux = trace_columns(space.mesh, space.extension, sigma, solution_tolerance)[1]
+    return from_span(np.vstack([space.coclosed.columns, flux]),
                      gram=np.tile(sigma.star_diagonal(1), 2),
                      rank_tolerance=rank_tolerance)
 
@@ -218,8 +223,7 @@ def _graph(m) -> Subspace:
     return Subspace(np.linalg.qr(np.vstack([np.eye(len(m)), m]))[0])
 
 
-def verify_lagrangian(mesh: RegionMesh,
-                      rank_tolerance=tolerances.RANK_REL,
+def verify_lagrangian(space: SolutionSpace,
                       isotropy_tolerance=tolerances.ISOTROPY_REL,
                       angle_tolerance=tolerances.PRINCIPAL_ANGLE,
                       solution_tolerance=tolerances.SOLUTION_REL,
@@ -227,11 +231,10 @@ def verify_lagrangian(mesh: RegionMesh,
                       coclosed_tolerance=tolerances.COCLOSED_INPUT_REL) -> dict:
     """The restricted solutions inside the coclosed boundary pairs, as the
     graph of the Dirichlet-to-Neumann map ``Lam`` (phi to the flux of its
-    extension) over the coclosed traces; no solution space is built.
+    extension) over the coclosed traces; no gauge-fixed basis is built.
 
-    ``Q`` (:func:`~decgauge.symplectic.coclosed_subspace`, r columns) is
-    extended into the bulk by one :func:`~decgauge.hodge.dirichlet_extension`
-    ``A``, and the fluxes are taken with every column's bulk residual gated.
+    The fluxes of the space's extension ``A`` of ``Q`` (r columns) are
+    taken with every column's bulk residual gated.
     In the coordinates ``(Q c, Q c_dot)`` of the coclosed pairs the image is
     graph(M), ``M = Q^T S Lam Q``, and the two-form is ``sign/2 [[0, I],
     [-I, 0]]``.  So half-dimension holds by construction, and what is
@@ -248,11 +251,9 @@ def verify_lagrangian(mesh: RegionMesh,
     - the fluxes' distance from span Q (``embedding_defect``, each pair
       relative to its norm), at most ``coclosed_tolerance``.
 
-    ``gauge_fixed`` is the exact count ``r - c(bd M) + c_bounded(M) + b_1(M,
-    bd M)`` (components of the boundary, components of M with a boundary,
-    relative Betti number); ``rank_ambiguous`` when the gap of Q or of the
-    grounding Dirichlet basis is below ``gap_factor``."""
-    sigma = mesh.boundary
+    ``gauge_fixed`` is the space's exact count; ``rank_ambiguous`` when the
+    gap of Q or of the grounding Dirichlet basis is below ``gap_factor``."""
+    mesh, sigma = space.mesh, space.mesh.boundary
     if sigma is None:
         return {
             "mesh": mesh.name,
@@ -264,13 +265,8 @@ def verify_lagrangian(mesh: RegionMesh,
             "lagrangian": True,
             "note": "empty boundary, trivially Lagrangian",
         }
-    if mesh.complex.dim < 2:
-        raise DynamicsError("field equation needs a region of dimension >= 2")
     cx, s = mesh.complex, sigma.star_diagonal(1)
-    q = coclosed_subspace(sigma, rank_tolerance)
-    x = np.zeros((cx.n_simplices(1), q.dim))
-    x[sigma.region_simplex_map(1)] = q.columns
-    x, solve, grounding = dirichlet_extension(mesh, x, rank_tolerance)
+    q, x = space.coclosed, space.extension
     flux = trace_columns(mesh, x, sigma, solution_tolerance)[1]
     m = q.coords(flux)
     # |[q; flux]| >= |q| = 1: the distance of each image pair from the pairs
@@ -295,15 +291,12 @@ def verify_lagrangian(mesh: RegionMesh,
     coiso, max_angle = _contains(image, comp, angles, angle_tolerance)
     phi_dim = 2 * q.dim
     half = phi_dim == 2 * image.dim
-    gauge_fixed = (q.dim - sigma.complex.n_components()
-                   + np.unique(cx.vertex_components()[sigma.vertex_map]).size
-                   + relative_betti_oracle(mesh, 1))
-    gaps = [q.gap] + ([grounding.gap] if grounding is not None else [])
+    gaps = [q.gap] + ([space.grounding.gap] if space.grounding is not None else [])
     return {
         "mesh": mesh.name,
         "dims": {
-            "solution_space": gauge_fixed + cx.n_simplices(0) - cx.n_components(),
-            "gauge_fixed": gauge_fixed,
+            "solution_space": space.dim,
+            "gauge_fixed": space.gauge_fixed_dim,
             "phi_space": phi_dim,
             "image": image.dim,
             "complement": comp.dim,
@@ -314,7 +307,7 @@ def verify_lagrangian(mesh: RegionMesh,
         "coisotropy_angles": [float(a) for a in angles],
         "max_principal_angle": max_angle,
         "embedding_defect": embed_defect,
-        "extension_solve": solve,
+        "extension_solve": space.solve,
         "half_dimension": bool(half),
         "rank_ambiguous": min(gaps) < gap_factor,
         "lagrangian": bool(iso <= isotropy_tolerance * 0.5
@@ -331,13 +324,15 @@ def extend(datum: BoundaryDatum, mesh: RegionMesh,
            membership_tolerance=tolerances.EXTEND_ROUNDTRIP_REL,
            rank_tolerance=tolerances.RANK_REL,
            solution_tolerance=tolerances.SOLUTION_REL) -> Cochain:
-    """A bulk solution ``G c + d F`` whose boundary datum reproduces the input.
+    """The bulk solution whose boundary datum reproduces the input.
 
-    ``c`` fits the datum on the traces of the gauge-fixed basis ``G``
-    (:func:`_boundary_traces`) by weighted least squares; its relative
-    residual is the membership test.  ``F``, the potential of the traces'
-    gauge fix extended by zero inside, makes the tangential trace phi and
-    leaves the flux alone.  The round trip is gated."""
+    The datum's phi, in whatever gauge, is extended by one
+    :func:`~decgauge.hodge.dirichlet_extension`.  Every solution with that
+    trace differs from the extension by a closed field, which has no flux,
+    so the datum is extendable exactly when phi_dot is the extension's
+    flux.  The round trip is the membership test: the distance of the
+    extension's datum from the input, relative to the input, in the
+    boundary stars."""
     sigma = mesh.boundary
     if sigma is None:
         raise DynamicsError("region has no boundary to extend from")
@@ -348,34 +343,25 @@ def extend(datum: BoundaryDatum, mesh: RegionMesh,
     scale = float(np.linalg.norm(w * vec))
     if scale == 0.0:
         return Cochain.zeros(mesh, 1)
-    space = solution_space(mesh, rank_tolerance)
-    traced, potential = _boundary_traces(space, solution_tolerance)
-    c = np.linalg.lstsq(w[:, None] * traced, w * vec, rcond=None)[0]
-    residual = float(np.linalg.norm(w * (traced @ c - vec))) / scale
+    x = np.zeros((mesh.complex.n_simplices(1), 1))
+    x[sigma.region_simplex_map(1), 0] = datum.phi.values
+    eta = Cochain(mesh, 1, dirichlet_extension(mesh, x, rank_tolerance)[0][:, 0])
+    back = trace_solution(eta, sigma, solution_tolerance).vector()
+    residual = float(np.linalg.norm(w * (back - vec))) / scale
     if residual > membership_tolerance:
         raise NotExtendableError(
-            f"datum is not extendable: projection residual {residual:.3e} "
+            f"datum is not extendable: round-trip residual {residual:.3e} "
             f"exceeds {membership_tolerance:.1e}"
-        )
-    cx = mesh.complex
-    f = np.zeros(cx.n_simplices(0))
-    f[sigma.region_simplex_map(0)] = potential @ c
-    eta = Cochain(mesh, 1, space.gauge_fixed_basis.columns @ c
-                  + cx.boundary_matrices[1].T @ f)
-
-    back = trace_solution(eta, sigma, solution_tolerance)
-    err = np.linalg.norm(back.vector() - vec) / max(np.linalg.norm(vec), 1e-300)
-    if err > membership_tolerance:
-        raise NotExtendableError(
-            f"extension round trip failed: relative error {err:.3e}"
         )
     return eta
 
 
 def _matched_rows(mesh: RegionMesh, label_a: str, matching: dict, curvature):
     """Sparse rows per edge ``a`` of face ``label_a`` and its matched edge
-    ``b`` (resorting sign ``s``): ``R_trace = a - s b`` (traces agree) and
-    ``R_flux = K_a + s K_b`` (fluxes cancel, ``K`` the curvature adjoint)."""
+    ``b`` (resorting sign ``s``): ``R_trace = a - s b`` (traces agree) and,
+    where ``a`` becomes interior, ``R_flux = K_a + s K_b`` (fluxes cancel,
+    ``K`` the curvature adjoint).  Edges of the face's perimeter (3D) lie
+    on other faces too and stay on the boundary: they get no flux row."""
     cx = mesh.complex
     facets = cx.simplices[cx.dim - 1][sorted(mesh.face_labels[label_a])]
     edges = facets[:, np.transpose(np.triu_indices(cx.dim, 1))].reshape(-1, 2)
@@ -388,7 +374,9 @@ def _matched_rows(mesh: RegionMesh, label_a: str, matching: dict, curvature):
     rows, shape = np.arange(len(ia)), (len(ia), cx.n_simplices(1))
     pa = sparse.csr_matrix((np.ones(len(ia)), (rows, ia)), shape=shape)
     pb = sparse.csr_matrix((sb, (rows, ib)), shape=shape)
-    return (pa - pb).tocsr(), ((pa + pb) @ curvature).tocsr()
+    others = [f for lab, fs in mesh.face_labels.items() if lab != label_a for f in fs]
+    inner = ~cx.facet_closure(others, 1)[ia]
+    return (pa - pb).tocsr(), ((pa + pb)[inner] @ curvature).tocsr()
 
 
 def gluing_check(mesh: RegionMesh, label_a: str, label_b: str, matching: dict,
@@ -419,8 +407,11 @@ def gluing_check(mesh: RegionMesh, label_a: str, label_b: str, matching: dict,
     pulled = info.pull_back(1, glued_space.gauge_fixed_basis.columns)
 
     rows = sparse.vstack([curvature[mesh.interior_simplex_mask(1)], trace, flux])
+    # Each column is accurate to roundoff of its largest entry, not entry by
+    # entry: a solution may vanish under every row but for roundoff.
+    reach = np.linalg.norm(abs(rows) @ np.ones(cx.n_simplices(1)))
     containment = float((np.linalg.norm(rows @ pulled, axis=0) / np.maximum(
-        np.linalg.norm(abs(rows) @ np.abs(pulled), axis=0), 1e-300)).max(initial=0.0))
+        reach * np.abs(pulled).max(axis=0, initial=0.0), 1e-300)).max(initial=0.0))
     trace_d = (trace @ cx.boundary_matrices[1].T).tocsc()
     p0 = sparse.csr_matrix((np.ones(cx.n_vertices), (np.arange(cx.n_vertices),
                                                      info.simplex_maps[0])))

@@ -211,16 +211,19 @@ def _hodge_system(mesh, k: int, dirichlet: bool):
     return a, a.T @ sparse.diags(w) @ a, cols
 
 
-def _harmonic_kernel(mesh, k: int, rank_tolerance, dirichlet: bool) -> Subspace:
-    """Harmonic k-fields ``ker A`` of :func:`_hodge_system`, reduced with its
-    ``L`` by :func:`~decgauge.subspaces.reduced_null_space`: in components
-    with a boundary vertex, unknowns not kept are eliminated (``L_JJ`` is
-    singular only on a harmonic field vanishing on every kept simplex).
-    Neumann keeps the boundary k-simplices, Dirichlet the interior ones with
-    a boundary vertex (the kernel is zero-padded)."""
+def _harmonic_basis(mesh, k: int, rank_tolerance, dirichlet: bool,
+                    system) -> HarmonicBasis:
+    """Harmonic k-fields ``ker A`` of the assembled :func:`_hodge_system`,
+    reduced with its ``L`` by :func:`~decgauge.subspaces.reduced_null_space`:
+    in components with a boundary vertex, unknowns not kept are eliminated
+    (``L_JJ`` is singular only on a harmonic field vanishing on every kept
+    simplex).  Neumann keeps the boundary k-simplices, Dirichlet the
+    interior ones with a boundary vertex (the kernel is zero-padded).  A
+    dimension other than the integer oracle's (relative) Betti number
+    raises."""
     cx = mesh.complex
     near = mesh.boundary_simplex_mask(0)
-    a, lap, cols = _hodge_system(mesh, k, dirichlet)
+    a, lap, cols = system
     keep = (near[cx.simplices[k]].any(axis=1) if dirichlet
             else mesh.boundary_simplex_mask(k))
     comp = cx.vertex_components()
@@ -231,7 +234,16 @@ def _harmonic_kernel(mesh, k: int, rank_tolerance, dirichlet: bool) -> Subspace:
     padded = np.zeros((cx.n_simplices(k), small.dim))
     padded[cols] = small.columns
     small.columns, small.gram = padded, mesh.star_diagonal(k)
-    return small
+    out = HarmonicBasis(mesh, k, "dirichlet" if dirichlet else "neumann", small)
+    expected = (relative_betti_oracle if dirichlet else betti_oracle)(mesh, k)
+    if out.dim != expected:
+        raise HodgeError(
+            f"harmonic {out.boundary_condition} dimension {out.dim} != "
+            f"{'relative ' if dirichlet else ''}Betti number {expected} "
+            f"(degree {k}); residual {out.max_residual():.3e}, "
+            f"singular values {small.singular_values}"
+        )
+    return out
 
 
 def harmonic_neumann_basis(mesh, k: int,
@@ -241,18 +253,10 @@ def harmonic_neumann_basis(mesh, k: int,
     The Neumann condition rides along for free: the kernel of the full
     metric adjoint of d is the interior-coclosed condition plus zero flux
     through the boundary dual cells.  Interior simplices are eliminated
-    (:func:`_harmonic_kernel`): ``singular_values`` are those of ``A E``.
+    (:func:`_harmonic_basis`): ``singular_values`` are those of ``A E``.
     """
-    basis = _harmonic_kernel(mesh, k, rank_tolerance, dirichlet=False)
-    out = HarmonicBasis(mesh, k, "neumann", basis)
-    expected = betti_oracle(mesh, k)
-    if out.dim != expected:
-        raise HodgeError(
-            f"harmonic Neumann dimension {out.dim} != Betti number {expected} "
-            f"(degree {k}); residual {out.max_residual():.3e}, "
-            f"singular values {basis.singular_values}"
-        )
-    return out
+    return _harmonic_basis(mesh, k, rank_tolerance, False,
+                          _hodge_system(mesh, k, False))
 
 
 def harmonic_dirichlet_basis(mesh: RegionMesh, k: int,
@@ -261,18 +265,11 @@ def harmonic_dirichlet_basis(mesh: RegionMesh, k: int,
 
     Dimension equals the relative homology rank of the pair (region,
     boundary), computed independently by the integer oracle.  Simplices
-    without a boundary vertex are eliminated (:func:`_harmonic_kernel`):
+    without a boundary vertex are eliminated (:func:`_harmonic_basis`):
     ``singular_values`` are those of ``A E``.
     """
-    basis = _harmonic_kernel(mesh, k, rank_tolerance, dirichlet=True)
-    out = HarmonicBasis(mesh, k, "dirichlet", basis)
-    expected = relative_betti_oracle(mesh, k)
-    if out.dim != expected:
-        raise HodgeError(
-            f"harmonic Dirichlet dimension {out.dim} != relative Betti "
-            f"{expected} (degree {k})"
-        )
-    return out
+    return _harmonic_basis(mesh, k, rank_tolerance, True,
+                          _hodge_system(mesh, k, True))
 
 
 class HmfDecomposition:
@@ -311,18 +308,18 @@ class HmfDecomposition:
         }
 
 
-def _potential(mesh, j: int, dirichlet: bool, lap, cols, rhs, rank_tolerance):
-    """Solve the Hodge Laplacian ``lap`` of degree ``j`` on the unknowns
-    ``cols`` (:func:`_hodge_system`) for ``rhs`` (a vector or one column per
+def _potential(mesh, j: int, dirichlet: bool, system, rhs, rank_tolerance):
+    """Solve the Hodge Laplacian of degree ``j`` of the assembled ``system``
+    (:func:`_hodge_system`) for ``rhs`` (a vector or one column per
     right-hand side, orthogonal to its kernel); the solve's record; and the
     harmonic basis it was grounded on, or None.  A kernel the oracle
     predicts is grounded first: the unknowns on which the harmonic basis of
-    degree ``j`` is best conditioned are fixed at zero."""
+    ``system`` is best conditioned are fixed at zero."""
+    _, lap, cols = system
     free = np.ones(lap.shape[0], dtype=bool)
     basis = None
     if (relative_betti_oracle if dirichlet else betti_oracle)(mesh, j):
-        basis = (harmonic_dirichlet_basis if dirichlet else harmonic_neumann_basis)(
-            mesh, j, rank_tolerance).basis
+        basis = _harmonic_basis(mesh, j, rank_tolerance, dirichlet, system).basis
         h = basis.columns[cols]
         for _ in range(h.shape[1]):  # greedy row pivoting of h
             i = int(np.argmax(np.einsum("ij,ij->i", h, h)))
@@ -349,8 +346,9 @@ def dirichlet_extension(mesh: RegionMesh, x, rank_tolerance=tolerances.RANK_REL)
     y = np.array(x, dtype=float)
     y[interior] = 0.0
     rhs = -(a.T @ (w[:, None] * (rows @ y)))
-    y[interior], record, grounding = _potential(
-        mesh, 1, True, a.T @ sparse.diags(w) @ a, interior, rhs, rank_tolerance)
+    system = a, a.T @ sparse.diags(w) @ a, interior
+    y[interior], record, grounding = _potential(mesh, 1, True, system, rhs,
+                                                rank_tolerance)
     return y, record, grounding
 
 
@@ -379,16 +377,15 @@ def hmf_decompose(alpha: Cochain, mesh: RegionMesh | None = None,
     solves = {}
     if k >= 1:
         dmat = cx.boundary_matrices[k].T.tocsc()[:, mesh.interior_simplex_mask(k - 1)]
-        _, lap, cols = _hodge_system(mesh, k - 1, True)
         x, solves["exact_dirichlet"], _ = _potential(
-            mesh, k - 1, True, lap, cols, dmat.T @ (weights * alpha.values),
-            rank_tolerance)
+            mesh, k - 1, True, _hodge_system(mesh, k - 1, True),
+            dmat.T @ (weights * alpha.values), rank_tolerance)
         exact = dmat @ x
     if 1 <= k < cx.dim:
         bmat = adjoint_full(mesh, k + 1)  # S_k B
-        _, lap, cols = _hodge_system(mesh, k + 1, False)
         y, solves["coexact_neumann"], _ = _potential(
-            mesh, k + 1, False, lap, cols, bmat.T @ alpha.values, rank_tolerance)
+            mesh, k + 1, False, _hodge_system(mesh, k + 1, False),
+            bmat.T @ alpha.values, rank_tolerance)
         coexact = bmat @ y / weights
     elif k < cx.dim:
         comp = cx.vertex_components()

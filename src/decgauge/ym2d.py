@@ -80,8 +80,10 @@ def lagrangian_line_check(mesh: RegionMesh,
     """Per-solution check of loop integral = curvature constant * area.
 
     Both sides are the same chain-level sum, so the residual is pure
-    roundoff.  Reports the mesh area, perimeter, and the line slope
-    perimeter / area relating extendable constants.
+    roundoff.  Each solution's sign is chosen so that its loop integral is
+    not negative: the rows do not depend on the sign of the basis.  Reports
+    the mesh area, perimeter, and the line slope perimeter / area relating
+    extendable constants.
     """
     if mesh.complex.dim != 2:
         raise Ym2dError("the line condition is a 2D statement")
@@ -101,6 +103,8 @@ def lagrangian_line_check(mesh: RegionMesh,
     worst = 0.0
     for eta in space.gauge_fixed_solutions():
         loop = boundary_integral(eta)
+        if loop < 0:
+            eta, loop = -eta, -loop
         c_dot, _ = curvature_constant(eta)
         residual = loop - c_dot * area
         scale = max(

@@ -1,20 +1,26 @@
-"""Dense reference forms of the bulk system, kept as test oracles.
+"""Dense and superseded reference forms of the bulk system, kept as test
+oracles.
 
 The library never densifies the n1-wide field equation: it works on the
 gauge-fixed space and adds the exact fields ``d f`` where it needs full
 solutions.  These helpers build the dense operators and the SVD basis of
 the full solution space, so tests can check the reduced paths against them.
-The Lagrangian check of the library reads the Dirichlet-to-Neumann map;
-:func:`svd_lagrangian` is the route through the solution space, the
-restriction and the 2n-wide two-form that it replaced.
+The library builds its solutions from the Dirichlet extension of the
+coclosed boundary traces; :func:`reduced_gauge_fixed` and
+:func:`traced_restrict` are the route through the null space of the stacked
+bulk system and the traces of its basis that it replaced, and
+:func:`svd_lagrangian` the Lagrangian check through them, the restriction
+and the 2n-wide two-form.
 """
 
 import numpy as np
+from scipy import sparse
 
 from decgauge import tolerances
+from decgauge.boundary import coclosed_projection, trace_columns
 from decgauge.dec import Cochain
-from decgauge.dynamics import restrict, solution_space
-from decgauge.subspaces import Subspace, from_span, null_space
+from decgauge.dynamics import DynamicsError
+from decgauge.subspaces import Subspace, from_span, null_space, reduced_null_space
 from decgauge.symplectic import (
     SymplecticSpace,
     _omega_scale,
@@ -52,6 +58,41 @@ def solutions(space):
     return [Cochain(space.mesh, 1, cols[:, j]) for j in range(cols.shape[1])]
 
 
+def reduced_gauge_fixed(mesh, rank_tolerance=tolerances.RANK_REL) -> Subspace:
+    """Gauge-fixed solutions ``ker A``, ``A = [K_I; D]`` (bulk equation on
+    interior edges, coclosed gauge ``D = del_1 S_1`` at every vertex).
+
+    With ``L = K + D^T S_0^-1 D`` every ``a`` in ``ker A`` solves
+    ``L_J a = 0``, ``J`` the interior edges of components with a boundary,
+    so ``reduced_null_space`` eliminates them and keeps every boundary edge;
+    boundaryless components are kept whole."""
+    cx = mesh.complex
+    d1 = cx.boundary_matrices[2].T
+    k = (d1.T @ sparse.diags(mesh.star_diagonal(2)) @ d1).tocsr()
+    gauge = (cx.boundary_matrices[1] @ sparse.diags(mesh.star_diagonal(1))).tocsr()
+    a = sparse.vstack([k[mesh.interior_simplex_mask(1)], gauge]).tocsr()
+    comp = cx.vertex_components()[cx.simplices[1][:, 0]]
+    on_boundary = mesh.boundary_simplex_mask(1)
+    kept = on_boundary | ~np.isin(comp, comp[on_boundary])
+    lap = k + gauge.T @ sparse.diags(1.0 / mesh.star_diagonal(0)) @ gauge
+    return reduced_null_space(a, lap, kept, gram=mesh.star_diagonal(1),
+                              rank_tolerance=rank_tolerance, error=DynamicsError)
+
+
+def traced_restrict(mesh, gauge_fixed: Subspace,
+                    rank_tolerance=tolerances.RANK_REL,
+                    solution_tolerance=tolerances.SOLUTION_REL) -> Subspace:
+    """Traces ``[phi; phi_dot]`` of a gauge-fixed basis, a column per
+    solution (each residual-gated), boundary-gauge-fixed by one coclosed
+    projection, orthonormal in the doubled boundary stars."""
+    sigma = mesh.boundary
+    x = np.hstack(trace_columns(mesh, gauge_fixed.columns, sigma, solution_tolerance))
+    fixed = coclosed_projection(sigma, x)
+    return from_span(np.vstack(np.hsplit(fixed, 2)),
+                     gram=np.tile(sigma.star_diagonal(1), 2),
+                     rank_tolerance=rank_tolerance)
+
+
 def svd_lagrangian(mesh, rank_tolerance=tolerances.RANK_REL,
                    isotropy_tolerance=tolerances.ISOTROPY_REL,
                    angle_tolerance=tolerances.PRINCIPAL_ANGLE,
@@ -59,9 +100,9 @@ def svd_lagrangian(mesh, rank_tolerance=tolerances.RANK_REL,
     """The Lagrangian check by SVDs: the gauge-fixed solution space, its
     restricted image in the coclosed pairs, both reduced by the 2n x 2n
     two-form, and the symplectic complement by a null space."""
-    sigma = mesh.boundary
-    space = solution_space(mesh, rank_tolerance)
-    image = restrict(space, rank_tolerance, solution_tolerance)
+    sigma, cx = mesh.boundary, mesh.complex
+    gauge_fixed = reduced_gauge_fixed(mesh, rank_tolerance)
+    image = traced_restrict(mesh, gauge_fixed, rank_tolerance, solution_tolerance)
     phi = coclosed_pair_subspace(sigma, rank_tolerance)
     reduced, to_reduced, _ = SymplecticSpace.from_hypersurface(sigma).restrict(phi)
     x, y = image.columns, to_reduced(image.columns)
@@ -73,8 +114,8 @@ def svd_lagrangian(mesh, rank_tolerance=tolerances.RANK_REL,
     half = phi.dim == 2 * image_red.dim
     return {
         "dims": {
-            "solution_space": space.dim,
-            "gauge_fixed": space.gauge_fixed_dim,
+            "solution_space": gauge_fixed.dim + cx.n_simplices(0) - cx.n_components(),
+            "gauge_fixed": gauge_fixed.dim,
             "phi_space": phi.dim,
             "image": image_red.dim,
             "complement": info["complement"].dim,

@@ -101,7 +101,7 @@ def test_criterion_4_isotropy():
     worst = 0.0
     details = []
     for m in _four_meshes():
-        rep = dynamics.verify_lagrangian(m)
+        rep = dynamics.verify_lagrangian(dynamics.solution_space(m))
         ratio = rep["isotropy_max"] / rep["isotropy_scale"]
         worst = max(worst, ratio)
         details.append(f"{m.name}: {ratio:.2e}")
@@ -113,7 +113,7 @@ def test_criterion_5_lagrangian_half_dimension():
     ok = True
     details = []
     for m in _four_meshes():
-        rep = dynamics.verify_lagrangian(m)
+        rep = dynamics.verify_lagrangian(dynamics.solution_space(m))
         good = (rep["half_dimension"]
                 and rep["max_principal_angle"] <= TOL["PRINCIPAL_ANGLE"]
                 and rep["lagrangian"])

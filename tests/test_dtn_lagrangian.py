@@ -40,7 +40,7 @@ REGIONS = {
 
 
 def assert_matches_oracle(m):
-    new, old = dynamics.verify_lagrangian(m), svd_lagrangian(m)
+    new, old = dynamics.verify_lagrangian(dynamics.solution_space(m)), svd_lagrangian(m)
     assert new["dims"] == old["dims"]
     assert new["lagrangian"] is old["lagrangian"] is True
     assert new["half_dimension"] is old["half_dimension"] is True
@@ -72,23 +72,24 @@ def test_counts_without_a_boundary_component():
 
 
 def test_extension_solve_record():
-    rep = dynamics.verify_lagrangian(builders.cube(2))
+    rep = dynamics.verify_lagrangian(dynamics.solution_space(builders.cube(2)))
     solve = rep["extension_solve"]
     assert sorted(solve) == ["block_size", "grounded", "pivot_ratio", "rank_tolerance"]
     assert solve["block_size"] == 26 and solve["grounded"] == 0
     assert solve["pivot_ratio"] > tolerances.RANK_REL
     # every edge of a shell is a boundary edge: no solve at all
-    shell = dynamics.verify_lagrangian(builders.solid_torus(8))["extension_solve"]
+    shell = dynamics.verify_lagrangian(
+        dynamics.solution_space(builders.solid_torus(8)))["extension_solve"]
     assert shell == {"block_size": 0, "grounded": 0, "pivot_ratio": None,
                      "rank_tolerance": tolerances.RANK_REL}
 
 
 @pytest.mark.parametrize("spec", ["annulus:N=16", "solid_torus:K=8", "cube:N=2"])
-def test_builds_no_solution_space_or_two_form(spec, monkeypatch, tmp_path):
+def test_builds_no_gauge_fixed_basis_or_two_form(spec, monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
-        raise AssertionError("solution space or 2n-wide two-form built")
+        raise AssertionError("gauge-fixed basis or 2n-wide two-form built")
 
-    monkeypatch.setattr(dynamics, "solution_space", refuse)
+    monkeypatch.setattr(dynamics.SolutionSpace, "gauge_fixed_basis", property(refuse))
     monkeypatch.setattr(SymplecticSpace, "from_hypersurface", refuse)
     out = tmp_path / "r.json"
     assert cli.main(["verify-lagrangian", "--mesh", spec, "--out", str(out)]) == cli.EXIT_OK
@@ -160,7 +161,7 @@ def test_green_identity_sees_what_symmetry_cannot(spec, fault, monkeypatch):
     monkeypatch.setattr(dynamics, "trace_columns", fault)
     m = builders.from_spec(spec)
     assert svd_lagrangian(m)["lagrangian"] is True
-    rep = dynamics.verify_lagrangian(m)
+    rep = dynamics.verify_lagrangian(dynamics.solution_space(m))
     assert rep["isotropy_max"] <= ISO * rep["isotropy_scale"]
     assert rep["green_residual"] > 1e-3
     assert rep["lagrangian"] is False

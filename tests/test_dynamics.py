@@ -132,7 +132,7 @@ def test_restrict_harmonic_gives_zero_flux_datum(ann8):
 
 def test_verify_lagrangian_on_required_meshes(disk8, annulus16, square2, tet):
     for m in (disk8, annulus16, square2, tet):
-        rep = dynamics.verify_lagrangian(m)
+        rep = dynamics.verify_lagrangian(dynamics.solution_space(m))
         assert rep["lagrangian"], rep
         assert rep["half_dimension"]
         assert rep["isotropy_max"] <= 1e-11 * rep["isotropy_scale"]
@@ -140,7 +140,7 @@ def test_verify_lagrangian_on_required_meshes(disk8, annulus16, square2, tet):
 
 
 def test_verify_lagrangian_empty_boundary(torus_region):
-    rep = dynamics.verify_lagrangian(torus_region)
+    rep = dynamics.verify_lagrangian(dynamics.solution_space(torus_region))
     assert rep["lagrangian"]
     assert rep["dims"]["phi_space"] == 0
 
@@ -209,13 +209,13 @@ def test_verify_lagrangian_glued_annulus():
     # abstract complex: no global embedding, metric carried by lengths only
     st = builders.strip(6)
     glued = mesh.glue(st, "west", "east", builders.strip_end_matching(st))
-    rep = dynamics.verify_lagrangian(glued)
+    rep = dynamics.verify_lagrangian(dynamics.solution_space(glued))
     assert rep["lagrangian"]
     assert rep["dims"]["image"] == 2  # one circulation, one flux direction
 
 
 def test_verify_lagrangian_solid_torus(solid_torus8):
-    rep = dynamics.verify_lagrangian(solid_torus8)
+    rep = dynamics.verify_lagrangian(dynamics.solution_space(solid_torus8))
     assert rep["lagrangian"]
     assert rep["half_dimension"]
     assert rep["dims"]["phi_space"] == 2 * rep["dims"]["image"]

@@ -33,9 +33,11 @@ GLUINGS = {"strip4": lambda: _strip(4), "strip6x2": lambda: _strip(6, 2),
            "strip3x3": lambda: _strip(3, 3), "two_squares": _two_squares}
 
 
-def dense_equalizer(m, label_a, matching):
-    """Kernel of the dense stack [K_I; traces agree; fluxes cancel]."""
+def dense_equalizer(m, label_a, matching, glued):
+    """Kernel of the dense stack [K_I; traces agree; fluxes cancel], with a
+    flux row only where ``glued`` has the matched edge inside."""
     cx, full = m.complex, curvature_adjoint_full(m)
+    inside = glued.interior_simplex_mask(1)[glued.glue_info.simplex_maps[1]]
     n1 = cx.n_simplices(1)
     rows = [field_equation_matrix(m)]
     for f in sorted(m.face_labels[label_a]):
@@ -45,7 +47,9 @@ def dense_equalizer(m, label_a, matching):
             sb = 1 if mapped[0] < mapped[1] else -1
             trace = np.zeros(n1)
             trace[ia], trace[ib] = 1.0, -sb
-            rows += [trace[None], (full[ia] + sb * full[ib])[None]]
+            rows.append(trace[None])
+            if inside[ia]:
+                rows.append((full[ia] + sb * full[ib])[None])
     return subspaces.null_space(np.vstack(rows), gram=m.star_diagonal(1),
                                 n_columns=n1)
 
@@ -56,7 +60,7 @@ def test_full_dims_and_spaces_match_dense_oracle(name):
     rep = dynamics.gluing_check(m, la, lb, matching)
     glued = mesh.glue(m, la, lb, matching)
     glued_full = full_basis(dynamics.solution_space(glued))
-    equalizer = dense_equalizer(m, la, matching)
+    equalizer = dense_equalizer(m, la, matching, glued)
     assert rep["passed"]
     assert rep["dims"]["glued_solutions"] == glued_full.dim
     assert rep["dims"]["equalizer"] == equalizer.dim == glued_full.dim
@@ -67,6 +71,66 @@ def test_full_dims_and_spaces_match_dense_oracle(name):
     pulled = subspaces.from_span(glued.glue_info.pull_back(1, glued_full.columns),
                                  gram=m.star_diagonal(1))
     assert subspaces.principal_angles(pulled, equalizer).max() <= 1e-10
+
+
+def _cube(n):
+    c = builders.cube(n)
+    return c, "west", "east", builders.strip_end_matching(c)
+
+
+def _two_cubes():
+    c = builders.cube(2)
+    two = mesh.disjoint_union(c, c)
+    cx = two.complex
+
+    def side(label):  # face vertices in (y, z) order
+        verts = np.unique(cx.simplices[2][sorted(two.face_labels[label])])
+        return verts[np.lexsort(cx.coordinates[verts, 1:].T[::-1])].tolist()
+
+    return two, "m0.east", "m1.west", dict(zip(side("m0.east"), side("m1.west")))
+
+
+# A face of an n x n grid has 2n(n+1) axis edges and n^2 diagonals.
+CUBE_GLUINGS = {"cube3": (lambda: _cube(3), 33), "cube4": (lambda: _cube(4), 56),
+                "two_cubes": (_two_cubes, 16)}
+
+
+@pytest.mark.parametrize("name", sorted(CUBE_GLUINGS))
+def test_cube_gluing_matches_dense_oracle(name):
+    # The perimeter edges of a 3D face stay on the boundary after gluing:
+    # their traces are matched, their fluxes are not.
+    build, matched = CUBE_GLUINGS[name]
+    m, la, lb, matching = build()
+    rep = dynamics.gluing_check(m, la, lb, matching)
+    glued = mesh.glue(m, la, lb, matching)
+    glued_full = full_basis(dynamics.solution_space(glued))
+    equalizer = dense_equalizer(m, la, matching, glued)
+    assert rep["passed"]
+    assert rep["dims"]["glued_solutions"] == glued_full.dim == equalizer.dim
+    assert rep["dims"]["equalizer"] == equalizer.dim
+    assert rep["matched_edges"] == matched
+    assert rep["containment_residual"] <= 1e-13
+    pulled = subspaces.from_span(glued.glue_info.pull_back(1, glued_full.columns),
+                                 gram=m.star_diagonal(1))
+    assert subspaces.principal_angles(pulled, equalizer).max() <= 1e-10
+
+
+def test_glue_cube_through_the_cli(tmp_path):
+    out = tmp_path / "glue.json"
+    code = cli.main(["glue", "--mesh", "cube:N=3", "--faces", "west", "east",
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    dims = json.loads(out.read_text())["detail"]["dims"]
+    assert dims["glued_solutions"] == dims["equalizer"] == 120
+    assert dims["pulled_gauge_fixed"] == dims["equalizer_gauge_fixed"]
+
+
+def test_a11_passes_with_a_cube_fixture(disk8):
+    cube = builders.cube(3)
+    fixture = (cube, "west", "east", builders.strip_end_matching(cube))
+    axioms = cli.verify_axioms(disk8, glue_fixture=fixture)
+    assert all(row["passed"] for row in axioms.values())
+    assert axioms["A11"]["dims"]["glued_solutions"] == 120
 
 
 def _flipped_rows(which):
@@ -146,8 +210,9 @@ def test_random_solutions_do_not_depend_on_the_basis_rotation(ann8):
     g = space.gauge_fixed_basis
     assert g.dim == 2
     c, s = np.cos(0.7), np.sin(0.7)
-    turned = dynamics.SolutionSpace(
-        ann8, subspaces.Subspace(g.columns @ np.array([[c, -s], [s, c]]), gram=g.gram))
+    turned = dynamics.solution_space(ann8)
+    turned.gauge_fixed_basis = subspaces.Subspace(
+        g.columns @ np.array([[c, -s], [s, c]]), gram=g.gram)
     a = space.random_solutions(np.random.default_rng(5), 3)
     b = turned.random_solutions(np.random.default_rng(5), 3)
     assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from decgauge import boundary, builders, dynamics, mesh, subspaces
+from decgauge import boundary, builders, dynamics, hodge, mesh, subspaces
 from decgauge.dec import Cochain, laplacian0
 from dense_oracles import field_equation_matrix
 
@@ -83,25 +83,30 @@ def test_reduced_kernel_keeps_boundaryless_component(torus_region,
 
 @FACTORIZATIONS
 def test_singular_interior_block_raises(monkeypatch, factorization):
-    # Mark one edge of a closed torus as boundary: its interior block then
-    # holds a harmonic field vanishing on that edge in its kernel, which must
-    # be refused, not factorized by luck.
-    torus = mesh.region_from_hypersurface(builders.solid_torus(8).boundary)
-    fake = np.zeros(torus.complex.n_simplices(1), dtype=bool)
-    fake[0] = True
-    monkeypatch.setattr(torus, "boundary_simplex_mask", lambda k: fake)
-    with pytest.raises(dynamics.DynamicsError, match="singular"):
-        dynamics.solution_space(torus)
+    # An annulus has one Dirichlet harmonic field, which the extension's
+    # interior block holds in its kernel until it is grounded.  With the
+    # relative Betti oracle made to deny it, the block must be refused, not
+    # factorized by luck.
+    monkeypatch.setattr(hodge, "relative_betti_oracle", lambda m, k: 0)
+    with pytest.raises(hodge.HodgeError, match="singular"):
+        dynamics.solution_space(builders.annulus(8))
 
 
-def test_restrict_without_gauge_fixed_solutions(disk8):
+def test_restrict_without_gauge_fixed_solutions(disk8, torus_region):
+    # restrict reads Q and its extension, never the gauge-fixed basis: it
+    # does not build it, and emptying it leaves the image alone
     space = dynamics.solution_space(disk8)
-    empty = dynamics.SolutionSpace(
-        disk8, subspaces.Subspace(np.zeros((space.mesh.complex.n_simplices(1),
-                                            0)), gram=disk8.star_diagonal(1)))
-    image = dynamics.restrict(empty)
-    assert image.dim == 0
-    assert image.ambient_dim == 2 * disk8.boundary.complex.n_simplices(1)
+    image = dynamics.restrict(space)
+    assert "gauge_fixed_basis" not in vars(space)
+    space.gauge_fixed_basis = subspaces.Subspace(
+        np.zeros((disk8.complex.n_simplices(1), 0)), gram=disk8.star_diagonal(1))
+    again = dynamics.restrict(space)
+    assert again.dim == image.dim == 1
+    assert again.ambient_dim == 2 * disk8.boundary.complex.n_simplices(1)
+    assert np.array_equal(again.columns, image.columns)
+    # without a boundary there is nothing to restrict to
+    empty = dynamics.restrict(dynamics.solution_space(torus_region))
+    assert empty.dim == 0 and empty.ambient_dim == 0
 
 
 @pytest.mark.parametrize("name", ["ann8", "disk8", "solid_torus8"])

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from decgauge import builders, dec, dynamics, ym2d
+from decgauge import builders, dec, dynamics, subspaces, ym2d
 from decgauge.boundary import BoundaryDatum
 from decgauge.dec import Cochain
 
@@ -75,6 +75,22 @@ def test_line_check_zero_datum_line_through_origin(disk8):
 def test_line_check_rejects_multiple_boundary_components(ann8):
     with pytest.raises(ym2d.Ym2dError, match="component"):
         ym2d.lagrangian_line_check(ann8)
+
+
+@pytest.mark.parametrize("spec", ["disk:N=8", "square:N=4"])
+def test_line_check_does_not_depend_on_the_basis_sign(spec, monkeypatch):
+    m = builders.from_spec(spec)
+    report = ym2d.lagrangian_line_check(m)
+    assert all(row["loop_integral"] >= 0 for row in report["solutions"])
+
+    def negated(region):
+        space = dynamics.solution_space(region)
+        g = space.gauge_fixed_basis
+        space.gauge_fixed_basis = subspaces.Subspace(-g.columns, gram=g.gram)
+        return space
+
+    monkeypatch.setattr(ym2d, "solution_space", negated)
+    assert ym2d.lagrangian_line_check(m) == report
 
 
 def test_reduced_form_kappa_half(circle12):
