@@ -18,7 +18,12 @@ from scipy import sparse
 from . import tolerances
 from .dec import Cochain, DECError, adjoint_full, codifferential, d, inner_product, norm
 from .mesh import RegionMesh
-from .subspaces import Subspace, factorized_solve, reduced_null_space
+from .subspaces import Subspace, factorized_solve, from_span, null_space
+
+
+#: Sketch columns beyond the oracle's dimension (a larger harmonic space
+#: shows up as a higher rank), and the sketch's seed.
+SKETCH_OVERSAMPLING, SKETCH_SEED = 2, 0
 
 
 class HodgeError(ValueError):
@@ -182,11 +187,11 @@ class HarmonicBasis:
         return worst
 
 
-def _hodge_rows(mesh, k: int, dirichlet: bool):
-    """``(A, w, cols)``: the rows ``A = [d_k; del_k S_k]`` of the Hodge system
-    on every k-simplex, their weights ``w = (S_k+1, S_k-1^-1)`` and the
-    unknowns ``cols``.  Neumann takes every k-simplex and (k-1) row;
-    Dirichlet the interior ones."""
+def _hodge_system(mesh, k: int, dirichlet: bool):
+    """``(A, w, cols)``: the rows ``A = [d_k; del_k S_k]`` of the Hodge
+    Laplacian ``A^T diag(w) A`` on every k-simplex, their weights
+    ``w = (S_k+1, S_k-1^-1)`` and its unknowns ``cols``.  Neumann takes every
+    k-simplex and (k-1) row; Dirichlet the interior ones."""
     cx = mesh.complex
     if dirichlet:
         cols = mesh.interior_simplex_mask(k)
@@ -203,45 +208,57 @@ def _hodge_rows(mesh, k: int, dirichlet: bool):
     return sparse.vstack(blocks).tocsr(), np.concatenate(weights), cols
 
 
-def _hodge_system(mesh, k: int, dirichlet: bool):
-    """``(A, L, cols)``: the rows of :func:`_hodge_rows` on the unknowns
-    ``cols`` and the Hodge Laplacian ``L = A^T diag(w) A``."""
-    a, w, cols = _hodge_rows(mesh, k, dirichlet)
-    a = a[:, cols]
-    return a, a.T @ sparse.diags(w) @ a, cols
-
-
 def _harmonic_basis(mesh, k: int, rank_tolerance, dirichlet: bool,
-                    system) -> HarmonicBasis:
-    """Harmonic k-fields ``ker A`` of the assembled :func:`_hodge_system`,
-    reduced with its ``L`` by :func:`~decgauge.subspaces.reduced_null_space`:
-    in components with a boundary vertex, unknowns not kept are eliminated
-    (``L_JJ`` is singular only on a harmonic field vanishing on every kept
-    simplex).  Neumann keeps the boundary k-simplices, Dirichlet the
-    interior ones with a boundary vertex (the kernel is zero-padded).  A
-    dimension other than the integer oracle's (relative) Betti number
-    raises."""
+                    building=frozenset()) -> HarmonicBasis:
+    """Harmonic k-fields: the kernel of the :func:`_hodge_system` rows.
+
+    In degree 0, the indicator of each component (Dirichlet: each without a
+    boundary vertex); in the top degree n, ``orientation / S_n`` on each
+    component (Neumann: each closed one).  Otherwise the range finder of
+    Halko-Martinsson-Tropp: ``x - exact - coexact`` for ``b + 2`` standard
+    normal columns ``x`` (Dirichlet: zero on the boundary), rank cut against
+    the largest S-norm of ``x``'s columns.  ``building`` holds the (degree,
+    condition) pairs whose sketch is being solved: in 3D, H^1 and H^2 may
+    ground each other's projections, and the one requested again takes the
+    dense null space of its rows.  A dimension other than the integer
+    oracle's (relative) Betti number raises."""
     cx = mesh.complex
-    near = mesh.boundary_simplex_mask(0)
-    a, lap, cols = system
-    keep = (near[cx.simplices[k]].any(axis=1) if dirichlet
-            else mesh.boundary_simplex_mask(k))
-    comp = cx.vertex_components()
-    bounded = np.isin(comp[cx.simplices[k][cols, 0]], comp[near])
-    small = reduced_null_space(a, lap, keep[cols] | ~bounded,
-                               gram=mesh.star_diagonal(k)[cols],
-                               rank_tolerance=rank_tolerance, error=HodgeError)
-    padded = np.zeros((cx.n_simplices(k), small.dim))
-    padded[cols] = small.columns
-    small.columns, small.gram = padded, mesh.star_diagonal(k)
-    out = HarmonicBasis(mesh, k, "dirichlet" if dirichlet else "neumann", small)
+    n, gram = cx.dim, mesh.star_diagonal(k)
     expected = (relative_betti_oracle if dirichlet else betti_oracle)(mesh, k)
+    if k in (0, n):
+        comp = cx.vertex_components()
+        closed = ~np.isin(np.arange(cx.n_components()), comp[mesh.boundary_simplex_mask(0)])
+        values, labels = ((np.ones(cx.n_simplices(0)), comp) if k == 0 else
+                          (cx.orientation / gram, comp[cx.simplices[n][:, 0]]))
+        keep = closed if dirichlet == (k == 0) else np.ones_like(closed)
+        fields = np.where(labels[:, None] == np.flatnonzero(keep), values[:, None], 0.0)
+        basis = Subspace(fields / np.sqrt(gram @ fields ** 2), gram, rank_tolerance)
+    else:
+        cols = mesh.interior_simplex_mask(k) if dirichlet else slice(None)
+        if (k, dirichlet) in building:
+            a = _hodge_system(mesh, k, dirichlet)[0][:, cols]
+            small = null_space(a.toarray(), gram=gram[cols],
+                               rank_tolerance=rank_tolerance, n_columns=a.shape[1])
+        else:
+            x = np.random.default_rng(SKETCH_SEED).standard_normal(
+                (cx.n_simplices(k), expected + SKETCH_OVERSAMPLING))
+            if dirichlet:
+                x[mesh.boundary_simplex_mask(k)] = 0.0
+            building = building | {(k, dirichlet)}
+            rest = (x - _exact_part(mesh, k, dirichlet, x, rank_tolerance, building)[0]
+                    - _coexact_part(mesh, k, dirichlet, x, rank_tolerance, building)[0])
+            small = from_span(rest[cols], gram[cols], rank_tolerance,
+                              scale=np.sqrt(gram @ x ** 2).max())
+        basis = Subspace(np.zeros((cx.n_simplices(k), small.dim)), gram,
+                         rank_tolerance, small.singular_values, small.gap)
+        basis.columns[cols] = small.columns
+    out = HarmonicBasis(mesh, k, "dirichlet" if dirichlet else "neumann", basis)
     if out.dim != expected:
         raise HodgeError(
             f"harmonic {out.boundary_condition} dimension {out.dim} != "
             f"{'relative ' if dirichlet else ''}Betti number {expected} "
             f"(degree {k}); residual {out.max_residual():.3e}, "
-            f"singular values {small.singular_values}"
+            f"singular values {basis.singular_values}"
         )
     return out
 
@@ -252,11 +269,9 @@ def harmonic_neumann_basis(mesh, k: int,
 
     The Neumann condition rides along for free: the kernel of the full
     metric adjoint of d is the interior-coclosed condition plus zero flux
-    through the boundary dual cells.  Interior simplices are eliminated
-    (:func:`_harmonic_basis`): ``singular_values`` are those of ``A E``.
+    through the boundary dual cells (:func:`_harmonic_basis`).
     """
-    return _harmonic_basis(mesh, k, rank_tolerance, False,
-                          _hodge_system(mesh, k, False))
+    return _harmonic_basis(mesh, k, rank_tolerance, False)
 
 
 def harmonic_dirichlet_basis(mesh: RegionMesh, k: int,
@@ -264,12 +279,10 @@ def harmonic_dirichlet_basis(mesh: RegionMesh, k: int,
     """Closed, coclosed fields with vanishing tangential trace.
 
     Dimension equals the relative homology rank of the pair (region,
-    boundary), computed independently by the integer oracle.  Simplices
-    without a boundary vertex are eliminated (:func:`_harmonic_basis`):
-    ``singular_values`` are those of ``A E``.
+    boundary), computed independently by the integer oracle
+    (:func:`_harmonic_basis`).
     """
-    return _harmonic_basis(mesh, k, rank_tolerance, True,
-                          _hodge_system(mesh, k, True))
+    return _harmonic_basis(mesh, k, rank_tolerance, True)
 
 
 class HmfDecomposition:
@@ -308,18 +321,21 @@ class HmfDecomposition:
         }
 
 
-def _potential(mesh, j: int, dirichlet: bool, system, rhs, rank_tolerance):
-    """Solve the Hodge Laplacian of degree ``j`` of the assembled ``system``
-    (:func:`_hodge_system`) for ``rhs`` (a vector or one column per
-    right-hand side, orthogonal to its kernel); the solve's record; and the
-    harmonic basis it was grounded on, or None.  A kernel the oracle
-    predicts is grounded first: the unknowns on which the harmonic basis of
-    ``system`` is best conditioned are fixed at zero."""
-    _, lap, cols = system
+def _potential(mesh, j: int, dirichlet: bool, system, rhs, rank_tolerance,
+               building=frozenset()):
+    """Solve the Hodge Laplacian of degree ``j`` (rows ``system``, see
+    :func:`_hodge_system`) for ``rhs`` (a vector or columns, orthogonal to
+    its kernel); the solve's record; and the harmonic basis (built under
+    ``building``) it was grounded on, or None: a kernel the oracle predicts
+    is grounded by fixing at zero the unknowns on which it is best
+    conditioned."""
+    a, w, cols = system
+    a = a[:, cols]
+    lap = (a.T @ sparse.diags(w) @ a).tocsr()
     free = np.ones(lap.shape[0], dtype=bool)
     basis = None
     if (relative_betti_oracle if dirichlet else betti_oracle)(mesh, j):
-        basis = _harmonic_basis(mesh, j, rank_tolerance, dirichlet, system).basis
+        basis = _harmonic_basis(mesh, j, rank_tolerance, dirichlet, building).basis
         h = basis.columns[cols]
         for _ in range(h.shape[1]):  # greedy row pivoting of h
             i = int(np.argmax(np.einsum("ij,ij->i", h, h)))
@@ -327,10 +343,38 @@ def _potential(mesh, j: int, dirichlet: bool, system, rhs, rank_tolerance):
             h = h - np.outer(h @ h[i], h[i]) / (h[i] @ h[i])
     x, ratio = np.zeros(np.shape(rhs)), None
     if free.any():
-        x[free], ratio = factorized_solve(lap.tocsr()[free][:, free], rhs[free],
+        x[free], ratio = factorized_solve(lap[free][:, free], rhs[free],
                                           rank_tolerance, HodgeError)
     return x, {"block_size": int(free.sum()), "grounded": int((~free).sum()),
                "pivot_ratio": ratio, "rank_tolerance": rank_tolerance}, basis
+
+
+def _exact_part(mesh, k: int, dirichlet: bool, x, rank_tolerance,
+                building=frozenset()):
+    """S_k-projection of ``x`` (a vector or columns) onto ``d`` of the
+    (k-1)-cochains (Dirichlet: the interior ones) and the solve's record:
+    the Hodge Laplacian of degree k-1 for ``d^T S_k x`` (:func:`_potential`)."""
+    system = _hodge_system(mesh, k - 1, dirichlet)
+    dmat = mesh.complex.boundary_matrices[k].T.tocsc()[:, system[2]]
+    y, record, _ = _potential(mesh, k - 1, dirichlet, system,
+                              dmat.T @ sparse.diags(mesh.star_diagonal(k)) @ x,
+                              rank_tolerance, building)
+    return dmat @ y, record
+
+
+def _coexact_part(mesh, k: int, dirichlet: bool, x, rank_tolerance,
+                  building=frozenset()):
+    """S_k-projection of ``x`` (a vector or columns) onto the range of
+    ``B = S_k^-1 d_k^T S_k+1`` (Dirichlet: interior (k+1) columns, boundary k
+    rows zero) and the solve's record: the Hodge Laplacian of degree k+1,
+    down term ``B^T S_k B``, for ``B^T S_k x`` (:func:`_potential`)."""
+    system = _hodge_system(mesh, k + 1, dirichlet)
+    sb = adjoint_full(mesh, k + 1).tocsc()[:, system[2]]  # S_k B
+    if dirichlet:
+        sb = sparse.diags(mesh.interior_simplex_mask(k).astype(float)) @ sb
+    y, record, _ = _potential(mesh, k + 1, dirichlet, system, sb.T @ x,
+                              rank_tolerance, building)
+    return sparse.diags(1.0 / mesh.star_diagonal(k)) @ (sb @ y), record
 
 
 def dirichlet_extension(mesh: RegionMesh, x, rank_tolerance=tolerances.RANK_REL):
@@ -341,12 +385,10 @@ def dirichlet_extension(mesh: RegionMesh, x, rank_tolerance=tolerances.RANK_REL)
     interior edges).  So ``d^T S_2 d y`` and ``del_1 S_1 y`` vanish on the
     interior edges and vertices.  Returns them, the solve's record and the
     grounding Dirichlet basis (None unless one was built)."""
-    rows, w, interior = _hodge_rows(mesh, 1, True)
-    a = rows[:, interior]
+    system = rows, w, interior = _hodge_system(mesh, 1, True)
     y = np.array(x, dtype=float)
     y[interior] = 0.0
-    rhs = -(a.T @ (w[:, None] * (rows @ y)))
-    system = a, a.T @ sparse.diags(w) @ a, interior
+    rhs = -(rows[:, interior].T @ (w[:, None] * (rows @ y)))
     y[interior], record, grounding = _potential(mesh, 1, True, system, rhs,
                                                 rank_tolerance)
     return y, record, grounding
@@ -358,44 +400,31 @@ def hmf_decompose(alpha: Cochain, mesh: RegionMesh | None = None,
                   roundoff_tolerance=tolerances.ROUNDOFF_REL) -> HmfDecomposition:
     """Orthogonal projections onto the four summands; two independent solves.
 
-    Exact part ``D x`` (``D = d_(k-1)`` on interior (k-1)-simplices): the
-    Dirichlet Hodge Laplacian of degree k-1 for ``D^T S_k alpha``.  Coexact
-    part ``B y`` (``B = S_k^-1 d_k^T S_k+1``): the Neumann one of degree k+1,
-    down term ``B^T S_k B``, for ``B^T S_k alpha``; in degree 0, ``alpha``
-    minus its weighted mean per component.  The other term of each Laplacian
-    vanishes on the solution (:func:`_potential`).  The rest is projected onto
-    the harmonic Neumann basis (built unless given); the remainder is exact
-    harmonic.  Components below ``roundoff_tolerance * |alpha|`` are left out
-    of the orthogonality defect."""
+    The Dirichlet :func:`_exact_part` and the Neumann :func:`_coexact_part`
+    (in degree 0, ``alpha`` minus its weighted mean per component).  The
+    rest is projected onto the harmonic Neumann basis (built unless given,
+    if the Betti number is nonzero); the remainder is exact harmonic.
+    Components below ``roundoff_tolerance * |alpha|`` are left out of the
+    orthogonality defect."""
     mesh = mesh if mesh is not None else alpha.host
     if alpha.host is not mesh:
         raise DECError("cochain does not live on the given region")
-    cx = mesh.complex
     k = alpha.degree
-    weights = mesh.star_diagonal(k)
+    if neumann_basis is None and betti_oracle(mesh, k):
+        neumann_basis = harmonic_neumann_basis(mesh, k, rank_tolerance)
     exact = coexact = np.zeros_like(alpha.values)
     solves = {}
     if k >= 1:
-        dmat = cx.boundary_matrices[k].T.tocsc()[:, mesh.interior_simplex_mask(k - 1)]
-        x, solves["exact_dirichlet"], _ = _potential(
-            mesh, k - 1, True, _hodge_system(mesh, k - 1, True),
-            dmat.T @ (weights * alpha.values), rank_tolerance)
-        exact = dmat @ x
-    if 1 <= k < cx.dim:
-        bmat = adjoint_full(mesh, k + 1)  # S_k B
-        y, solves["coexact_neumann"], _ = _potential(
-            mesh, k + 1, False, _hodge_system(mesh, k + 1, False),
-            bmat.T @ alpha.values, rank_tolerance)
-        coexact = bmat @ y / weights
-    elif k < cx.dim:
-        comp = cx.vertex_components()
-        mean = np.bincount(comp, weights * alpha.values) / np.bincount(comp, weights)
-        coexact = alpha.values - mean[comp]
-
-    if neumann_basis is None:
-        neumann_basis = harmonic_neumann_basis(mesh, k, rank_tolerance)
+        exact, solves["exact_dirichlet"] = _exact_part(
+            mesh, k, True, alpha.values, rank_tolerance)
+    if 1 <= k < mesh.complex.dim:
+        coexact, solves["coexact_neumann"] = _coexact_part(
+            mesh, k, False, alpha.values, rank_tolerance)
+    elif k < mesh.complex.dim:  # degree 0: all but the constants per component
+        coexact = alpha.values - neumann_basis.basis.project(alpha.values)
     rest = alpha.values - exact - coexact
-    hn = neumann_basis.basis.project(rest)
+    hn = (neumann_basis.basis.project(rest) if neumann_basis is not None
+          else np.zeros_like(rest))
     comps = tuple(Cochain(mesh, k, v) for v in (exact, coexact, hn, rest - hn))
     # Components at roundoff of the input carry no meaningful direction;
     # exclude them from the normalized orthogonality defect.

@@ -274,6 +274,7 @@ class _MetricMesh:
 
     def _init_metric(self, edge_lengths=None):
         cx = self.complex
+        self._boundary_masks = {}
         if cx.dim >= 1:
             if edge_lengths is not None:
                 lengths = np.asarray(edge_lengths, dtype=float)
@@ -379,11 +380,15 @@ class _MetricMesh:
         )
 
     def boundary_simplex_mask(self, k: int) -> np.ndarray:
-        """Boolean mask of k-simplices contained in the boundary."""
-        cx = self.complex
-        if k >= cx.dim:
-            return np.zeros(cx.n_simplices(k), dtype=bool)
-        return cx.facet_closure(cx.boundary_facets(), k)
+        """Boolean mask of k-simplices contained in the boundary, computed
+        once per degree and read-only."""
+        if k not in self._boundary_masks:
+            cx = self.complex
+            mask = (np.zeros(cx.n_simplices(k), dtype=bool) if k >= cx.dim
+                    else cx.facet_closure(cx.boundary_facets(), k))
+            mask.flags.writeable = False
+            self._boundary_masks[k] = mask
+        return self._boundary_masks[k]
 
     def interior_simplex_mask(self, k: int) -> np.ndarray:
         return ~self.boundary_simplex_mask(k)

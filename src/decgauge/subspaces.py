@@ -12,8 +12,8 @@ import numpy as np
 
 from . import tolerances
 
-#: Eliminated blocks up to this size are factorized dense: below it a dense
-#: Cholesky costs less than importing SuperLU (0.13 s, 10 MB).
+#: Blocks up to this size are factorized dense: below it a dense Cholesky
+#: costs less than importing SuperLU (0.13 s, 10 MB).
 DENSE_BLOCK_MAX = 1000
 
 
@@ -107,29 +107,27 @@ def from_span(matrix, gram=None, rank_tolerance=tolerances.RANK_REL,
 
 
 def null_space(matrix, gram=None, rank_tolerance=tolerances.RANK_REL,
-               n_columns=None, embed=None, scale=None) -> Subspace:
+               n_columns=None, scale=None) -> Subspace:
     """Gram-orthonormal basis of the kernel of ``matrix``.
 
     ``matrix`` may have zero rows; ``n_columns`` disambiguates the ambient
-    dimension in that case.  With ``embed`` (full column rank) ``matrix`` is
-    ``A @ embed`` and the result ``embed @ ker(matrix)``, in ``embed``'s rows.
-    A wide matrix takes the full right basis from its SVD, unpadded.  The
-    rank cut is the tolerance times ``scale``, by default the largest
-    singular value; a matrix that reduces larger rows, and may be roundoff
-    when they all vanish, must pass the scale of those rows.
+    dimension in that case.  A wide matrix takes the full right basis from
+    its SVD, unpadded.  The rank cut is the tolerance times ``scale``, by
+    default the largest singular value; a matrix that reduces larger rows,
+    and may be roundoff when they all vanish, must pass the scale of those
+    rows.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         if n_columns is None:
             n_columns = matrix.shape[1] if matrix.ndim == 2 else 0
-        eye = np.eye(n_columns) if embed is None else embed
-        return from_span(eye, gram=_as_gram(gram, eye.shape[0]),
+        return from_span(np.eye(n_columns), gram=_as_gram(gram, n_columns),
                          rank_tolerance=rank_tolerance)
     matrix = np.atleast_2d(matrix)
     _, s, vt = np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
     smax = (s.max() if s.size else 0.0) if scale is None else scale
     rank = int(np.sum(s > rank_tolerance * smax)) if smax > 0 else 0
-    kernel = vt[rank:].T if embed is None else embed @ vt[rank:].T
+    kernel = vt[rank:].T
     g = _as_gram(gram, kernel.shape[0])
     if kernel.shape[1] == 0:
         out = Subspace(np.zeros((kernel.shape[0], 0)), g, rank_tolerance)
@@ -184,30 +182,6 @@ def factorized_solve(block, rhs, rank_tolerance=tolerances.RANK_REL,
                     f"singular (pivot ratio {ratio:.1e}, rank tolerance "
                     f"{rank_tolerance:.1e})")
     return x, ratio
-
-
-def reduced_null_space(a, lap, kept, gram=None,
-                       rank_tolerance=tolerances.RANK_REL,
-                       error=ValueError) -> Subspace:
-    """Kernel of the sparse ``a``, eliminating the columns ``J`` not ``kept``.
-
-    The rows ``J`` of the sparse PSD ``lap`` (e.g. ``a^T W a``, ``W`` a
-    positive diagonal) must vanish on ``ker a``.  So ``ker a = E ker(a E)``,
-    ``E = [I_keep; -lap_JJ^-1 lap_J,keep]``: one :func:`factorized_solve`
-    of ``lap_JJ`` (its pivot gate raises ``error``), a dense null space of
-    ``a E`` only.  Nothing eliminated: ``null_space(a)``.
-    """
-    elim, keep = np.flatnonzero(~kept), np.flatnonzero(kept)
-    if not elim.size:
-        return null_space(a.toarray(), gram=gram, rank_tolerance=rank_tolerance,
-                          n_columns=a.shape[1])
-    e = np.zeros((a.shape[1], keep.size))
-    e[keep, np.arange(keep.size)] = 1.0
-    lap = lap.tocsr()
-    e[elim] = -factorized_solve(lap[elim][:, elim], lap[elim][:, keep].toarray(),
-                                rank_tolerance, error)[0]
-    return null_space(a @ e, gram=gram, rank_tolerance=rank_tolerance,
-                      n_columns=keep.size, embed=e)
 
 
 def _gap(s, rank) -> float:

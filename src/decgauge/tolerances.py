@@ -7,9 +7,6 @@ relative unless the name says otherwise.
 
 from __future__ import annotations
 
-#: Residual of the discrete Stokes / adjointness identity.
-ADJOINTNESS_REL = 1e-12
-
 #: Numerical rank cut, relative to the largest singular value.
 RANK_REL = 1e-8
 
@@ -47,12 +44,6 @@ GLUING_ACTION_REL = 1e-11
 
 #: Identities that hold up to floating-point roundoff only.
 ROUNDOFF_REL = 1e-13
-
-#: Idempotence of the coclosed gauge-fixing projection.
-GAUGE_IDEMPOTENT_REL = 1e-10
-
-#: Holonomy invariance mod 2*pi under integer winding shifts.
-HOLONOMY_MOD_REL = 1e-10
 
 #: Round trip of extension after restriction, and membership projection.
 EXTEND_ROUNDTRIP_REL = 1e-8

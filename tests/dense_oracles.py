@@ -19,8 +19,7 @@ from scipy import sparse
 from decgauge import tolerances
 from decgauge.boundary import coclosed_projection, trace_columns
 from decgauge.dec import Cochain
-from decgauge.dynamics import DynamicsError
-from decgauge.subspaces import Subspace, from_span, null_space, reduced_null_space
+from decgauge.subspaces import Subspace, from_span, null_space
 from decgauge.symplectic import (
     SymplecticSpace,
     _omega_scale,
@@ -60,23 +59,15 @@ def solutions(space):
 
 def reduced_gauge_fixed(mesh, rank_tolerance=tolerances.RANK_REL) -> Subspace:
     """Gauge-fixed solutions ``ker A``, ``A = [K_I; D]`` (bulk equation on
-    interior edges, coclosed gauge ``D = del_1 S_1`` at every vertex).
-
-    With ``L = K + D^T S_0^-1 D`` every ``a`` in ``ker A`` solves
-    ``L_J a = 0``, ``J`` the interior edges of components with a boundary,
-    so ``reduced_null_space`` eliminates them and keeps every boundary edge;
-    boundaryless components are kept whole."""
+    interior edges, coclosed gauge ``D = del_1 S_1`` at every vertex), the
+    dense null space of the stacked system."""
     cx = mesh.complex
     d1 = cx.boundary_matrices[2].T
     k = (d1.T @ sparse.diags(mesh.star_diagonal(2)) @ d1).tocsr()
     gauge = (cx.boundary_matrices[1] @ sparse.diags(mesh.star_diagonal(1))).tocsr()
     a = sparse.vstack([k[mesh.interior_simplex_mask(1)], gauge]).tocsr()
-    comp = cx.vertex_components()[cx.simplices[1][:, 0]]
-    on_boundary = mesh.boundary_simplex_mask(1)
-    kept = on_boundary | ~np.isin(comp, comp[on_boundary])
-    lap = k + gauge.T @ sparse.diags(1.0 / mesh.star_diagonal(0)) @ gauge
-    return reduced_null_space(a, lap, kept, gram=mesh.star_diagonal(1),
-                              rank_tolerance=rank_tolerance, error=DynamicsError)
+    return null_space(a.toarray(), gram=mesh.star_diagonal(1),
+                      rank_tolerance=rank_tolerance, n_columns=a.shape[1])
 
 
 def traced_restrict(mesh, gauge_fixed: Subspace,

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per gated criterion, one printed line each.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines.  Every tolerance is pinned here from the central table; nothing is
-calibrated at runtime.
+lines.  Every tolerance is pinned here, from the central table or as one
+of the module's own constants; nothing is calibrated at runtime.
 """
 
 import numpy as np
@@ -14,6 +14,13 @@ from decgauge.dec import Cochain
 from dense_oracles import full_basis
 
 TOL = tolmod.table()
+
+# Gates of identities the library asserts nowhere itself, so they are not in
+# the central table: the discrete Stokes identity, idempotence of the
+# coclosed gauge fix, and holonomy invariance mod 2*pi under winding shifts.
+ADJOINTNESS_REL = 1e-12
+GAUGE_IDEMPOTENT_REL = 1e-10
+HOLONOMY_MOD_REL = 1e-10
 
 SEED = 20240811
 TRIALS = 100
@@ -38,6 +45,9 @@ def _builtin_regions():
         builders.strip(4),
         builders.tetrahedron(),
         builders.solid_torus(8),
+        builders.cube(2),
+        builders.cube(3),
+        builders.cube(4),
     ]
 
 
@@ -53,7 +63,7 @@ def test_criterion_1_adjointness():
             ratio = abs(defect) / scale
             worst = max(worst, ratio)
     _verdict(1, "discrete Stokes adjointness on all built-in meshes",
-             worst <= TOL["ADJOINTNESS_REL"], f"worst {worst:.2e}")
+             worst <= ADJOINTNESS_REL, f"worst {worst:.2e}")
 
 
 def test_criterion_2_betti_agreement():
@@ -248,7 +258,7 @@ def test_criterion_10_gauge_properties():
         scale = max(np.abs(once.vector()).max(), 1e-300)
         worst_idem = max(worst_idem,
                          np.abs(twice.vector() - once.vector()).max() / scale)
-    idem_ok = worst_idem <= TOL["GAUGE_IDEMPOTENT_REL"]
+    idem_ok = worst_idem <= GAUGE_IDEMPOTENT_REL
 
     basis = hodge.harmonic_neumann_basis(m, 1)
     datum = boundary.trace_solution(basis.cochains()[0])
@@ -261,7 +271,7 @@ def test_criterion_10_gauge_properties():
             _, c1 = boundary.holonomy(shifted.phi, g)
             diff = abs((c1 - c0 + np.pi) % (2 * np.pi) - np.pi)
             worst_hol = max(worst_hol, diff)
-    hol_ok = worst_hol <= TOL["HOLONOMY_MOD_REL"]
+    hol_ok = worst_hol <= HOLONOMY_MOD_REL
 
     ok = action_ok and idem_ok and hol_ok
     _verdict(10, "gauge invariance, projection idempotence, winding invariance",

@@ -1,9 +1,11 @@
-"""The boundary-reduced harmonic bases against the dense stacked-SVD oracle."""
+"""The harmonic bases (closed forms in degree 0 and the top degree, the
+sketch of the two Hodge projections in between) against the dense
+stacked-SVD oracle."""
 
 import numpy as np
 import pytest
 
-from decgauge import builders, hodge, mesh, subspaces, tolerances
+from decgauge import builders, cli, hodge, mesh, subspaces, tolerances
 from decgauge.dec import adjoint_full
 
 
@@ -32,8 +34,8 @@ def max_angle(a, b):
 BASES = {"neumann": hodge.harmonic_neumann_basis,
          "dirichlet": hodge.harmonic_dirichlet_basis}
 
-# Eliminated blocks are factorized dense up to DENSE_BLOCK_MAX columns and by
-# sparse LU above it; every oracle check runs through both.
+# Projection blocks are factorized dense up to DENSE_BLOCK_MAX unknowns and
+# by sparse LU above it; every oracle check runs through both.
 FACTORIZATIONS = pytest.mark.parametrize("dense_max", [0, 10**9],
                                          ids=["sparse", "dense"])
 
@@ -43,16 +45,40 @@ def factorization(dense_max, monkeypatch):
     monkeypatch.setattr(subspaces, "DENSE_BLOCK_MAX", dense_max)
 
 
+# cube:N=3 has interior edges; glued once it has b = 1, 1, 0, 0; glued twice
+# it is the torus times an interval (b = 1, 2, 1, 0), where H^1 and H^2 each
+# ground the other's projections.
 MESHES = ("tri1", "disk8", "ann8", "annulus16", "strip4", "tet",
           "solid_torus8", "torus_region", "square:N=4", "square:N=8",
-          "annulus8+torus_region")
+          "annulus8+torus_region", "cube:N=3", "glued cube:N=3", "T2xI:N=3")
+
+
+def glued_cube(n):
+    m = builders.cube(n)
+    return mesh.glue(m, "west", "east", builders.strip_end_matching(m))
+
+
+def torus_times_interval(n):
+    """cube:N=n glued west~east, then south~north (vertices paired by x, z)."""
+    m = glued_cube(n)
+    cx = m.complex
+
+    def side(label):
+        verts = np.unique(cx.simplices[2][sorted(m.face_labels[label])])
+        return verts[np.lexsort(cx.coordinates[verts][:, [0, 2]].T[::-1])].tolist()
+
+    return mesh.glue(m, "south", "north", dict(zip(side("south"), side("north"))))
 
 
 def region(name, request):
     if name == "annulus8+torus_region":
-        # a bounded component reduced next to a closed one kept whole
+        # a bounded component next to a closed one
         return mesh.disjoint_union(builders.annulus(8),
                                    request.getfixturevalue("torus_region"))
+    if name == "glued cube:N=3":
+        return glued_cube(3)
+    if name == "T2xI:N=3":
+        return torus_times_interval(3)
     if ":" in name:
         return builders.from_spec(name)
     return request.getfixturevalue(name)
@@ -81,15 +107,47 @@ def test_dirichlet_basis_vanishes_off_the_interior(annulus16):
 
 
 @FACTORIZATIONS
-def test_singular_eliminated_block_raises(monkeypatch, factorization):
-    # Fake one edge of a closed torus as its boundary: every other edge is
-    # then eliminated, and a combination of the two harmonic fields vanishing
-    # on that edge lies in the eliminated block's kernel.
+def test_faked_boundary_on_a_closed_torus_raises(monkeypatch, factorization):
+    # Fake one edge of a closed torus as its boundary: the torus then has no
+    # closed component for the Neumann area form that grounds the coexact
+    # projection, against the integer oracle's b_2 = 1.
     torus = mesh.region_from_hypersurface(builders.solid_torus(8).boundary)
     cx = torus.complex
     fake = {k: np.zeros(cx.n_simplices(k), dtype=bool) for k in range(3)}
     fake[1][0] = True
     fake[0][cx.simplices[1][0]] = True
     monkeypatch.setattr(torus, "boundary_simplex_mask", lambda k: fake[k])
-    with pytest.raises(hodge.HodgeError, match="singular"):
+    with pytest.raises(hodge.HodgeError,
+                       match=r"dimension 0 != Betti number 1 \(degree 2\).*singular"):
         hodge.harmonic_neumann_basis(torus, 1)
+
+
+# (mesh, condition, degree) with a nonzero harmonic space: its sketch then
+# has b + 2 columns against an oracle moved by one either way.
+MISCOUNTED = [("ann8", "neumann", 1), ("ann8", "dirichlet", 1),
+              ("solid_torus8", "neumann", 1), ("solid_torus8", "dirichlet", 2)]
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+@pytest.mark.parametrize("name,condition,k", MISCOUNTED)
+def test_miscounted_oracle_raises(name, condition, k, shift, request,
+                                  monkeypatch):
+    m = request.getfixturevalue(name)
+    oracle = "relative_betti_oracle" if condition == "dirichlet" else "betti_oracle"
+    true = getattr(hodge, oracle)
+    assert true(m, k) > 0
+    monkeypatch.setattr(hodge, oracle,
+                        lambda mesh, j: true(mesh, j) + shift * (j == k))
+    with pytest.raises(hodge.HodgeError, match="dimension"):
+        BASES[condition](m, k)
+
+
+def test_harmonic_output_is_byte_identical(tmp_path):
+    out = tmp_path / "harmonic.json"
+    runs = []
+    for _ in range(2):
+        assert cli.main(["harmonic", "--mesh", "annulus:N=16", "--degree", "1",
+                         "--out", str(out)]) == 0
+        runs.append({p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())})
+    assert runs[0] == runs[1]
+    assert sorted(runs[0]) == ["harmonic.json", "harmonic_neumann0.csv"]

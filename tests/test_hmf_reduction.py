@@ -129,9 +129,10 @@ def test_unpredicted_kernel_is_refused(request, monkeypatch, factorization):
 
 @FACTORIZATIONS
 def test_faked_boundary_leaves_singular_block(monkeypatch, factorization):
-    # One edge of a closed torus faked as its boundary: removing the area
-    # form from the Neumann degree-2 block eliminates every triangle against
-    # no kept one, a singular block that must raise, not be factorized.
+    # One edge of a closed torus faked as its boundary: the torus then has no
+    # closed component, so the Neumann degree-2 block would be factorized
+    # without grounding its area form; the integer oracle's b_2 = 1 refuses
+    # that before any factorization.
     torus = mesh.region_from_hypersurface(builders.solid_torus(8).boundary)
     basis = hodge.harmonic_neumann_basis(torus, 1)
     cx = torus.complex
@@ -140,7 +141,8 @@ def test_faked_boundary_leaves_singular_block(monkeypatch, factorization):
     fake[0][cx.simplices[1][0]] = True
     monkeypatch.setattr(torus, "boundary_simplex_mask", lambda k: fake[k])
     alpha = Cochain(torus, 1, np.ones(cx.n_simplices(1)))
-    with pytest.raises(hodge.HodgeError, match="singular"):
+    with pytest.raises(hodge.HodgeError,
+                       match=r"dimension 0 != Betti number 1 \(degree 2\).*singular"):
         hodge.hmf_decompose(alpha, neumann_basis=basis)
 
 

@@ -2,6 +2,8 @@
 changes an exit code, a reported flag or the outcome of a check."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,3 +107,20 @@ def test_coclosed_input_rel_gates_the_fluxes(tmp_path):
     assert cli.main(args + ["--tol", "COCLOSED_INPUT_REL=1e-300"]) == cli.EXIT_CHECK_FAILED
     detail = json.loads(out.read_text())["detail"]
     assert detail["lagrangian"] is False and detail["embedding_defect"] > 1e-300
+
+
+def test_every_table_name_is_read_by_the_library():
+    # A name that no module applies would be echoed in every report and
+    # accepted by --tol while gating nothing.
+    package = Path(tolerances.__file__).parent
+    sources = " ".join(p.read_text() for p in sorted(package.glob("*.py"))
+                       if p.name != "tolerances.py")
+    unused = [name for name in tolerances.DEFAULTS
+              if not re.search(rf"\b{name}\b", sources)]
+    assert unused == []
+
+
+@pytest.mark.parametrize("name", ["ADJOINTNESS_REL", "GAUGE_IDEMPOTENT_REL",
+                                  "HOLONOMY_MOD_REL"])
+def test_removed_dead_tolerances_exit_two(name):
+    assert cli.main(["harmonic", "--mesh", "disk:N=8", "--tol", f"{name}=1"]) == 2

@@ -84,14 +84,11 @@ def test_extend_takes_traces_in_any_gauge(name):
 
 @pytest.mark.parametrize("name", ["disk8", "ann8", "solid_torus8"])
 def test_solution_paths_take_no_boundary_wide_null_space(name, request,
-                                                         strip4, monkeypatch):
-    # Only the harmonic bases of hodge still eliminate through
-    # reduced_null_space; no solution path reaches it.
-    def refuse(*args, **kwargs):
-        raise AssertionError("reduced null space on a solution path")
-
+                                                         strip4):
+    # The boundary-wide elimination kernel is gone; every solution path
+    # runs through the Dirichlet extension alone.
+    assert not hasattr(subspaces, "reduced_null_space")
     assert not hasattr(dynamics, "reduced_null_space")
-    monkeypatch.setattr(subspaces, "reduced_null_space", refuse)
     m = request.getfixturevalue(name)
     space = dynamics.solution_space(m)
     assert dynamics.verify_lagrangian(space)["lagrangian"]
