@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -159,14 +160,22 @@ def _lagrangian(space, tol) -> dict:
 
 def _run_verify_lagrangian(mesh: RegionMesh, config, tol, rng):
     rep = _lagrangian(solution_space(mesh, tol["RANK_REL"]), tol)
-    checks = [
-        _check("lagrangian", rep["lagrangian"],
-               isotropy_max=rep["isotropy_max"],
-               max_principal_angle=rep.get("max_principal_angle", 0.0),
-               embedding_defect=rep.get("embedding_defect", 0.0),
-               half_dimension=rep["half_dimension"]),
-    ]
-    return checks, rep
+    return [_check("lagrangian", rep["lagrangian"], **_lagrangian_fields(rep))], rep
+
+
+def _lagrangian_fields(rep: dict) -> dict:
+    """Check-row fields of a :func:`verify_lagrangian` report (A9 and
+    ``verify-lagrangian``): every reading a gate applies to."""
+    return {k: rep[k] for k in ("dims", "isotropy_max", "green_residual",
+                                "max_principal_angle", "embedding_defect",
+                                "half_dimension", "rank_ambiguous")}
+
+
+@functools.cache
+def _strip_fixture():
+    """A11's default gluing pair, built once: a metric mesh never changes."""
+    strip = builders.strip(4)
+    return strip, "west", "east", builders.strip_end_matching(strip)
 
 
 def verify_axioms(mesh: RegionMesh, tol=None, rng=None,
@@ -249,14 +258,9 @@ def verify_axioms(mesh: RegionMesh, tol=None, rng=None,
                           residual=res8 / scale8, tolerance=tol["ROUNDOFF_REL"])
 
     rep9 = _lagrangian(space, tol)
-    axioms["A9"] = _check("A9", rep9["lagrangian"],
-                          dims=rep9["dims"], isotropy_max=rep9["isotropy_max"],
-                          rank_ambiguous=rep9["rank_ambiguous"])
+    axioms["A9"] = _check("A9", rep9["lagrangian"], **_lagrangian_fields(rep9))
 
-    if glue_fixture is None:
-        strip = builders.strip(4)
-        glue_fixture = (strip, "west", "east", builders.strip_end_matching(strip))
-    gm, la, lb, matching = glue_fixture
+    gm, la, lb, matching = glue_fixture or _strip_fixture()
     rep11 = gluing_check(gm, la, lb, matching, tol["RANK_REL"],
                          tol["PRINCIPAL_ANGLE"], tol["GLUING_ACTION_REL"],
                          tol["GLUE_LENGTH_REL"], tol["SOLUTION_REL"])

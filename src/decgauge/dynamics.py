@@ -28,7 +28,7 @@ from .boundary import (
 from .dec import Cochain, DECError, d, inner_product, normal_trace, tangential_trace
 from .hodge import dirichlet_extension, relative_betti_oracle
 from .mesh import GlueInfo, RegionMesh, glue
-from .subspaces import Subspace, _contains, from_span, null_space, principal_angles
+from .subspaces import Subspace, from_span, null_space, principal_angles
 from .symplectic import coclosed_subspace
 
 
@@ -204,23 +204,21 @@ def action_difference_residual(eta: Cochain, xi: Cochain):
 def restrict(space: SolutionSpace, rank_tolerance=tolerances.RANK_REL,
              solution_tolerance=tolerances.SOLUTION_REL) -> Subspace:
     """Image of the solutions inside the coclosed pairs, orthonormal in the
-    doubled boundary stars: the span of ``[Q; flux A]`` (each extension's
-    bulk residual gated).  The grounding fields and ``d f`` add nothing:
-    the first are closed with zero trace, the second leave the coclosed
-    part of the trace and the flux alone."""
+    doubled boundary stars: ``[Q; flux A] L^-T`` (each extension's bulk
+    residual gated), ``L L^T = I + flux^T S flux`` its Gram matrix.  Q is
+    S-orthonormal, so every singular value is at least 1 and no rank is
+    cut.  The grounding fields and ``d f`` add nothing: the first are
+    closed with zero trace, the second leave the coclosed part of the trace
+    and the flux alone."""
     sigma = space.mesh.boundary
     if sigma is None:
         return Subspace(np.zeros((0, 0)), gram=None,
                         rank_tolerance=rank_tolerance)
+    s = sigma.star_diagonal(1)
     flux = trace_columns(space.mesh, space.extension, sigma, solution_tolerance)[1]
-    return from_span(np.vstack([space.coclosed.columns, flux]),
-                     gram=np.tile(sigma.star_diagonal(1), 2),
-                     rank_tolerance=rank_tolerance)
-
-
-def _graph(m) -> Subspace:
-    """Orthonormal basis of graph(m), the span of ``[I; m]``."""
-    return Subspace(np.linalg.qr(np.vstack([np.eye(len(m)), m]))[0])
+    chol = np.linalg.cholesky(np.eye(flux.shape[1]) + flux.T @ (s[:, None] * flux))
+    return Subspace(np.linalg.solve(chol, np.vstack([space.coclosed.columns, flux]).T).T,
+                    gram=np.tile(s, 2), rank_tolerance=rank_tolerance)
 
 
 def verify_lagrangian(space: SolutionSpace,
@@ -237,69 +235,64 @@ def verify_lagrangian(space: SolutionSpace,
     taken with every column's bulk residual gated.
     In the coordinates ``(Q c, Q c_dot)`` of the coclosed pairs the image is
     graph(M), ``M = Q^T S Lam Q``, and the two-form is ``sign/2 [[0, I],
-    [-I, 0]]``.  So half-dimension holds by construction, and what is
-    measured is:
+    [-I, 0]]``.  So half-dimension holds by construction.  With ``L L^T =
+    I + M^T M``, ``[I; M] L^-T`` is an orthonormal basis of graph(M) and
+    ``[-M; I] L^-T`` one of the orthogonal complement of graph(M^T), the
+    symplectic complement; both pair graph(M) through ``K = L^-1 (M - M^T)
+    L^-T``.  What is measured is:
 
-    - isotropy, the form on the orthonormalized graph (scale 1/2);
+    - isotropy, the form on the orthonormal graph basis, ``max |K| / 2``
+      (scale 1/2);
     - Green's identity ``M = (dA)^T S_2 dA`` (the bulk action of the
       extensions), which makes M symmetric: the largest gap plus one unit
       roundoff of the sums' magnitudes, relative to the largest action, and
       gated by ``isotropy_tolerance`` too; unlike the symmetry, it is not
       vacuous when r = 1;
-    - coisotropy: the symplectic complement is graph(M^T), and its principal
-      angles against graph(M) must stay below ``angle_tolerance``;
+    - coisotropy: the principal angles between graph(M) and graph(M^T),
+      the arcsines of the singular values of ``K``, must stay below
+      ``angle_tolerance``;
     - the fluxes' distance from span Q (``embedding_defect``, each pair
       relative to its norm), at most ``coclosed_tolerance``.
 
     ``gauge_fixed`` is the space's exact count; ``rank_ambiguous`` when the
-    gap of Q or of the grounding Dirichlet basis is below ``gap_factor``."""
-    mesh, sigma = space.mesh, space.mesh.boundary
-    if sigma is None:
-        return {
-            "mesh": mesh.name,
-            "dims": {"phi_space": 0, "image": 0},
-            "isotropy_max": 0.0,
-            "coisotropy_angles": [],
-            "half_dimension": True,
-            "rank_ambiguous": False,
-            "lagrangian": True,
-            "note": "empty boundary, trivially Lagrangian",
-        }
-    cx, s = mesh.complex, sigma.star_diagonal(1)
-    q, x = space.coclosed, space.extension
-    flux = trace_columns(mesh, x, sigma, solution_tolerance)[1]
-    m = q.coords(flux)
-    # |[q; flux]| >= |q| = 1: the distance of each image pair from the pairs
-    off = flux - q.columns @ m
-    embed_defect = float((np.sqrt(s @ off ** 2) / np.sqrt(1.0 + s @ flux ** 2)
-                          ).max(initial=0.0))
-    da = cx.boundary_matrices[2].T @ x
-    energy = da.T @ (mesh.star_diagonal(2)[:, None] * da)
-    # A gap below one unit roundoff of what the two sums accumulate is not
-    # resolved, so that much is added: a computed zero is not an exact one.
-    resolution = np.finfo(float).eps / 2 * (
-        (np.abs(q.columns) * np.abs(s[:, None] * flux)).sum(axis=0)
-        + np.diag(energy)).max(initial=0.0)
-    green = float((np.abs(m - energy).max(initial=0.0) + resolution)
-                  / max(np.diag(energy).max(initial=0.0), 1e-300))
-
-    image, comp = _graph(m), _graph(m.T)
-    top, bottom = np.vsplit(image.columns, 2)
-    iso = float(np.abs(0.5 * sigma.orientation_sign * (top.T @ bottom - bottom.T @ top)
-                       ).max(initial=0.0))
-    angles = principal_angles(image, comp)
-    coiso, max_angle = _contains(image, comp, angles, angle_tolerance)
-    phi_dim = 2 * q.dim
-    half = phi_dim == 2 * image.dim
-    gaps = [q.gap] + ([space.grounding.gap] if space.grounding is not None else [])
+    gap of Q or of the grounding Dirichlet basis is below ``gap_factor``.
+    Without a boundary every reading is zero."""
+    mesh, sigma, q = space.mesh, space.mesh.boundary, space.coclosed
+    r = 0 if q is None else q.dim
+    iso = green = embed_defect = 0.0
+    sines = np.zeros(0)
+    if sigma is not None:
+        cx, s, x = mesh.complex, sigma.star_diagonal(1), space.extension
+        flux = trace_columns(mesh, x, sigma, solution_tolerance)[1]
+        m = q.coords(flux)
+        # |[q; flux]| >= |q| = 1: the distance of each image pair from the pairs
+        off = flux - q.columns @ m
+        embed_defect = float((np.sqrt(s @ off ** 2) / np.sqrt(1.0 + s @ flux ** 2)
+                              ).max(initial=0.0))
+        da = cx.boundary_matrices[2].T @ x
+        energy = da.T @ (mesh.star_diagonal(2)[:, None] * da)
+        # A gap below one unit roundoff of what the two sums accumulate is not
+        # resolved, so that much is added: a computed zero is not an exact one.
+        resolution = np.finfo(float).eps / 2 * (
+            (np.abs(q.columns) * np.abs(s[:, None] * flux)).sum(axis=0)
+            + np.diag(energy)).max(initial=0.0)
+        green = float((np.abs(m - energy).max(initial=0.0) + resolution)
+                      / max(np.diag(energy).max(initial=0.0), 1e-300))
+        chol = np.linalg.cholesky(np.eye(r) + m.T @ m)
+        k = np.linalg.solve(chol, np.linalg.solve(chol, m - m.T).T).T
+        iso = 0.5 * float(np.abs(k).max(initial=0.0))
+        sines = np.linalg.svd(k, compute_uv=False)[::-1]
+    angles = np.arcsin(np.clip(sines, 0.0, 1.0))
+    max_angle = float(angles.max(initial=0.0))
+    gaps = [b.gap for b in (q, space.grounding) if b is not None]
     return {
         "mesh": mesh.name,
         "dims": {
             "solution_space": space.dim,
             "gauge_fixed": space.gauge_fixed_dim,
-            "phi_space": phi_dim,
-            "image": image.dim,
-            "complement": comp.dim,
+            "phi_space": 2 * r,
+            "image": r,
+            "complement": r,
         },
         "isotropy_max": iso,
         "isotropy_scale": 0.5,
@@ -308,10 +301,11 @@ def verify_lagrangian(space: SolutionSpace,
         "max_principal_angle": max_angle,
         "embedding_defect": embed_defect,
         "extension_solve": space.solve,
-        "half_dimension": bool(half),
-        "rank_ambiguous": min(gaps) < gap_factor,
+        "half_dimension": True,
+        "rank_ambiguous": min(gaps, default=np.inf) < gap_factor,
         "lagrangian": bool(iso <= isotropy_tolerance * 0.5
-                           and green <= isotropy_tolerance and coiso and half
+                           and green <= isotropy_tolerance
+                           and max_angle <= angle_tolerance
                            and embed_defect <= coclosed_tolerance),
     }
 

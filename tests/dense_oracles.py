@@ -10,16 +10,18 @@ coclosed boundary traces; :func:`reduced_gauge_fixed` and
 :func:`traced_restrict` are the route through the null space of the stacked
 bulk system and the traces of its basis that it replaced, and
 :func:`svd_lagrangian` the Lagrangian check through them, the restriction
-and the 2n-wide two-form.
+and the 2n-wide two-form.  :func:`qr_lagrangian_readings` takes the
+isotropy and coisotropy readings of graph(M) from QR bases of the two
+graphs, the route the r x r Cholesky readings replaced.
 """
 
 import numpy as np
 from scipy import sparse
 
-from decgauge import tolerances
+from decgauge import dynamics, tolerances
 from decgauge.boundary import coclosed_projection, trace_columns
 from decgauge.dec import Cochain
-from decgauge.subspaces import Subspace, from_span, null_space
+from decgauge.subspaces import Subspace, from_span, null_space, principal_angles
 from decgauge.symplectic import (
     SymplecticSpace,
     _omega_scale,
@@ -118,3 +120,19 @@ def svd_lagrangian(mesh, rank_tolerance=tolerances.RANK_REL,
         "half_dimension": bool(half),
         "lagrangian": bool(lag and half),
     }
+
+
+def qr_lagrangian_readings(space, solution_tolerance=tolerances.SOLUTION_REL):
+    """``(isotropy_max, coisotropy_angles)`` of graph(M), ``M = Q^T S Lam Q``:
+    the two-form on a QR basis of graph(M), and the principal angles
+    between it and a QR basis of graph(M^T).  The fluxes come from
+    ``dynamics.trace_columns``, so a fault patched in there shows here too."""
+    q = space.coclosed
+    flux = dynamics.trace_columns(space.mesh, space.extension, space.mesh.boundary,
+                                  solution_tolerance)[1]
+    m = q.coords(flux)
+    image, comp = (Subspace(np.linalg.qr(np.vstack([np.eye(q.dim), g]))[0])
+                   for g in (m, m.T))
+    top, bottom = np.vsplit(image.columns, 2)
+    iso = float(np.abs(0.5 * (top.T @ bottom - bottom.T @ top)).max(initial=0.0))
+    return iso, principal_angles(image, comp)

@@ -1,16 +1,19 @@
 """The Lagrangian check through the Dirichlet-to-Neumann map against the SVD
-route it replaced (``dense_oracles.svd_lagrangian``), its fault detection,
-and the builtin cube that gives its extension solve interior vertices."""
+route it replaced (``dense_oracles.svd_lagrangian``), its readings against
+the QR route (``dense_oracles.qr_lagrangian_readings``), the restriction,
+its fault detection, and the builtin cube that gives its extension solve
+interior vertices."""
 
 import json
 
 import numpy as np
 import pytest
-from dense_oracles import svd_lagrangian
+from dense_oracles import qr_lagrangian_readings, svd_lagrangian
 from hypothesis import given, settings
 from test_oracle import relabelled
 
 from decgauge import builders, cli, dynamics, mesh, tolerances
+from decgauge.subspaces import from_span, principal_angles
 from decgauge.symplectic import SymplecticSpace
 
 ISO, ANGLE = tolerances.ISOTROPY_REL, tolerances.PRINCIPAL_ANGLE
@@ -39,8 +42,21 @@ REGIONS = {
 }
 
 
+def assert_matches_qr_route(space):
+    """The Cholesky readings against the QR route: a fault's agree
+    relatively; a clean mesh's are roundoff of either route (at most
+    ~1e-15) and agree only absolutely."""
+    rep = dynamics.verify_lagrangian(space)
+    iso, angles = qr_lagrangian_readings(space)
+    assert np.isclose(rep["isotropy_max"], iso, rtol=1e-12, atol=1e-14)
+    assert len(rep["coisotropy_angles"]) == len(angles) == space.coclosed.dim
+    assert np.abs(np.array(rep["coisotropy_angles"]) - angles).max() <= 1e-13
+    assert rep["max_principal_angle"] == max(rep["coisotropy_angles"])
+    return rep
+
+
 def assert_matches_oracle(m):
-    new, old = dynamics.verify_lagrangian(dynamics.solution_space(m)), svd_lagrangian(m)
+    new, old = assert_matches_qr_route(dynamics.solution_space(m)), svd_lagrangian(m)
     assert new["dims"] == old["dims"]
     assert new["lagrangian"] is old["lagrangian"] is True
     assert new["half_dimension"] is old["half_dimension"] is True
@@ -87,13 +103,37 @@ def test_extension_solve_record():
 @pytest.mark.parametrize("spec", ["annulus:N=16", "solid_torus:K=8", "cube:N=2"])
 def test_builds_no_gauge_fixed_basis_or_two_form(spec, monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
-        raise AssertionError("gauge-fixed basis or 2n-wide two-form built")
+        raise AssertionError("gauge-fixed basis, 2n-wide two-form, graph QR "
+                             "or principal-angle SVD taken")
 
+    assert not hasattr(dynamics, "_graph")
     monkeypatch.setattr(dynamics.SolutionSpace, "gauge_fixed_basis", property(refuse))
     monkeypatch.setattr(SymplecticSpace, "from_hypersurface", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(dynamics, "principal_angles", refuse)
     out = tmp_path / "r.json"
     assert cli.main(["verify-lagrangian", "--mesh", spec, "--out", str(out)]) == cli.EXIT_OK
     assert json.loads(out.read_text())["detail"]["lagrangian"] is True
+
+
+@pytest.mark.parametrize("name", sorted(REGIONS))
+def test_restrict_is_one_cholesky_of_the_traces(name, monkeypatch):
+    # [Q; flux] has every weighted singular value >= 1: no SVD, no rank cut
+    space = dynamics.solution_space(REGIONS[name]())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SVD taken in restrict")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "svd", refuse)
+        image = dynamics.restrict(space)
+    flux = dynamics.trace_columns(space.mesh, space.extension, space.mesh.boundary,
+                                  tolerances.SOLUTION_REL)[1]
+    span = from_span(np.vstack([space.coclosed.columns, flux]), gram=image.gram)
+    assert image.dim == span.dim == space.coclosed.dim
+    assert image.gap == np.inf
+    assert image.orthonormality_defect() <= 1e-13
+    assert principal_angles(span, image).max(initial=0.0) <= 1e-12
 
 
 # -- faults --------------------------------------------------------------------
@@ -128,12 +168,15 @@ def poisoned_star():
     return traces
 
 
-@pytest.mark.parametrize("spec, fault", [
-    ("annulus:N=16", flipped_flux("inner")),
-    ("cube:N=2", flipped_flux("top")),
-    ("annulus:N=16", poisoned_star()),
-    ("cube:N=2", poisoned_star()),
-], ids=["flip-annulus", "flip-cube", "star-annulus", "star-cube"])
+FAULTS = {
+    "flip-annulus": ("annulus:N=16", flipped_flux("inner")),
+    "flip-cube": ("cube:N=2", flipped_flux("top")),
+    "star-annulus": ("annulus:N=16", poisoned_star()),
+    "star-cube": ("cube:N=2", poisoned_star()),
+}
+
+
+@pytest.mark.parametrize("spec, fault", FAULTS.values(), ids=FAULTS)
 def test_fault_fails_the_check(spec, fault, monkeypatch, tmp_path):
     monkeypatch.setattr(dynamics, "trace_columns", fault)
     out = tmp_path / "r.json"
@@ -165,6 +208,34 @@ def test_green_identity_sees_what_symmetry_cannot(spec, fault, monkeypatch):
     assert rep["isotropy_max"] <= ISO * rep["isotropy_scale"]
     assert rep["green_residual"] > 1e-3
     assert rep["lagrangian"] is False
+
+
+@pytest.mark.parametrize("spec, fault", FAULTS.values(), ids=FAULTS)
+def test_fault_readings_match_the_qr_route(spec, fault, monkeypatch):
+    monkeypatch.setattr(dynamics, "trace_columns", fault)
+    assert_matches_qr_route(dynamics.solution_space(builders.from_spec(spec)))
+
+
+@pytest.mark.parametrize("command, spec, fault, row_id", [
+    ("verify-lagrangian", "solid_torus:K=8", flipped_flux("shell"), "lagrangian"),
+    ("verify-axioms", "square:N=8", flipped_flux("north"), "A9"),
+], ids=["shell-flip", "square-flip-A9"])
+def test_failing_row_shows_the_gate_it_failed(command, spec, fault, row_id,
+                                              monkeypatch, tmp_path):
+    # both faults keep M symmetric: only Green's identity sees them, and the
+    # check row itself must carry that reading
+    monkeypatch.setattr(dynamics, "trace_columns", fault)
+    out = tmp_path / "r.json"
+    assert cli.main([command, "--mesh", spec, "--out", str(out)]) == cli.EXIT_CHECK_FAILED
+    report = json.loads(out.read_text())
+    row = next(c for c in report["checks"] if c["id"] == row_id)
+    assert set(row) == {"id", "passed", "dims", "isotropy_max", "green_residual",
+                        "max_principal_angle", "embedding_defect", "half_dimension",
+                        "rank_ambiguous"}
+    tol = report["tolerances"]
+    assert not row["passed"]
+    assert row["isotropy_max"] <= tol["ISOTROPY_REL"] * 0.5
+    assert row["green_residual"] > tol["ISOTROPY_REL"]
 
 
 # -- the cube --------------------------------------------------------------------

@@ -139,10 +139,15 @@ def test_verify_lagrangian_on_required_meshes(disk8, annulus16, square2, tet):
         assert rep["max_principal_angle"] <= 1e-7
 
 
-def test_verify_lagrangian_empty_boundary(torus_region):
+def test_verify_lagrangian_empty_boundary(torus_region, disk8):
     rep = dynamics.verify_lagrangian(dynamics.solution_space(torus_region))
     assert rep["lagrangian"]
     assert rep["dims"]["phi_space"] == 0
+    # the same keys as with a boundary, every reading zero
+    full = dynamics.verify_lagrangian(dynamics.solution_space(disk8))
+    assert set(rep) == set(full) and set(rep["dims"]) == set(full["dims"])
+    assert rep["isotropy_max"] == rep["green_residual"] == 0.0
+    assert rep["max_principal_angle"] == rep["embedding_defect"] == 0.0
 
 
 def test_extend_round_trip(disk8, ann8):

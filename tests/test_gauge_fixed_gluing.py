@@ -243,6 +243,17 @@ def test_structural_axioms_reported_unchecked(disk8):
                if ax not in ("A1", "A2", "A3", "A10"))
 
 
+def test_a11_fixture_is_built_once(disk8, monkeypatch):
+    # the default gluing pair is a fixed metric mesh: a second suite reuses it
+    cli.verify_axioms(disk8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("A11 strip rebuilt")
+
+    monkeypatch.setattr(builders, "strip", refuse)
+    assert cli.verify_axioms(disk8)["A11"]["passed"]
+
+
 VERDICT_RUNS = (["verify-axioms", "--mesh", "square:N=8"],
                 ["verify-axioms", "--mesh", "annulus:N=16"],
                 ["glue", "--mesh", "strip:N=8", "--faces", "west", "east"])

@@ -109,6 +109,19 @@ def test_coclosed_input_rel_gates_the_fluxes(tmp_path):
     assert detail["lagrangian"] is False and detail["embedding_defect"] > 1e-300
 
 
+@pytest.mark.parametrize("name, reading", [("ISOTROPY_REL", "isotropy_max"),
+                                           ("PRINCIPAL_ANGLE", "max_principal_angle")])
+def test_lagrangian_gates_read_their_tolerance(tmp_path, name, reading):
+    # with r > 1 the skew part of M and the angles it opens are roundoff,
+    # never an exact zero, so a tolerance of 1e-300 fails the row
+    out = tmp_path / "lag.json"
+    args = ["verify-lagrangian", "--mesh", "solid_torus:K=8", "--out", str(out)]
+    assert cli.main(args) == 0
+    assert cli.main(args + ["--tol", f"{name}=1e-300"]) == cli.EXIT_CHECK_FAILED
+    row = json.loads(out.read_text())["checks"][0]
+    assert not row["passed"] and row[reading] > 1e-300
+
+
 def test_every_table_name_is_read_by_the_library():
     # A name that no module applies would be echoed in every report and
     # accepted by --tol while gating nothing.
