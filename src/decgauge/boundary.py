@@ -137,12 +137,12 @@ def trace_columns(mesh: RegionMesh, columns, sigma: HypersurfaceMesh,
     return columns[idx], flux[idx] / sigma.star_diagonal(1)[:, None]
 
 
-def coclosed_potential(host, x) -> np.ndarray:
+def coclosed_potential(host, x, rank_tolerance=tolerances.RANK_REL) -> np.ndarray:
     """Potentials f with x + d f coclosed at every vertex, one column per
     column of x, on a closed hypersurface (the boundary gauge fix) or a
     region (the bulk one): one :func:`~decgauge.subspaces.factorized_solve`
     of the 0-Laplacian grounded at a vertex per component (d f ignores the
-    constants), pivot-gated."""
+    constants), pivot-gated at ``rank_tolerance``."""
     if isinstance(host, HypersurfaceMesh) and not host.is_closed():
         raise BoundaryError("coclosed gauge fixing needs a closed hypersurface")
     bnd = host.complex.boundary_matrices[1]
@@ -151,13 +151,15 @@ def coclosed_potential(host, x) -> np.ndarray:
     rows, s1 = bnd[free], host.star_diagonal(1)  # rows of d^T at free vertices
     f = np.zeros((bnd.shape[0], x.shape[1]))
     f[free] = factorized_solve(rows @ sparse.diags(s1) @ rows.T,
-                               -(rows @ (s1[:, None] * x)), error=BoundaryError)[0]
+                               -(rows @ (s1[:, None] * x)), rank_tolerance,
+                               BoundaryError)[0]
     return f
 
 
-def coclosed_projection(host, x) -> np.ndarray:
+def coclosed_projection(host, x, rank_tolerance=tolerances.RANK_REL) -> np.ndarray:
     """Coclosed representatives x + d f (:func:`coclosed_potential`)."""
-    return x + host.complex.boundary_matrices[1].T @ coclosed_potential(host, x)
+    bnd = host.complex.boundary_matrices[1]
+    return x + bnd.T @ coclosed_potential(host, x, rank_tolerance)
 
 
 def gauge_fix_coclosed(datum: BoundaryDatum) -> BoundaryDatum:

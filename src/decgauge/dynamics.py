@@ -52,20 +52,22 @@ def field_equation_matrix(mesh: RegionMesh) -> np.ndarray:
 class SolutionSpace:
     """Solutions of the bulk equation, from the Dirichlet extension ``A``
     (``extension``, its solve record ``solve``) of ``Q`` (``coclosed``, the
-    r S-orthonormal coclosed boundary 1-cochains; None without a boundary),
-    and the Dirichlet harmonic basis ``H`` the solve was grounded on
-    (``grounding``, or None).  A solution with zero trace is closed, so it
-    lies in ``H`` plus exact fields: every solution is ``A c + H h + d f``.
+    r S-orthonormal coclosed boundary 1-cochains, record ``coclosed_basis``;
+    None without a boundary), and the Dirichlet harmonic basis ``H`` the
+    solve was grounded on (``grounding``, or None).  A solution with zero
+    trace is closed, so it lies in ``H`` plus exact fields: every solution
+    is ``A c + H h + d f``.
     ``gauge_fixed_dim`` is the exact count ``r - c(bd M) + c_bounded(M) +
     b_1(M, bd M)`` (components of the boundary and of M with a boundary,
     relative Betti number); ``dim`` adds the ``n_0 - components`` exact
     directions.  No full basis is ever built.
     """
 
-    def __init__(self, mesh: RegionMesh, coclosed, extension, grounding,
-                 solve: dict, gauge_fixed_dim: int, rank_tolerance):
+    def __init__(self, mesh: RegionMesh, coclosed, coclosed_basis: dict, extension,
+                 grounding, solve: dict, gauge_fixed_dim: int, rank_tolerance):
         self.mesh = mesh
         self.coclosed = coclosed
+        self.coclosed_basis = coclosed_basis
         self.extension = extension
         self.grounding = grounding
         self.solve = solve
@@ -87,8 +89,8 @@ class SolutionSpace:
         x = self.extension
         if self.grounding is not None:
             x = np.hstack([x, self.grounding.columns])
-        basis = from_span(coclosed_projection(self.mesh, x) if x.size else x,
-                          gram=self.mesh.star_diagonal(1),
+        fixed = coclosed_projection(self.mesh, x, self.rank_tolerance) if x.size else x
+        basis = from_span(fixed, gram=self.mesh.star_diagonal(1),
                           rank_tolerance=self.rank_tolerance)
         if basis.dim != self.gauge_fixed_dim:
             raise DynamicsError(
@@ -120,15 +122,16 @@ def solution_space(mesh: RegionMesh,
         raise DynamicsError("field equation needs a region of dimension >= 2")
     sigma = mesh.boundary
     x, q, bounded = np.zeros((cx.n_simplices(1), 0)), None, 0
+    record = {"edges_off_forest": 0, "pivot_ratio": None, "rank_tolerance": rank_tolerance}
     if sigma is not None:
-        q = coclosed_subspace(sigma, rank_tolerance)
+        q, record = coclosed_subspace(sigma, rank_tolerance)
         x = np.zeros((cx.n_simplices(1), q.dim))
         x[sigma.region_simplex_map(1)] = q.columns
         bounded = (np.unique(cx.vertex_components()[sigma.vertex_map]).size
                    - sigma.complex.n_components())
     x, solve, grounding = dirichlet_extension(mesh, x, rank_tolerance)
     count = x.shape[1] + bounded + relative_betti_oracle(mesh, 1)
-    return SolutionSpace(mesh, q, x, grounding, solve, count, rank_tolerance)
+    return SolutionSpace(mesh, q, record, x, grounding, solve, count, rank_tolerance)
 
 
 def actions(mesh: RegionMesh, columns):
@@ -255,7 +258,7 @@ def verify_lagrangian(space: SolutionSpace,
       relative to its norm), at most ``coclosed_tolerance``.
 
     ``gauge_fixed`` is the space's exact count; ``rank_ambiguous`` when the
-    gap of Q or of the grounding Dirichlet basis is below ``gap_factor``.
+    grounding basis's gap is below ``gap_factor`` (Q cuts no rank).
     Without a boundary every reading is zero."""
     mesh, sigma, q = space.mesh, space.mesh.boundary, space.coclosed
     r = 0 if q is None else q.dim
@@ -284,7 +287,6 @@ def verify_lagrangian(space: SolutionSpace,
         sines = np.linalg.svd(k, compute_uv=False)[::-1]
     angles = np.arcsin(np.clip(sines, 0.0, 1.0))
     max_angle = float(angles.max(initial=0.0))
-    gaps = [b.gap for b in (q, space.grounding) if b is not None]
     return {
         "mesh": mesh.name,
         "dims": {
@@ -301,8 +303,9 @@ def verify_lagrangian(space: SolutionSpace,
         "max_principal_angle": max_angle,
         "embedding_defect": embed_defect,
         "extension_solve": space.solve,
+        "coclosed_basis": space.coclosed_basis,
         "half_dimension": True,
-        "rank_ambiguous": min(gaps, default=np.inf) < gap_factor,
+        "rank_ambiguous": space.grounding is not None and space.grounding.gap < gap_factor,
         "lagrangian": bool(iso <= isotropy_tolerance * 0.5
                            and green <= isotropy_tolerance
                            and max_angle <= angle_tolerance

@@ -175,7 +175,7 @@ class SimplicialComplex:
         self.induced_signs = (self.boundary_matrices[self.dim] @ self.orientation
                               if self.dim else np.zeros(0, dtype=np.int64))
         self._check_manifold_and_orientation()
-        self._components = self._vertex_components()
+        self._components, self.forest_edges = self._vertex_components()
 
     # -- construction helpers -------------------------------------------------
 
@@ -200,18 +200,24 @@ class SimplicialComplex:
             raise MeshError("inconsistently oriented cells across facet "
                             f"{tuple(facets[clash.argmax()].tolist())}")
 
-    def _vertex_components(self) -> np.ndarray:
+    def _vertex_components(self):
         """Component label per vertex, numbered by each component's smallest
-        vertex: each edge hooks the larger of its endpoints' roots onto the
-        smaller, then every vertex jumps to its root, until no edge joins
-        two roots."""
+        vertex, and a spanning forest as an edge mask: each root joined to a
+        smaller one hooks onto the smallest through one edge, a forest edge,
+        then every vertex jumps to its root, until no edge joins two roots."""
         edges = self.simplices[1] if self.dim else np.zeros((0, 2), dtype=np.int64)
         root = np.arange(self.n_vertices)
+        forest = np.zeros(len(edges), dtype=bool)
         while True:
             a, b = root[edges[:, 0]], root[edges[:, 1]]
-            if np.array_equal(a, b):
-                return np.unique(root, return_inverse=True)[1]
-            np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+            live = np.flatnonzero(a != b)
+            if not live.size:
+                return np.unique(root, return_inverse=True)[1], forest
+            lo, hi = np.minimum(a, b)[live], np.maximum(a, b)[live]
+            order = np.lexsort((lo, hi))
+            hook = order[np.r_[True, np.diff(hi[order]) != 0]]
+            forest[live[hook]] = True
+            root[hi[hook]] = lo[hook]
             while not np.array_equal(root[root], root):
                 root = root[root]
 

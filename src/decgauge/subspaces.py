@@ -160,28 +160,41 @@ def _cholesky_solve(factor, rhs, block=64):
     return x
 
 
+def gated_cholesky(matrix, rank_tolerance=tolerances.RANK_REL, error=ValueError):
+    """Cholesky factor of the dense SPD ``matrix`` and its pivot ratio
+    (smallest over largest squared diagonal entry); a ratio not above the
+    rank tolerance raises ``error``."""
+    try:
+        factor = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:  # exactly singular
+        factor = np.zeros((1, 1))
+    return factor, _pivot_gate(np.diag(factor) ** 2, len(matrix), rank_tolerance, error)
+
+
+def _pivot_gate(pivots, size, rank_tolerance, error) -> float:
+    ratio = float(pivots.min() / max(pivots.max(), 1e-300))
+    if not ratio > rank_tolerance:
+        raise error(f"factorized block of {size} unknowns is singular (pivot "
+                    f"ratio {ratio:.1e}, rank tolerance {rank_tolerance:.1e})")
+    return ratio
+
+
 def factorized_solve(block, rhs, rank_tolerance=tolerances.RANK_REL,
                      error=ValueError):
     """Solution and pivot ratio of the sparse SPD ``block`` for ``rhs``: dense
-    Cholesky up to ``DENSE_BLOCK_MAX`` unknowns, SuperLU above.  A pivot
-    ratio (smallest over largest) not above the rank tolerance raises ``error``."""
+    :func:`gated_cholesky` up to ``DENSE_BLOCK_MAX`` unknowns, SuperLU above.
+    A pivot ratio not above the rank tolerance raises ``error``."""
+    if block.shape[0] <= DENSE_BLOCK_MAX:
+        factor, ratio = gated_cholesky(block.toarray(), rank_tolerance, error)
+        return _cholesky_solve(factor, rhs), ratio
+    from scipy.sparse.linalg import splu
     try:
-        if block.shape[0] > DENSE_BLOCK_MAX:
-            from scipy.sparse.linalg import splu
-            lu = splu(block.tocsc())
-            pivots, x = np.abs(lu.U.diagonal()), lu.solve(rhs)
-        else:
-            factor = np.linalg.cholesky(block.toarray())
-            pivots = np.diag(factor) ** 2
-            x = _cholesky_solve(factor, rhs)
-    except (RuntimeError, np.linalg.LinAlgError):  # exactly singular
+        lu = splu(block.tocsc())
+        pivots = np.abs(lu.U.diagonal())
+    except RuntimeError:  # exactly singular
         pivots = np.zeros(1)
-    ratio = float(pivots.min() / max(pivots.max(), 1e-300))
-    if not ratio > rank_tolerance:
-        raise error(f"factorized block of {block.shape[0]} unknowns is "
-                    f"singular (pivot ratio {ratio:.1e}, rank tolerance "
-                    f"{rank_tolerance:.1e})")
-    return x, ratio
+    ratio = _pivot_gate(pivots, block.shape[0], rank_tolerance, error)
+    return lu.solve(rhs), ratio
 
 
 def _gap(s, rank) -> float:

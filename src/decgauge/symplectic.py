@@ -11,10 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import tolerances
-from .boundary import BoundaryDatum, BoundaryError
+from .boundary import BoundaryDatum, BoundaryError, coclosed_projection
 from .dec import Cochain, inner_product
 from .mesh import HypersurfaceMesh, extract_face
-from .subspaces import Subspace, _contains, from_span, null_space, principal_angles
+from .subspaces import (Subspace, _contains, from_span, gated_cholesky, null_space,
+                        principal_angles)
 
 
 def bracket(a: BoundaryDatum, b: BoundaryDatum) -> float:
@@ -86,20 +87,21 @@ class SymplecticSpace:
 
 
 def coclosed_subspace(sigma: HypersurfaceMesh,
-                      rank_tolerance=tolerances.RANK_REL) -> Subspace:
-    """S-orthonormal basis of the coclosed 1-cochains on the hypersurface,
-    the kernel of ``del_1 S_1``.  A rank cut missing the exact dimension
-    (edges minus exact gauge directions) raises."""
-    cx = sigma.complex
-    n = cx.n_simplices(1)
+                      rank_tolerance=tolerances.RANK_REL) -> tuple[Subspace, dict]:
+    """S-orthonormal basis ``Q`` of the coclosed 1-cochains (``ker del_1 S_1``)
+    and its record.  The coclosed projections ``Y`` of the r edges off the
+    spanning forest (one grounded vertex-Laplacian solve) are independent,
+    as a ``d f`` vanishing on a spanning forest is zero: ``Q = Y L^-T`` for
+    ``L L^T = Y^T S Y``, pivot-gated."""
     s = sigma.star_diagonal(1)
-    single = null_space(cx.boundary_matrices[1].toarray() * s, gram=s,
-                        rank_tolerance=rank_tolerance, n_columns=n)
-    gauge = cx.n_simplices(0) - cx.n_components()
-    if single.dim != n - gauge:
-        raise BoundaryError(f"coclosed dimension {single.dim} != {n} edges "
-                            f"minus {gauge} exact gauge directions")
-    return single
+    off = np.flatnonzero(~sigma.complex.forest_edges)
+    y = np.zeros((s.size, off.size))
+    y[off, np.arange(off.size)] = 1.0
+    y = coclosed_projection(sigma, y, rank_tolerance)
+    chol, ratio = gated_cholesky(y.T @ (s[:, None] * y), rank_tolerance, BoundaryError)
+    q = Subspace(np.linalg.solve(chol, y.T).T, gram=s, rank_tolerance=rank_tolerance)
+    return q, {"edges_off_forest": off.size, "pivot_ratio": ratio,
+               "rank_tolerance": rank_tolerance}
 
 
 def coclosed_pair_subspace(sigma: HypersurfaceMesh,
@@ -109,14 +111,12 @@ def coclosed_pair_subspace(sigma: HypersurfaceMesh,
     The constraint is block diagonal over the two slots, so the kernel is
     one :func:`coclosed_subspace`, assembled twice.
     """
-    single = coclosed_subspace(sigma, rank_tolerance)
+    single = coclosed_subspace(sigma, rank_tolerance)[0]
     n, r = single.columns.shape
     cols = np.zeros((2 * n, 2 * r))
     cols[:n, :r] = single.columns
     cols[n:, r:] = single.columns
-    return Subspace(cols, gram=np.tile(single.gram, 2),
-                    rank_tolerance=rank_tolerance,
-                    singular_values=single.singular_values, gap=single.gap)
+    return Subspace(cols, gram=np.tile(single.gram, 2), rank_tolerance=rank_tolerance)
 
 
 def symplectic_complement(v: Subspace, w: SymplecticSpace,

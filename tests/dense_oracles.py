@@ -13,6 +13,8 @@ bulk system and the traces of its basis that it replaced, and
 and the 2n-wide two-form.  :func:`qr_lagrangian_readings` takes the
 isotropy and coisotropy readings of graph(M) from QR bases of the two
 graphs, the route the r x r Cholesky readings replaced.
+:func:`svd_coclosed_subspace` is the coclosed boundary basis from the dense
+SVD of the boundary incidence, the route the spanning-forest basis replaced.
 """
 
 import numpy as np
@@ -22,12 +24,7 @@ from decgauge import dynamics, tolerances
 from decgauge.boundary import coclosed_projection, trace_columns
 from decgauge.dec import Cochain
 from decgauge.subspaces import Subspace, from_span, null_space, principal_angles
-from decgauge.symplectic import (
-    SymplecticSpace,
-    _omega_scale,
-    coclosed_pair_subspace,
-    is_lagrangian,
-)
+from decgauge.symplectic import SymplecticSpace, _omega_scale, is_lagrangian
 
 
 def curvature_adjoint_full(mesh) -> np.ndarray:
@@ -39,6 +36,17 @@ def curvature_adjoint_full(mesh) -> np.ndarray:
 def field_equation_matrix(mesh) -> np.ndarray:
     """Interior-edge rows of the curvature adjoint: the bulk field equation."""
     return curvature_adjoint_full(mesh)[mesh.interior_simplex_mask(1)]
+
+
+def svd_coclosed_subspace(sigma, rank_tolerance=tolerances.RANK_REL) -> Subspace:
+    """S-orthonormal basis of ``ker del_1 S_1`` on the hypersurface, the dense
+    null space of the whole boundary incidence; its rank cut must find the
+    exact dimension, edges minus exact gauge directions."""
+    cx, s = sigma.complex, sigma.star_diagonal(1)
+    single = null_space(cx.boundary_matrices[1].toarray() * s, gram=s,
+                        rank_tolerance=rank_tolerance, n_columns=cx.n_simplices(1))
+    assert single.dim == cx.n_simplices(1) - cx.n_simplices(0) + cx.n_components()
+    return single
 
 
 def full_basis(space) -> Subspace:
@@ -96,7 +104,9 @@ def svd_lagrangian(mesh, rank_tolerance=tolerances.RANK_REL,
     sigma, cx = mesh.boundary, mesh.complex
     gauge_fixed = reduced_gauge_fixed(mesh, rank_tolerance)
     image = traced_restrict(mesh, gauge_fixed, rank_tolerance, solution_tolerance)
-    phi = coclosed_pair_subspace(sigma, rank_tolerance)
+    single = svd_coclosed_subspace(sigma, rank_tolerance)
+    phi = Subspace(np.kron(np.eye(2), single.columns), gram=np.tile(single.gram, 2),
+                   rank_tolerance=rank_tolerance)
     reduced, to_reduced, _ = SymplecticSpace.from_hypersurface(sigma).restrict(phi)
     x, y = image.columns, to_reduced(image.columns)
     embed_defect = float((np.linalg.norm(phi.columns @ y - x, axis=0) / np.maximum(
