@@ -261,12 +261,12 @@ def verify_axioms(mesh: RegionMesh, tol=None, rng=None,
     axioms["A9"] = _check("A9", rep9["lagrangian"], **_lagrangian_fields(rep9))
 
     gm, la, lb, matching = glue_fixture or _strip_fixture()
+    glued = glue(gm, la, lb, matching, tol["GLUE_LENGTH_REL"])
     rep11 = gluing_check(gm, la, lb, matching, tol["RANK_REL"],
                          tol["PRINCIPAL_ANGLE"], tol["GLUING_ACTION_REL"],
-                         tol["GLUE_LENGTH_REL"], tol["SOLUTION_REL"])
+                         tol["GLUE_LENGTH_REL"], tol["SOLUTION_REL"], glued=glued)
     axioms["A11"] = _check("A11", rep11["passed"], **_gluing_fields(rep11))
 
-    glued = glue(gm, la, lb, matching, tol["GLUE_LENGTH_REL"])
     expected = set()
     n = gm.complex.dim
     for lab, facets in gm.face_labels.items():

@@ -381,7 +381,7 @@ def gluing_check(mesh: RegionMesh, label_a: str, label_b: str, matching: dict,
                  angle_tolerance=tolerances.PRINCIPAL_ANGLE,
                  action_tolerance=tolerances.GLUING_ACTION_REL,
                  length_tolerance=tolerances.GLUE_LENGTH_REL,
-                 solution_tolerance=tolerances.SOLUTION_REL) -> dict:
+                 solution_tolerance=tolerances.SOLUTION_REL, glued=None) -> dict:
     """Glued solutions versus the equalizer of the two face restrictions
     (matched traces agree, matched fluxes cancel), modulo gauge.
 
@@ -393,9 +393,11 @@ def gluing_check(mesh: RegionMesh, label_a: str, label_b: str, matching: dict,
     d)^T``, plus ``n_0 - rank(R_trace d) - components`` exact fields.
     Containment and equal dimensions make the spaces equal; also ``P G'``
     projected onto ``G`` must span the gauge-fixed equalizer, and the action
-    compose across ``P``.
+    compose across ``P``.  ``glued`` is this gluing's mesh, if already
+    built (then ``length_tolerance`` is not read).
     """
-    glued = glue(mesh, label_a, label_b, matching, length_tolerance)
+    if glued is None:
+        glued = glue(mesh, label_a, label_b, matching, length_tolerance)
     info: GlueInfo = glued.glue_info
     cx = mesh.complex
     curvature = _curvature_adjoint(mesh)

@@ -1,9 +1,12 @@
 """Harmonic fields, Betti oracles, and the four-way orthogonal decomposition.
 
-The combinatorial oracle computes homology ranks from integer boundary
-matrices in exact arithmetic and never touches the metric, so it can audit
-the metric pipeline: the dimension of every harmonic basis must reproduce
-the oracle's rank exactly.
+The combinatorial oracle computes homology ranks exactly and never touches
+the metric, so it can audit the metric pipeline: the dimension of every
+harmonic basis must reproduce the oracle's rank exactly.  The ranks of d_1
+and of the top d_n are counts of components of the vertex graph and of the
+dual graph; only d_2 of a 3D complex takes an integer elimination, on the
+block left after removing the rows and columns of two spanning forests
+(:func:`_boundary_rank`).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from scipy import sparse
 
 from . import tolerances
 from .dec import Cochain, DECError, adjoint_full, codifferential, d, inner_product, norm
-from .mesh import RegionMesh
+from .mesh import RegionMesh, _components
 from .subspaces import Subspace, factorized_solve, from_span, null_space
 
 
@@ -111,22 +114,80 @@ def _integer_rank(matrix) -> int:
     return rank
 
 
+def _closed_components(mesh) -> np.ndarray:
+    """Mask over the vertex components of those without a boundary vertex."""
+    cx = mesh.complex
+    touched = cx.vertex_components()[cx.simplices[0][mesh.boundary_simplex_mask(0), 0]]
+    return ~np.isin(np.arange(cx.n_components()), touched)
+
+
 def _boundary_rank(mesh, k: int, relative: bool) -> int:
     """Rank of the boundary matrix d_k, cached on the complex.
 
     ``relative`` restricts d_k to interior simplices in both degrees: the
     boundary matrix of the quotient complex (region, boundary).
+
+    The ranks of d_1 and of the top d_n are graph counts.  The rank of d_1
+    is n_0 minus the number of vertex components (Kirchhoff).  Relative, the
+    boundary vertices act as one ground row, which is deleted; an interior
+    vertex reaches the ground through an interior edge exactly when its
+    component has a boundary vertex, so the rank is the number of interior
+    vertices minus the number of components without one.  Every accepted
+    complex has at most two cofaces per facet, with opposite induced signs
+    on a shared facet, so a chain in the kernel of d_n takes equal values,
+    in units of the orientation, on two cells that share a facet, and zero
+    on a cell with a boundary facet: the kernel is the orientation on each
+    dual component (cells joined across shared facets), and for the absolute
+    rank only on those that touch no boundary facet.  A third coface or an
+    inconsistent orientation would break this count.
+
+    Only a middle degree (d_2 of a 3D complex) is left to
+    :func:`_integer_rank`, and on a block.  The image of d_2 lies in the
+    cycles of the vertex graph (relative: with the boundary vertices merged
+    into one node), and a cycle that vanishes off a spanning forest is
+    zero, so the rows off a forest keep the rank.  By d_2 d_3 = 0, the
+    forest facet of a leaf of the dual forest is a combination of the
+    leaf's other facets; leaf by leaf, the columns off the dual forest span
+    all the columns.
     """
     cx = mesh.complex if hasattr(mesh, "complex") else mesh
     if k < 1 or k > cx.dim:
         return 0
     key = (k, relative)
-    if key not in cx.rank_cache:
-        mat = cx.boundary_matrices[k]
+    if key in cx.rank_cache:
+        return cx.rank_cache[key]
+    n = cx.dim
+    if k == 1:
+        lost = (int(mesh.boundary_simplex_mask(0).sum()) + int(_closed_components(mesh).sum())
+                if relative else cx.n_components())
+        rank = cx.n_vertices - lost
+    elif k == n:
+        labels = cx.dual_components[0]
+        cells = np.unique(labels)
+        if not relative:
+            top = cx.boundary_matrices[n]
+            touched = labels[top.indices[top.indptr[cx.boundary_facets()]]]
+            cells = np.setdiff1d(cells, touched)
+        rank = cx.n_simplices(n) - len(cells)
+    else:  # a middle degree, 1 < k < n
+        rows = np.ones(cx.n_simplices(k - 1), dtype=bool)
+        cols = np.ones(cx.n_simplices(k), dtype=bool)
         if relative:
-            mat = mat[mesh.interior_simplex_mask(k - 1)][:, mesh.interior_simplex_mask(k)]
-        cx.rank_cache[key] = _integer_rank(mat)
-    return cx.rank_cache[key]
+            rows, cols = mesh.interior_simplex_mask(k - 1), mesh.interior_simplex_mask(k)
+        if k == 2:
+            forest = cx.forest_edges
+            if relative:  # the boundary vertices merged into one ground node
+                ground = np.arange(cx.n_vertices)
+                bd = cx.simplices[0][mesh.boundary_simplex_mask(0), 0]
+                ground[bd] = bd[:1]
+                forest = np.zeros_like(rows)
+                forest[rows] = _components(cx.n_vertices, ground[cx.simplices[1][rows]])[1]
+            rows = rows & ~forest
+        if k == n - 1:
+            cols = cols & ~cx.dual_components[1]
+        rank = _integer_rank(cx.boundary_matrices[k][rows][:, cols])
+    cx.rank_cache[key] = rank
+    return rank
 
 
 def betti_oracle(mesh, k: int) -> int:
@@ -226,8 +287,7 @@ def _harmonic_basis(mesh, k: int, rank_tolerance, dirichlet: bool,
     n, gram = cx.dim, mesh.star_diagonal(k)
     expected = (relative_betti_oracle if dirichlet else betti_oracle)(mesh, k)
     if k in (0, n):
-        comp = cx.vertex_components()
-        closed = ~np.isin(np.arange(cx.n_components()), comp[mesh.boundary_simplex_mask(0)])
+        comp, closed = cx.vertex_components(), _closed_components(mesh)
         values, labels = ((np.ones(cx.n_simplices(0)), comp) if k == 0 else
                           (cx.orientation / gram, comp[cx.simplices[n][:, 0]]))
         keep = closed if dirichlet == (k == 0) else np.ones_like(closed)

@@ -17,6 +17,7 @@ barycentric-weight differences along its flag.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -98,6 +99,28 @@ def _dual_flags(n: int):
         yield k, subs, delta
 
 
+def _components(n: int, pairs: np.ndarray):
+    """Component label per node of the graph on ``n`` nodes with the edges
+    ``pairs`` (an (m, 2) array), numbered by each component's smallest node,
+    and a spanning forest as an edge mask: each root joined to a smaller one
+    hooks onto the smallest through one edge, a forest edge, then every node
+    jumps to its root, until no edge joins two roots.  A loop never hooks."""
+    root = np.arange(n)
+    forest = np.zeros(len(pairs), dtype=bool)
+    while True:
+        a, b = root[pairs[:, 0]], root[pairs[:, 1]]
+        live = np.flatnonzero(a != b)
+        if not live.size:
+            return np.unique(root, return_inverse=True)[1], forest
+        lo, hi = np.minimum(a, b)[live], np.maximum(a, b)[live]
+        order = np.lexsort((lo, hi))
+        hook = order[np.r_[True, np.diff(hi[order]) != 0]]
+        forest[live[hook]] = True
+        root[hi[hook]] = lo[hook]
+        while not np.array_equal(root[root], root):
+            root = root[root]
+
+
 class SimplicialComplex:
     """Oriented simplicial complex of dimension ``dim``.
 
@@ -175,7 +198,9 @@ class SimplicialComplex:
         self.induced_signs = (self.boundary_matrices[self.dim] @ self.orientation
                               if self.dim else np.zeros(0, dtype=np.int64))
         self._check_manifold_and_orientation()
-        self._components, self.forest_edges = self._vertex_components()
+        # The vertex graph: components and a spanning forest of the edges.
+        self._components, self.forest_edges = _components(
+            self.n_vertices, self.simplices[1] if self.dim else np.zeros((0, 2), dtype=np.int64))
 
     # -- construction helpers -------------------------------------------------
 
@@ -199,27 +224,6 @@ class SimplicialComplex:
         if clash.any():
             raise MeshError("inconsistently oriented cells across facet "
                             f"{tuple(facets[clash.argmax()].tolist())}")
-
-    def _vertex_components(self):
-        """Component label per vertex, numbered by each component's smallest
-        vertex, and a spanning forest as an edge mask: each root joined to a
-        smaller one hooks onto the smallest through one edge, a forest edge,
-        then every vertex jumps to its root, until no edge joins two roots."""
-        edges = self.simplices[1] if self.dim else np.zeros((0, 2), dtype=np.int64)
-        root = np.arange(self.n_vertices)
-        forest = np.zeros(len(edges), dtype=bool)
-        while True:
-            a, b = root[edges[:, 0]], root[edges[:, 1]]
-            live = np.flatnonzero(a != b)
-            if not live.size:
-                return np.unique(root, return_inverse=True)[1], forest
-            lo, hi = np.minimum(a, b)[live], np.maximum(a, b)[live]
-            order = np.lexsort((lo, hi))
-            hook = order[np.r_[True, np.diff(hi[order]) != 0]]
-            forest[live[hook]] = True
-            root[hi[hook]] = lo[hook]
-            while not np.array_equal(root[root], root):
-                root = root[root]
 
     # -- queries ---------------------------------------------------------------
 
@@ -262,6 +266,20 @@ class SimplicialComplex:
 
     def n_components(self) -> int:
         return int(self._components.max()) + 1
+
+    @functools.cached_property
+    def dual_components(self):
+        """The dual graph, built on first use: its nodes are the top cells,
+        and each facet with two cofaces joins them (the rows of d_dim with
+        two entries).  The component label per top cell, and the facets of
+        a spanning forest as a mask over the (dim-1)-simplices."""
+        top = self.boundary_matrices[self.dim]
+        shared = np.flatnonzero(np.diff(top.indptr) == 2)
+        pairs = top.indices[top.indptr[shared][:, None] + np.arange(2)]
+        labels, forest = _components(self.n_simplices(self.dim), pairs)
+        mask = np.zeros(self.n_simplices(self.dim - 1), dtype=bool)
+        mask[shared[forest]] = True
+        return labels, mask
 
     def oriented_cells(self) -> np.ndarray:
         """Top cells as vertex rows realizing their orientation sign."""

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from decgauge import builders, cli, dynamics
+from decgauge import builders, cli, dynamics, hodge, mesh
 from decgauge.cli import ExperimentConfig
 from decgauge.dec import Cochain
 from dense_oracles import full_basis
@@ -33,6 +33,45 @@ def test_verify_axioms_annulus(tmp_path):
     ids = {c["id"] for c in report["checks"]}
     assert {"A4", "A5", "A6", "A7", "A8", "A9", "A11", "A12"} <= ids
     assert all(c["passed"] for c in report["checks"])
+
+
+def _no_elimination(mat):
+    raise AssertionError("2D ranks are closed forms; nothing is eliminated")
+
+
+@pytest.mark.parametrize("spec", ["square:N=4", "annulus:N=16"])
+@pytest.mark.parametrize("command", [["harmonic", "--degree", "0"],
+                                     ["harmonic", "--degree", "1"],
+                                     ["harmonic", "--degree", "2"],
+                                     ["decompose", "--degree", "1"],
+                                     ["verify-lagrangian"]])
+def test_2d_commands_never_eliminate(command, spec, tmp_path, monkeypatch):
+    monkeypatch.setattr(hodge, "_integer_rank", _no_elimination)
+    out = tmp_path / "report.json"
+    assert run_cli(command + ["--mesh", spec, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passed"]
+
+
+def test_verify_axioms_glues_once_and_a11_a12_match_a_fresh_gluing(monkeypatch):
+    strip = builders.strip(4)
+    fixture = (strip, "west", "east", builders.strip_end_matching(strip))
+    calls = []
+
+    def counting_glue(*args):
+        calls.append(args[1:3])
+        return mesh.glue(*args)
+
+    monkeypatch.setattr(cli, "glue", counting_glue)
+    monkeypatch.setattr(dynamics, "glue", counting_glue)
+    axioms = cli.verify_axioms(builders.square(2), glue_fixture=fixture)
+    assert calls == [("west", "east")]
+    rep = dynamics.gluing_check(*fixture)
+    assert axioms["A11"] == cli._check("A11", rep["passed"], **cli._gluing_fields(rep))
+    glued = mesh.glue(*fixture)
+    facets = len(glued.complex.boundary_facets())
+    assert axioms["A12"] == cli._check("A12", True, boundary_facets=facets,
+                                       expected_facets=facets)
+    assert len(calls) == 2  # gluing_check without a glued mesh glues itself
 
 
 def test_verify_axioms_empty_boundary_trivial_a9(tmp_path, torus_region):

@@ -15,6 +15,7 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from decgauge import builders, hodge, mesh
+from test_harmonic_reduction import torus_times_interval
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -64,6 +65,28 @@ def test_oracle_matches_dense_reference(family, request):
     assert relative_betti == [reference_betti(m, k, True) for k in dims]
 
 
+def unreduced_rank(m, k, relative):
+    """Elimination rank of the whole d_k (relative: its interior block)."""
+    return hodge._integer_rank(boundary_matrix(m, k, relative))
+
+
+#: Elimination ranks are also checked against sympy up to this many entries.
+SYMPY_ENTRIES = 60_000
+
+
+def assert_ranks_exact(m):
+    """Every rank the oracle reports equals the elimination on the whole
+    matrix, and the dense sympy rank where the matrix is small."""
+    for k in range(1, m.complex.dim + 1):
+        for relative in (False, True):
+            m.complex.rank_cache.clear()
+            fast = hodge._boundary_rank(m, k, relative)
+            assert fast == unreduced_rank(m, k, relative), (k, relative)
+            mat = boundary_matrix(m, k, relative)
+            if mat.shape[0] * mat.shape[1] <= SYMPY_ENTRIES:
+                assert fast == reference_integer_rank(mat), (k, relative)
+
+
 SMALL = {spec: builders.from_spec(spec) for spec in
          ("disk:N=6", "ann8", "square:N=2", "strip:N=3", "tetrahedron",
           "solid_torus:K=4")}
@@ -95,6 +118,7 @@ def relabelled():
 def test_oracle_invariant_under_relabelling_and_reversal(case):
     spec, m = case
     assert all_betti(m) == SMALL_BETTI[spec]
+    assert_ranks_exact(m)
 
 
 def test_each_boundary_rank_computed_once(monkeypatch):
@@ -107,10 +131,62 @@ def test_each_boundary_rank_computed_once(monkeypatch):
 
     monkeypatch.setattr(hodge, "_integer_rank", counting_rank)
     m = builders.solid_torus(4)
-    for _ in range(2):
-        all_betti(m)
-    # d_1..d_3, absolute and interior-restricted: six ranks, each once.
-    assert len(calls) == 2 * m.complex.dim
+    first = all_betti(m)
+    # d_1 and d_3 are closed forms; d_2, absolute and relative, is eliminated.
+    assert len(calls) == 2
+    for name in ("_integer_rank", "_components", "_closed_components"):
+        monkeypatch.setattr(hodge, name, forbidden)
+    assert all_betti(m) == first
+
+
+def forbidden(*args):
+    raise AssertionError("the oracle computed a rank it should not need")
+
+
+def pinched_triangles():
+    """Two triangles sharing one vertex: one vertex component, two dual ones."""
+    cx = mesh.SimplicialComplex(5, [(0, 1, 2), (0, 3, 4)], coordinates=np.array(
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
+    return mesh.RegionMesh(cx, name="pinched triangles")
+
+
+def pinched_tetrahedra():
+    """Two tetrahedra sharing one edge."""
+    cx = mesh.SimplicialComplex(6, [(0, 1, 2, 3), (0, 1, 5, 4)], coordinates=np.array(
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+         [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]))
+    return mesh.RegionMesh(cx, name="pinched tetrahedra")
+
+
+EXACT = {
+    **{spec: (lambda spec=spec: builders.from_spec(spec)) for spec in
+       ("disk:N=6", "annulus:N=8", "ann8", "square:N=3", "strip:N=3", "tetrahedron",
+        "solid_torus:K=4", "cube:N=2", "cube:N=3", "cube:N=4")},
+    "annulus + closed torus": lambda: mesh.disjoint_union(
+        builders.annulus(8),
+        mesh.region_from_hypersurface(builders.solid_torus(8).boundary)),
+    "T2xI:N=3": lambda: torus_times_interval(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT))
+def test_closed_forms_and_reduced_middle_rank_are_exact(name):
+    m = EXACT[name]()
+    assert_ranks_exact(m)
+    if m.boundary is not None:
+        assert_ranks_exact(m.boundary)
+
+
+@pytest.mark.parametrize("build", [pinched_triangles, pinched_tetrahedra])
+def test_pinched_complexes_count_dual_components(build):
+    # One vertex component, two dual components: relative b_n is 2.  Their
+    # boundaries are not manifolds, so only the complex itself is checked.
+    m = build()
+    assert_ranks_exact(m)
+    n = m.complex.dim
+    assert m.complex.n_components() == 1
+    assert np.unique(m.complex.dual_components[0]).size == 2
+    assert hodge.relative_betti_oracle(m, n) == 2
 
 
 def _raw_boundary(cells, k):
