@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from scipy import sparse
 
 from . import tolerances
 from .dec import (
@@ -24,9 +23,8 @@ from .dec import (
     inner_product,
     norm,
 )
-from .hodge import harmonic_neumann_basis
+from .hodge import HodgeError, _exact_part, harmonic_neumann_basis
 from .mesh import HypersurfaceMesh, RegionMesh
-from .subspaces import factorized_solve
 
 
 class BoundaryError(ValueError):
@@ -87,13 +85,22 @@ class BoundaryDatum:
             json.dump(self.to_json(), fh, indent=1, sort_keys=True)
 
 
+def _bulk_residuals(mesh: RegionMesh, columns):
+    """The fluxes ``d^T S_2 d`` of the 1-cochain columns on every edge, and
+    their relative bulk residuals: the interior rows, in S_1 norms."""
+    s1 = mesh.star_diagonal(1)
+    flux = adjoint_full(mesh, 2) @ (mesh.complex.boundary_matrices[2].T @ columns)
+    res = flux * (mesh.interior_simplex_mask(1) / s1)[:, None]
+    return flux, np.sqrt(np.einsum("ij,i,ij->j", res, s1, res)) / np.maximum(
+        np.sqrt(np.einsum("ij,i,ij->j", columns, s1, columns)), 1e-300)
+
+
 def solution_residual(eta: Cochain) -> float:
     """Relative residual of the bulk field equation on interior edges."""
     mesh = eta.host
     if not isinstance(mesh, RegionMesh):
         raise BoundaryError("solutions live on regions")
-    res = codifferential(d(eta))
-    return norm(res) / max(norm(eta), 1e-300)
+    return float(_bulk_residuals(mesh, eta.values[:, None])[1][0])
 
 
 def trace_solution(eta: Cochain, sigma: HypersurfaceMesh | None = None,
@@ -124,12 +131,7 @@ def trace_columns(mesh: RegionMesh, columns, sigma: HypersurfaceMesh,
     gated by its own :func:`solution_residual`."""
     if sigma.root_region() is not mesh:
         raise BoundaryError("hypersurface does not belong to the region")
-    s1 = mesh.star_diagonal(1)
-    flux = adjoint_full(mesh, 2) @ (mesh.complex.boundary_matrices[2].T
-                                    @ columns)
-    res = flux * (mesh.interior_simplex_mask(1) / s1)[:, None]
-    res = np.sqrt(np.einsum("ij,i,ij->j", res, s1, res)) / np.maximum(
-        np.sqrt(np.einsum("ij,i,ij->j", columns, s1, columns)), 1e-300)
+    flux, res = _bulk_residuals(mesh, columns)
     if res.max(initial=0.0) > tolerance:
         raise BoundaryError(
             f"field does not satisfy the bulk equation: residual {res.max():.3e}")
@@ -137,29 +139,17 @@ def trace_columns(mesh: RegionMesh, columns, sigma: HypersurfaceMesh,
     return columns[idx], flux[idx] / sigma.star_diagonal(1)[:, None]
 
 
-def coclosed_potential(host, x, rank_tolerance=tolerances.RANK_REL) -> np.ndarray:
-    """Potentials f with x + d f coclosed at every vertex, one column per
-    column of x, on a closed hypersurface (the boundary gauge fix) or a
-    region (the bulk one): one :func:`~decgauge.subspaces.factorized_solve`
-    of the 0-Laplacian grounded at a vertex per component (d f ignores the
-    constants), pivot-gated at ``rank_tolerance``."""
+def coclosed_projection(host, x, rank_tolerance=tolerances.RANK_REL) -> np.ndarray:
+    """Coclosed representatives of the columns of ``x`` on a closed
+    hypersurface (the boundary gauge fix) or a region (the bulk one): ``x``
+    less its Neumann :func:`~decgauge.hodge._exact_part`, one vertex-Laplacian
+    solve grounded at a vertex per component, pivot-gated at ``rank_tolerance``."""
     if isinstance(host, HypersurfaceMesh) and not host.is_closed():
         raise BoundaryError("coclosed gauge fixing needs a closed hypersurface")
-    bnd = host.complex.boundary_matrices[1]
-    free = np.ones(bnd.shape[0], dtype=bool)
-    free[np.unique(host.complex.vertex_components(), return_index=True)[1]] = False
-    rows, s1 = bnd[free], host.star_diagonal(1)  # rows of d^T at free vertices
-    f = np.zeros((bnd.shape[0], x.shape[1]))
-    f[free] = factorized_solve(rows @ sparse.diags(s1) @ rows.T,
-                               -(rows @ (s1[:, None] * x)), rank_tolerance,
-                               BoundaryError)[0]
-    return f
-
-
-def coclosed_projection(host, x, rank_tolerance=tolerances.RANK_REL) -> np.ndarray:
-    """Coclosed representatives x + d f (:func:`coclosed_potential`)."""
-    bnd = host.complex.boundary_matrices[1]
-    return x + bnd.T @ coclosed_potential(host, x, rank_tolerance)
+    try:
+        return x - _exact_part(host, 1, False, x, rank_tolerance)[0]
+    except HodgeError as exc:
+        raise BoundaryError(str(exc)) from exc
 
 
 def gauge_fix_coclosed(datum: BoundaryDatum) -> BoundaryDatum:

@@ -161,12 +161,6 @@ def codifferential(alpha: Cochain) -> Cochain:
     return Cochain(host, k - 1, raw / host.star_diagonal(k - 1))
 
 
-def laplacian0(host) -> "np.ndarray":
-    """Sparse weighted 0-form Laplacian d^T S_1 d (closed-complex adjoint)."""
-    d0 = host.complex.boundary_matrices[1].T
-    return d0.T @ sparse.diags(host.star_diagonal(1)) @ d0
-
-
 def tangential_trace(alpha: Cochain, sigma: HypersurfaceMesh) -> Cochain:
     """Pullback of a k-cochain to a boundary hypersurface or face of its host."""
     if sigma.root_region() is not alpha.host:

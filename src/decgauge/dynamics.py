@@ -28,7 +28,7 @@ from .boundary import (
 from .dec import Cochain, DECError, d, inner_product, normal_trace, tangential_trace
 from .hodge import dirichlet_extension, relative_betti_oracle
 from .mesh import GlueInfo, RegionMesh, glue
-from .subspaces import Subspace, from_span, null_space, principal_angles
+from .subspaces import Subspace, from_span, null_space, orthonormalize, principal_angles
 from .symplectic import coclosed_subspace
 
 
@@ -208,7 +208,8 @@ def restrict(space: SolutionSpace, rank_tolerance=tolerances.RANK_REL,
              solution_tolerance=tolerances.SOLUTION_REL) -> Subspace:
     """Image of the solutions inside the coclosed pairs, orthonormal in the
     doubled boundary stars: ``[Q; flux A] L^-T`` (each extension's bulk
-    residual gated), ``L L^T = I + flux^T S flux`` its Gram matrix.  Q is
+    residual gated), ``L L^T = I + flux^T S flux`` its Gram matrix
+    (:func:`~decgauge.subspaces.orthonormalize`).  Q is
     S-orthonormal, so every singular value is at least 1 and no rank is
     cut.  The grounding fields and ``d f`` add nothing: the first are
     closed with zero trace, the second leave the coclosed part of the trace
@@ -219,9 +220,9 @@ def restrict(space: SolutionSpace, rank_tolerance=tolerances.RANK_REL,
                         rank_tolerance=rank_tolerance)
     s = sigma.star_diagonal(1)
     flux = trace_columns(space.mesh, space.extension, sigma, solution_tolerance)[1]
-    chol = np.linalg.cholesky(np.eye(flux.shape[1]) + flux.T @ (s[:, None] * flux))
-    return Subspace(np.linalg.solve(chol, np.vstack([space.coclosed.columns, flux]).T).T,
-                    gram=np.tile(s, 2), rank_tolerance=rank_tolerance)
+    gram = np.tile(s, 2)
+    cols = orthonormalize(np.vstack([space.coclosed.columns, flux]), gram)[0]
+    return Subspace(cols, gram=gram, rank_tolerance=rank_tolerance)
 
 
 def verify_lagrangian(space: SolutionSpace,
@@ -281,8 +282,8 @@ def verify_lagrangian(space: SolutionSpace,
             + np.diag(energy)).max(initial=0.0)
         green = float((np.abs(m - energy).max(initial=0.0) + resolution)
                       / max(np.diag(energy).max(initial=0.0), 1e-300))
-        chol = np.linalg.cholesky(np.eye(r) + m.T @ m)
-        k = np.linalg.solve(chol, np.linalg.solve(chol, m - m.T).T).T
+        inv = orthonormalize(np.vstack([np.eye(r), m]), np.ones(2 * r))[0][:r]  # L^-T
+        k = inv.T @ (m - m.T) @ inv
         iso = 0.5 * float(np.abs(k).max(initial=0.0))
         sines = np.linalg.svd(k, compute_uv=False)[::-1]
     angles = np.arcsin(np.clip(sines, 0.0, 1.0))
@@ -317,8 +318,12 @@ class NotExtendableError(DynamicsError):
     """The datum lies outside the image of the restriction map."""
 
 
+#: Largest round-trip residual :func:`extend` accepts; no CLI report applies it.
+EXTEND_ROUNDTRIP_REL = 1e-8
+
+
 def extend(datum: BoundaryDatum, mesh: RegionMesh,
-           membership_tolerance=tolerances.EXTEND_ROUNDTRIP_REL,
+           membership_tolerance=EXTEND_ROUNDTRIP_REL,
            rank_tolerance=tolerances.RANK_REL,
            solution_tolerance=tolerances.SOLUTION_REL) -> Cochain:
     """The bulk solution whose boundary datum reproduces the input.

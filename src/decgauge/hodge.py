@@ -266,7 +266,8 @@ def _hodge_system(mesh, k: int, dirichlet: bool):
     if k >= 1:
         blocks.append(adjoint_full(mesh, k).tocsr()[rows])
         weights.append(1.0 / mesh.star_diagonal(k - 1)[rows])
-    return sparse.vstack(blocks).tocsr(), np.concatenate(weights), cols
+    a = sparse.vstack(blocks) if len(blocks) > 1 else blocks[0]
+    return a.tocsc(), np.concatenate(weights), cols
 
 
 def _harmonic_basis(mesh, k: int, rank_tolerance, dirichlet: bool,
@@ -391,8 +392,7 @@ def _potential(mesh, j: int, dirichlet: bool, system, rhs, rank_tolerance,
     conditioned."""
     a, w, cols = system
     a = a[:, cols]
-    lap = (a.T @ sparse.diags(w) @ a).tocsr()
-    free = np.ones(lap.shape[0], dtype=bool)
+    free = np.ones(a.shape[1], dtype=bool)
     basis = None
     if (relative_betti_oracle if dirichlet else betti_oracle)(mesh, j):
         basis = _harmonic_basis(mesh, j, rank_tolerance, dirichlet, building).basis
@@ -403,7 +403,8 @@ def _potential(mesh, j: int, dirichlet: bool, system, rhs, rank_tolerance,
             h = h - np.outer(h @ h[i], h[i]) / (h[i] @ h[i])
     x, ratio = np.zeros(np.shape(rhs)), None
     if free.any():
-        x[free], ratio = factorized_solve(lap[free][:, free], rhs[free],
+        a = a[:, free]
+        x[free], ratio = factorized_solve(a.T @ sparse.diags(w) @ a, rhs[free],
                                           rank_tolerance, HodgeError)
     return x, {"block_size": int(free.sum()), "grounded": int((~free).sum()),
                "pivot_ratio": ratio, "rank_tolerance": rank_tolerance}, basis
@@ -415,11 +416,11 @@ def _exact_part(mesh, k: int, dirichlet: bool, x, rank_tolerance,
     (k-1)-cochains (Dirichlet: the interior ones) and the solve's record:
     the Hodge Laplacian of degree k-1 for ``d^T S_k x`` (:func:`_potential`)."""
     system = _hodge_system(mesh, k - 1, dirichlet)
-    dmat = mesh.complex.boundary_matrices[k].T.tocsc()[:, system[2]]
+    dt = mesh.complex.boundary_matrices[k][system[2]]  # d^T
     y, record, _ = _potential(mesh, k - 1, dirichlet, system,
-                              dmat.T @ sparse.diags(mesh.star_diagonal(k)) @ x,
+                              dt @ (mesh.star_diagonal(k) * x.T).T,
                               rank_tolerance, building)
-    return dmat @ y, record
+    return dt.T @ y, record
 
 
 def _coexact_part(mesh, k: int, dirichlet: bool, x, rank_tolerance,

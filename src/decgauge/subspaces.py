@@ -129,35 +129,47 @@ def null_space(matrix, gram=None, rank_tolerance=tolerances.RANK_REL,
     rank = int(np.sum(s > rank_tolerance * smax)) if smax > 0 else 0
     kernel = vt[rank:].T
     g = _as_gram(gram, kernel.shape[0])
-    if kernel.shape[1] == 0:
-        out = Subspace(np.zeros((kernel.shape[0], 0)), g, rank_tolerance)
-    else:
-        # The kernel is exactly full rank, so a Cholesky of its weighted
-        # Gram re-orthonormalizes it far cheaper than a second SVD.
-        m = kernel.T @ (g[:, None] * kernel)
-        try:
-            r = np.linalg.cholesky(m)
-            cols_g = np.linalg.solve(r, kernel.T).T
-            out = Subspace(cols_g, g, rank_tolerance)
-        except np.linalg.LinAlgError:
-            out = from_span(kernel, gram=g, rank_tolerance=rank_tolerance)
+    # The kernel is exactly full rank, so a Cholesky of its weighted Gram
+    # re-orthonormalizes it far cheaper than a second SVD.
+    try:
+        out = Subspace(orthonormalize(kernel, g)[0], g, rank_tolerance)
+    except np.linalg.LinAlgError:
+        out = from_span(kernel, gram=g, rank_tolerance=rank_tolerance)
     out.singular_values, out.gap = s, min(out.gap, _gap(s, rank))
     return out
 
 
-def _cholesky_solve(factor, rhs, block=64):
-    """Solve ``factor factor^T x = rhs`` by blocked forward and back
-    substitution.  numpy has no triangular solve and scipy.linalg stays out
-    of this path, so each diagonal block goes through a small LU."""
+def _forward_solve(factor, rhs, block=64):
+    """Solve ``factor x = rhs`` for a lower triangular ``factor`` by blocked
+    forward substitution.  numpy has no triangular solve and scipy.linalg
+    stays out of this path, so each diagonal block goes through a small LU."""
     x = np.array(rhs, dtype=float)
-    starts = range(0, factor.shape[0], block)
-    for i in starts:
+    for i in range(0, factor.shape[0], block):
         j = i + block
         x[i:j] = np.linalg.solve(factor[i:j, i:j], x[i:j] - factor[i:j, :i] @ x[:i])
-    for i in reversed(starts):
+    return x
+
+
+def _cholesky_solve(factor, rhs, block=64):
+    """Solve ``factor factor^T x = rhs``: :func:`_forward_solve`, then the
+    same blocks backwards on ``factor^T``."""
+    x = _forward_solve(factor, rhs, block)
+    for i in reversed(range(0, factor.shape[0], block)):
         j = i + block
         x[i:j] = np.linalg.solve(factor[i:j, i:j].T, x[i:j] - factor[j:, i:j].T @ x[j:])
     return x
+
+
+def orthonormalize(y, gram, rank_tolerance=None, error=ValueError):
+    """Gram-orthonormal ``Y L^-T`` (:func:`_forward_solve`) for the Cholesky
+    factor ``L L^T = Y^T diag(gram) Y`` of a full-rank ``Y``, and the pivot
+    ratio of a :func:`gated_cholesky` at ``rank_tolerance``.  Without one the
+    ratio is None and a Gram that is not positive definite raises LinAlgError."""
+    m = y.T @ (gram[:, None] * y)
+    factor, ratio = ((np.linalg.cholesky(m), None) if rank_tolerance is None
+                     else gated_cholesky(m, rank_tolerance, error))
+    del m  # free the Gram before the solve
+    return _forward_solve(factor, y.T).T, ratio
 
 
 def gated_cholesky(matrix, rank_tolerance=tolerances.RANK_REL, error=ValueError):

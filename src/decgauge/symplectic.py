@@ -14,7 +14,7 @@ from . import tolerances
 from .boundary import BoundaryDatum, BoundaryError, coclosed_projection
 from .dec import Cochain, inner_product
 from .mesh import HypersurfaceMesh, extract_face
-from .subspaces import (Subspace, _contains, from_span, gated_cholesky, null_space,
+from .subspaces import (Subspace, _contains, from_span, null_space, orthonormalize,
                         principal_angles)
 
 
@@ -92,14 +92,14 @@ def coclosed_subspace(sigma: HypersurfaceMesh,
     and its record.  The coclosed projections ``Y`` of the r edges off the
     spanning forest (one grounded vertex-Laplacian solve) are independent,
     as a ``d f`` vanishing on a spanning forest is zero: ``Q = Y L^-T`` for
-    ``L L^T = Y^T S Y``, pivot-gated."""
+    ``L L^T = Y^T S Y``, pivot-gated (:func:`~decgauge.subspaces.orthonormalize`)."""
     s = sigma.star_diagonal(1)
     off = np.flatnonzero(~sigma.complex.forest_edges)
     y = np.zeros((s.size, off.size))
     y[off, np.arange(off.size)] = 1.0
     y = coclosed_projection(sigma, y, rank_tolerance)
-    chol, ratio = gated_cholesky(y.T @ (s[:, None] * y), rank_tolerance, BoundaryError)
-    q = Subspace(np.linalg.solve(chol, y.T).T, gram=s, rank_tolerance=rank_tolerance)
+    cols, ratio = orthonormalize(y, s, rank_tolerance, BoundaryError)
+    q = Subspace(cols, gram=s, rank_tolerance=rank_tolerance)
     return q, {"edges_off_forest": off.size, "pivot_ratio": ratio,
                "rank_tolerance": rank_tolerance}
 

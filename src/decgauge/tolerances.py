@@ -45,9 +45,6 @@ GLUING_ACTION_REL = 1e-11
 #: Identities that hold up to floating-point roundoff only.
 ROUNDOFF_REL = 1e-13
 
-#: Round trip of extension after restriction, and membership projection.
-EXTEND_ROUNDTRIP_REL = 1e-8
-
 #: Acceptable coclosedness defect of inputs that claim to be coclosed, and
 #: of the fluxes of extended solutions (their distance from the coclosed
 #: traces in verify-lagrangian).

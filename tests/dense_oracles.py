@@ -15,6 +15,7 @@ isotropy and coisotropy readings of graph(M) from QR bases of the two
 graphs, the route the r x r Cholesky readings replaced.
 :func:`svd_coclosed_subspace` is the coclosed boundary basis from the dense
 SVD of the boundary incidence, the route the spanning-forest basis replaced.
+:func:`laplacian0` assembles the vertex Laplacian outside the Hodge systems.
 """
 
 import numpy as np
@@ -25,6 +26,12 @@ from decgauge.boundary import coclosed_projection, trace_columns
 from decgauge.dec import Cochain
 from decgauge.subspaces import Subspace, from_span, null_space, principal_angles
 from decgauge.symplectic import SymplecticSpace, _omega_scale, is_lagrangian
+
+
+def laplacian0(host):
+    """Sparse weighted 0-form Laplacian d^T S_1 d (closed-complex adjoint)."""
+    d0 = host.complex.boundary_matrices[1].T
+    return d0.T @ sparse.diags(host.star_diagonal(1)) @ d0
 
 
 def curvature_adjoint_full(mesh) -> np.ndarray:

@@ -125,14 +125,37 @@ def test_rank_tolerance_reaches_the_gauge_fix_gate(ann8):
 
 def test_solution_space_gauge_fixes_at_its_tolerance(monkeypatch):
     seen = []
-    original = boundary.factorized_solve
+    original = hodge.factorized_solve
 
     def recording(block, rhs, rank_tolerance, error):
         seen.append(rank_tolerance)
         return original(block, rhs, rank_tolerance, error)
 
-    monkeypatch.setattr(boundary, "factorized_solve", recording)
+    monkeypatch.setattr(hodge, "factorized_solve", recording)
     space = dynamics.solution_space(builders.annulus(16), rank_tolerance=1e-9)
-    assert seen == [1e-9]  # coclosed_subspace
+    built = len(seen)  # Q, the extension and its grounding H^1(M, bd M)
+    assert built >= 2
     space.gauge_fixed_basis
-    assert seen == [1e-9, 1e-9]
+    assert len(seen) == built + 1
+    assert seen == [1e-9] * len(seen)
+
+
+def test_gauge_fixes_are_the_hodge_exact_part(monkeypatch):
+    # Both gauge fixes, on the boundary and in the bulk, solve the degree-0
+    # Neumann Hodge Laplacian through the one potential of the Hodge split.
+    calls = []
+    original = hodge._potential
+
+    def recording(mesh, j, dirichlet, *args, **kwargs):
+        calls.append((mesh, j, dirichlet))
+        return original(mesh, j, dirichlet, *args, **kwargs)
+
+    monkeypatch.setattr(hodge, "_potential", recording)
+    m = builders.annulus(16)
+    x = np.random.default_rng(0).standard_normal((m.boundary.complex.n_simplices(1), 2))
+    boundary.coclosed_projection(m.boundary, x)
+    assert calls == [(m.boundary, 0, False)]
+    space = dynamics.solution_space(m)
+    calls.clear()
+    space.gauge_fixed_basis
+    assert calls == [(m, 0, False)]

@@ -133,7 +133,7 @@ def test_every_table_name_is_read_by_the_library():
     assert unused == []
 
 
-@pytest.mark.parametrize("name", ["ADJOINTNESS_REL", "GAUGE_IDEMPOTENT_REL",
-                                  "HOLONOMY_MOD_REL"])
+@pytest.mark.parametrize("name", ["ADJOINTNESS_REL", "EXTEND_ROUNDTRIP_REL",
+                                  "GAUGE_IDEMPOTENT_REL", "HOLONOMY_MOD_REL"])
 def test_removed_dead_tolerances_exit_two(name):
     assert cli.main(["harmonic", "--mesh", "disk:N=8", "--tol", f"{name}=1"]) == 2

@@ -7,8 +7,8 @@ import pytest
 from scipy import sparse
 
 from decgauge import boundary, builders, dynamics, hodge, mesh, subspaces
-from decgauge.dec import Cochain, laplacian0
-from dense_oracles import field_equation_matrix
+from decgauge.dec import Cochain
+from dense_oracles import field_equation_matrix, laplacian0
 
 
 def dense_gauge_fixed(m, rank_tolerance=1e-8):
@@ -123,13 +123,24 @@ def test_batched_restrict_matches_per_column(name, request):
     assert max_angle(image, reference) <= 1e-10
 
 
-@pytest.mark.parametrize("name", ["ann8", "disk8", "solid_torus8"])
-def test_coclosed_projection_matches_lstsq(name, request, rng):
-    sigma = request.getfixturevalue(name).boundary
-    x = rng.standard_normal((sigma.complex.n_simplices(1), 3))
-    fixed = boundary.coclosed_projection(sigma, x)
+# The boundary gauge fix on closed curves and on a 3D shell, and the bulk one
+# on a region.
+GAUGE_HOSTS = {
+    "ann8": lambda: builders.square_annulus().boundary,
+    "disk8": lambda: builders.disk(8).boundary,
+    "solid_torus8": lambda: builders.solid_torus(8).boundary,
+    "cube:N=3": lambda: builders.cube(3).boundary,
+    "annulus16 region": lambda: builders.annulus(16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAUGE_HOSTS))
+def test_coclosed_projection_matches_lstsq(name, rng):
+    host = GAUGE_HOSTS[name]()
+    x = rng.standard_normal((host.complex.n_simplices(1), 3))
+    fixed = boundary.coclosed_projection(host, x)
     for j in range(3):
-        expected = lstsq_gauge_fix(sigma, x[:, j])
+        expected = lstsq_gauge_fix(host, x[:, j])
         assert np.abs(fixed[:, j] - expected).max() <= 1e-10 * np.abs(x).max()
 
 

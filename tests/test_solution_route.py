@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from dense_oracles import reduced_gauge_fixed
 
-from decgauge import boundary, builders, cli, dynamics, hodge, mesh, subspaces, tolerances
+from decgauge import boundary, builders, cli, dynamics, hodge, mesh, subspaces
 from decgauge.boundary import BoundaryDatum
 from decgauge.dec import Cochain
 
@@ -73,7 +73,7 @@ def test_extend_takes_traces_in_any_gauge(name):
     assert boundary.coclosed_defect(datum) > 1e-3
     back = boundary.trace_solution(dynamics.extend(datum, m)).vector()
     vec = datum.vector()
-    assert np.linalg.norm(back - vec) <= (tolerances.EXTEND_ROUNDTRIP_REL
+    assert np.linalg.norm(back - vec) <= (dynamics.EXTEND_ROUNDTRIP_REL
                                           * np.linalg.norm(vec))
     sigma = m.boundary
     off = rng.standard_normal(sigma.complex.n_simplices(1))

@@ -142,3 +142,8 @@ def test_blocked_cholesky_solve_matches_lu(n, rng):
         ref = np.linalg.solve(spd, rhs)
         assert x.shape == ref.shape
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the forward half alone, on a right-hand side wider than the factor
+    wide = rng.standard_normal((n, 400))
+    x = subspaces._forward_solve(factor, wide)
+    ref = np.linalg.solve(factor, wide)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
