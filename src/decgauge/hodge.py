@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy import sparse
 
-from . import tolerances
+from . import subspaces, tolerances
 from .dec import Cochain, DECError, adjoint_full, codifferential, d, inner_product, norm
 from .mesh import RegionMesh, _components
 from .subspaces import Subspace, factorized_solve, from_span, null_space
@@ -389,7 +389,9 @@ def _potential(mesh, j: int, dirichlet: bool, system, rhs, rank_tolerance,
     its kernel); the solve's record; and the harmonic basis (built under
     ``building``) it was grounded on, or None: a kernel the oracle predicts
     is grounded by fixing at zero the unknowns on which it is best
-    conditioned."""
+    conditioned, the lowest index among rows tied to roundoff.  A block
+    large enough to be banded is solved in the order of its unknowns'
+    barycentres (:func:`subspaces.barycentre_order`)."""
     a, w, cols = system
     a = a[:, cols]
     free = np.ones(a.shape[1], dtype=bool)
@@ -398,16 +400,22 @@ def _potential(mesh, j: int, dirichlet: bool, system, rhs, rank_tolerance,
         basis = _harmonic_basis(mesh, j, rank_tolerance, dirichlet, building).basis
         h = basis.columns[cols]
         for _ in range(h.shape[1]):  # greedy row pivoting of h
-            i = int(np.argmax(np.einsum("ij,ij->i", h, h)))
+            norms = np.einsum("ij,ij->i", h, h)
+            i = int(np.argmax(norms >= norms.max() * (1 - tolerances.ROUNDOFF_REL)))
             free[i] = False
             h = h - np.outer(h @ h[i], h[i]) / (h[i] @ h[i])
     x, ratio = np.zeros(np.shape(rhs)), None
-    if free.any():
+    record = {"block_size": int(free.sum()), "grounded": int((~free).sum())}
+    free = np.flatnonzero(free)
+    cx = mesh.complex
+    if cx.coordinates is not None and free.size >= subspaces.BANDED_MIN:
+        free = free[subspaces.barycentre_order(
+            cx.coordinates[cx.simplices[j][cols][free]].mean(axis=1))]
+    if free.size:
         a = a[:, free]
         x[free], ratio = factorized_solve(a.T @ sparse.diags(w) @ a, rhs[free],
                                           rank_tolerance, HodgeError)
-    return x, {"block_size": int(free.sum()), "grounded": int((~free).sum()),
-               "pivot_ratio": ratio, "rank_tolerance": rank_tolerance}, basis
+    return x, {**record, "pivot_ratio": ratio, "rank_tolerance": rank_tolerance}, basis
 
 
 def _exact_part(mesh, k: int, dirichlet: bool, x, rank_tolerance,

@@ -12,9 +12,14 @@ import numpy as np
 
 from . import tolerances
 
-#: Blocks up to this size are factorized dense: below it a dense Cholesky
-#: costs less than importing SuperLU (0.13 s, 10 MB).
+#: Blocks up to this size are factorized by a Cholesky in numpy, above it by
+#: SuperLU: below it the Cholesky costs less than importing SuperLU (0.13 s,
+#: 10 MB).  Among them, a block of at least ``BANDED_MIN`` unknowns that
+#: splits into ``BANDED_MIN_BLOCKS`` or more diagonal blocks of width
+#: ``max(BANDED_WIDTH_MIN, lower bandwidth)`` is factorized block by block
+#: (:func:`_banded_cholesky`), any other one whole (:func:`gated_cholesky`).
 DENSE_BLOCK_MAX = 1000
+BANDED_MIN, BANDED_MIN_BLOCKS, BANDED_WIDTH_MIN = 256, 3, 32
 
 
 def _as_gram(gram, dim):
@@ -191,21 +196,106 @@ def _pivot_gate(pivots, size, rank_tolerance, error) -> float:
     return ratio
 
 
+def _banded_cholesky(block, width, rank_tolerance, error):
+    """Block-tridiagonal Cholesky of the sparse SPD ``block`` of lower
+    bandwidth at most ``width``, in diagonal blocks of ``width`` rows, and its
+    pivot ratio (:func:`_pivot_gate` on the squared diagonals of every block
+    factor).  Block row k of the n x 2w strip holds ``L_k,k-1`` and the
+    inverse of ``L_kk``, so :func:`_banded_solve` needs only matmuls."""
+    n = block.shape[0]
+    coo = block.tocoo()
+    shift = coo.row // width - coo.col // width  # 1: below the diagonal block
+    keep = (shift == 0) | (shift == 1)
+    row = coo.row[keep]
+    strip = np.zeros((n, 2 * width))
+    strip[row, coo.col[keep] - (row // width - 1) * width] = coo.data[keep]
+    pivots = np.zeros(n)
+    for i in range(0, n, width):
+        rows = strip[i:i + width]
+        diag = rows[:, width:width + len(rows)]
+        if i:  # L_k,k-1 = A_k,k-1 L_k-1,k-1^-T and its Schur update
+            rows[:, :width] = rows[:, :width] @ inverse.T
+            diag = diag - rows[:, :width] @ rows[:, :width].T
+        try:
+            factor = np.linalg.cholesky(diag)
+        except np.linalg.LinAlgError:  # not positive definite: zero pivots
+            break
+        pivots[i:i + width] = np.diag(factor) ** 2
+        inverse = _lower_inverse(factor)
+        rows[:, width:width + len(rows)] = inverse
+    return strip, _pivot_gate(pivots, n, rank_tolerance, error)
+
+
+def _lower_inverse(factor, block=32):
+    """Inverse of the lower triangular ``factor`` by halves:
+    ``[[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]``.  At widths
+    of 100-300 it takes a third to a sixth of the time of ``np.linalg.inv``,
+    an LU."""
+    n = len(factor)
+    if n <= block:
+        return np.linalg.inv(factor)
+    h = n // 2
+    out = np.zeros_like(factor)
+    out[:h, :h] = _lower_inverse(factor[:h, :h], block)
+    out[h:, h:] = _lower_inverse(factor[h:, h:], block)
+    out[h:, :h] = -(out[h:, h:] @ factor[h:, :h]) @ out[:h, :h]
+    return out
+
+
+def _banded_solve(strip, rhs):
+    """Solve ``L L^T x = rhs`` for the :func:`_banded_cholesky` strip."""
+    x = np.array(rhs, dtype=float)
+    n, width = strip.shape[0], strip.shape[1] // 2
+    starts = range(0, n, width)
+    for i in starts:
+        j = min(i + width, n)
+        if i:
+            x[i:j] -= strip[i:j, :width] @ x[i - width:i]
+        x[i:j] = strip[i:j, width:width + j - i] @ x[i:j]
+    for i in reversed(starts):
+        j = min(i + width, n)
+        if j < n:
+            x[i:j] -= strip[j:j + width, :width].T @ x[j:j + width]
+        x[i:j] = strip[i:j, width:width + j - i].T @ x[i:j]
+    return x
+
+
+def barycentre_order(points):
+    """Stable order of the rows of ``points``, one barycentre per unknown,
+    along the longest axis of their bounding box: on a mesh block it gives
+    :func:`factorized_solve` a small bandwidth."""
+    axis = int(np.argmax(np.ptp(points, axis=0)))
+    return np.argsort(points[:, axis], kind="stable")
+
+
 def factorized_solve(block, rhs, rank_tolerance=tolerances.RANK_REL,
                      error=ValueError):
-    """Solution and pivot ratio of the sparse SPD ``block`` for ``rhs``: dense
-    :func:`gated_cholesky` up to ``DENSE_BLOCK_MAX`` unknowns, SuperLU above.
-    A pivot ratio not above the rank tolerance raises ``error``."""
-    if block.shape[0] <= DENSE_BLOCK_MAX:
+    """Solution and pivot ratio of the sparse SPD ``block`` for ``rhs``, by
+    one of three routes.  Up to ``DENSE_BLOCK_MAX`` unknowns a Cholesky in
+    numpy: block-tridiagonal (:func:`_banded_cholesky`) when the block is
+    large and narrow enough in its given order (``BANDED_MIN``), else dense
+    (:func:`gated_cholesky`).  Above it SuperLU with a minimum degree
+    ordering and no pivoting off the diagonal.  A pivot ratio not above the
+    rank tolerance raises ``error``."""
+    n = block.shape[0]
+    if n <= DENSE_BLOCK_MAX:
+        if n >= BANDED_MIN:
+            coo = block.tocoo()
+            coo.sum_duplicates()
+            width = max(BANDED_WIDTH_MIN, int((coo.row - coo.col).max()))
+            if -(-n // width) >= BANDED_MIN_BLOCKS:
+                strip, ratio = _banded_cholesky(coo, width, rank_tolerance, error)
+                return _banded_solve(strip, rhs), ratio
         factor, ratio = gated_cholesky(block.toarray(), rank_tolerance, error)
         return _cholesky_solve(factor, rhs), ratio
     from scipy.sparse.linalg import splu
     try:
-        lu = splu(block.tocsc())
+        lu = splu(block.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                  options={"SymmetricMode": True})
         pivots = np.abs(lu.U.diagonal())
     except RuntimeError:  # exactly singular
         pivots = np.zeros(1)
-    ratio = _pivot_gate(pivots, block.shape[0], rank_tolerance, error)
+    ratio = _pivot_gate(pivots, n, rank_tolerance, error)
     return lu.solve(rhs), ratio
 
 

@@ -34,15 +34,20 @@ def max_angle(a, b):
 BASES = {"neumann": hodge.harmonic_neumann_basis,
          "dirichlet": hodge.harmonic_dirichlet_basis}
 
-# Projection blocks are factorized dense up to DENSE_BLOCK_MAX unknowns and
-# by sparse LU above it; every oracle check runs through both.
-FACTORIZATIONS = pytest.mark.parametrize("dense_max", [0, 10**9],
-                                         ids=["sparse", "dense"])
+# Projection blocks are factorized by SuperLU above DENSE_BLOCK_MAX unknowns, below it by
+# a Cholesky in numpy: block-tridiagonal when large and narrow enough,
+# whole otherwise.  Every oracle check runs through all three routes.
+FACTORIZATIONS = pytest.mark.parametrize("route", ["sparse", "dense", "banded"])
 
 
 @pytest.fixture
-def factorization(dense_max, monkeypatch):
-    monkeypatch.setattr(subspaces, "DENSE_BLOCK_MAX", dense_max)
+def factorization(route, monkeypatch):
+    monkeypatch.setattr(subspaces, "DENSE_BLOCK_MAX", 0 if route == "sparse" else 10**9)
+    if route == "banded":  # every block of three or more diagonal blocks
+        monkeypatch.setattr(subspaces, "BANDED_MIN", 1)
+        monkeypatch.setattr(subspaces, "BANDED_WIDTH_MIN", 1)
+    else:
+        monkeypatch.setattr(subspaces, "BANDED_MIN", 10**9)
 
 
 # cube:N=3 has interior edges; glued once it has b = 1, 1, 0, 0; glued twice

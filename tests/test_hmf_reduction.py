@@ -45,15 +45,20 @@ def dense_hmf(alpha, neumann_basis):
     return exact, coexact, hn, rest - hn
 
 
-# Projection blocks are factorized dense up to DENSE_BLOCK_MAX unknowns and
-# by sparse LU above it; every oracle check runs through both.
-FACTORIZATIONS = pytest.mark.parametrize("dense_max", [0, 10**9],
-                                         ids=["sparse", "dense"])
+# Projection blocks are factorized by SuperLU above DENSE_BLOCK_MAX unknowns, below it by
+# a Cholesky in numpy: block-tridiagonal when large and narrow enough,
+# whole otherwise.  Every oracle check runs through all three routes.
+FACTORIZATIONS = pytest.mark.parametrize("route", ["sparse", "dense", "banded"])
 
 
 @pytest.fixture
-def factorization(dense_max, monkeypatch):
-    monkeypatch.setattr(subspaces, "DENSE_BLOCK_MAX", dense_max)
+def factorization(route, monkeypatch):
+    monkeypatch.setattr(subspaces, "DENSE_BLOCK_MAX", 0 if route == "sparse" else 10**9)
+    if route == "banded":  # every block of three or more diagonal blocks
+        monkeypatch.setattr(subspaces, "BANDED_MIN", 1)
+        monkeypatch.setattr(subspaces, "BANDED_WIDTH_MIN", 1)
+    else:
+        monkeypatch.setattr(subspaces, "BANDED_MIN", 10**9)
 
 
 # Every builtin family, a closed surface, and a closed component next to a
@@ -223,3 +228,32 @@ def test_dense_path_loads_no_sparse_solver(argv):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.split("\n")[0] == "0 []"
+
+
+@pytest.mark.parametrize("name", ["ann8", "annulus16"])
+def test_grounding_ignores_roundoff_in_the_basis(name, request, monkeypatch):
+    # The rows of H^1(M, bd M) tie in exact arithmetic on these symmetric
+    # meshes; noise of 1e-15 relative must not move the grounded unknown
+    # (the exact zero of the extension) nor the pivot ratio it sets.
+    m = request.getfixturevalue(name)
+    x = np.random.default_rng(0).standard_normal((m.complex.n_simplices(1), 1))
+    interior = m.interior_simplex_mask(1)
+
+    def grounding():
+        y, record, _ = hodge.dirichlet_extension(m, x)
+        return np.flatnonzero(y[interior] == 0.0).tolist(), record["pivot_ratio"]
+
+    rows, ratio = grounding()
+    assert len(rows) == 1
+    original = hodge._harmonic_basis
+    rng = np.random.default_rng(1)
+
+    def noisy(*args, **kwargs):
+        out = original(*args, **kwargs)
+        cols = out.basis.columns
+        out.basis.columns = cols * (1 + 1e-15 * rng.standard_normal(cols.shape))
+        return out
+
+    monkeypatch.setattr(hodge, "_harmonic_basis", noisy)
+    for _ in range(20):
+        assert grounding() == (rows, ratio)

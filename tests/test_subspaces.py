@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
-from decgauge import subspaces
+from decgauge import boundary, builders, hodge, subspaces
+from decgauge.dec import Cochain, norm
 
 
 def test_from_span_orthonormal_under_gram(rng):
@@ -147,3 +149,108 @@ def test_blocked_cholesky_solve_matches_lu(n, rng):
     x = subspaces._forward_solve(factor, wide)
     ref = np.linalg.solve(factor, wide)
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class Singular(ValueError):
+    pass
+
+
+def banded_spd(n, band, rng):
+    """A random sparse SPD matrix of lower bandwidth ``band``, smallest
+    eigenvalue 1."""
+    offsets = range(-band, band + 1)
+    sym = sparse.diags([rng.standard_normal(n - abs(o)) for o in offsets], offsets)
+    sym = (sym + sym.T) / 2
+    low = np.linalg.eigvalsh(sym.toarray()).min()
+    return (sym + sparse.diags(np.full(n, 1.0 - low))).tocsr()
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("took the whole-block Cholesky")
+
+
+@pytest.mark.parametrize("n, band", [(300, 5), (611, 45), (257, 70), (1000, 31)])
+def test_banded_route_matches_solve(n, band, rng, monkeypatch):
+    # n is no multiple of the width max(32, band); bands below and above 32
+    block = banded_spd(n, band, rng)
+    dense = block.toarray()
+    ratio_whole = subspaces.gated_cholesky(dense)[1]
+    monkeypatch.setattr(subspaces, "gated_cholesky", refuse)
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        x, ratio = subspaces.factorized_solve(block, rhs)
+        ref = np.linalg.solve(dense, rhs)
+        assert x.shape == ref.shape
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert ratio == pytest.approx(ratio_whole, rel=1e-12)
+
+
+def weighted_path_laplacian(n, rng, grounded=False):
+    """Laplacian of a path with random edge weights: singular (constants)
+    unless its first vertex is grounded."""
+    w = rng.uniform(0.5, 2.0, n - 1)
+    lap = sparse.diags([-w, np.r_[w, 0] + np.r_[0, w], -w], [-1, 0, 1]).tolil()
+    if grounded:
+        lap[0, 0] += 1.0
+    return lap.tocsr()
+
+
+@pytest.mark.parametrize("route", ["banded", "whole", "sparse"])
+@pytest.mark.parametrize("where", ["middle", "last"])
+def test_singular_block_raises_on_every_route(route, where, rng, monkeypatch):
+    n = 300
+    if where == "middle":  # zero pivot at unknown 149, in the 5th of 10 blocks
+        block = sparse.block_diag([weighted_path_laplacian(150, rng),
+                                   weighted_path_laplacian(150, rng, True)])
+    else:
+        block = weighted_path_laplacian(n, rng)
+    if route == "whole":
+        monkeypatch.setattr(subspaces, "BANDED_MIN", 10**9)
+    if route == "sparse":
+        monkeypatch.setattr(subspaces, "DENSE_BLOCK_MAX", 0)
+    if route == "banded":
+        monkeypatch.setattr(subspaces, "gated_cholesky", refuse)
+    with pytest.raises(Singular, match="singular"):
+        subspaces.factorized_solve(block.tocsr(), np.ones(n), 1e-8, Singular)
+
+
+def record_banded(monkeypatch):
+    """The (size, width) of every block that takes the banded route."""
+    seen, original = [], subspaces._banded_cholesky
+
+    def recording(block, width, *args):
+        seen.append((block.shape[0], width))
+        return original(block, width, *args)
+
+    monkeypatch.setattr(subspaces, "_banded_cholesky", recording)
+    return seen
+
+
+@pytest.mark.parametrize("spec", ["square:N=16", "annulus:N=256"])
+def test_banded_projections_match_superlu(spec, monkeypatch):
+    region = builders.from_spec(spec)
+    alpha = Cochain(region, 1, np.random.default_rng(0).standard_normal(
+        region.complex.n_simplices(1)))
+    banded = record_banded(monkeypatch)
+
+    def run():
+        dims = (hodge.harmonic_neumann_basis(region, 1).dim,
+                hodge.harmonic_dirichlet_basis(region, 1).dim)
+        return dims, hodge.hmf_decompose(alpha, region).components()
+
+    dims, parts = run()
+    assert banded, "no block took the banded route"
+    monkeypatch.setattr(subspaces, "DENSE_BLOCK_MAX", 0)
+    ref_dims, ref_parts = run()
+    assert dims == ref_dims
+    scale = norm(alpha)
+    for part, ref in zip(parts, ref_parts):
+        assert norm(part - ref) <= 1e-12 * scale
+
+
+def test_boundary_vertex_block_of_a_large_annulus_is_banded(monkeypatch):
+    # 510 unknowns, below DENSE_BLOCK_MAX; band 16 in barycentre order
+    sigma = builders.annulus(256).boundary
+    seen = record_banded(monkeypatch)
+    x = np.random.default_rng(0).standard_normal((sigma.complex.n_simplices(1), 2))
+    boundary.coclosed_projection(sigma, x)
+    assert seen == [(510, 32)]
