@@ -15,15 +15,8 @@ import json
 import numpy as np
 
 from . import tolerances
-from .dec import (
-    Cochain,
-    adjoint_full,
-    codifferential,
-    d,
-    inner_product,
-    norm,
-)
-from .hodge import HodgeError, _exact_part, harmonic_neumann_basis
+from .dec import Cochain, adjoint_full, d
+from .hodge import HodgeError, _exact_projection, harmonic_neumann_basis
 from .mesh import HypersurfaceMesh, RegionMesh
 
 
@@ -139,17 +132,23 @@ def trace_columns(mesh: RegionMesh, columns, sigma: HypersurfaceMesh,
     return columns[idx], flux[idx] / sigma.star_diagonal(1)[:, None]
 
 
-def coclosed_projection(host, x, rank_tolerance=tolerances.RANK_REL) -> np.ndarray:
-    """Coclosed representatives of the columns of ``x`` on a closed
-    hypersurface (the boundary gauge fix) or a region (the bulk one): ``x``
-    less its Neumann :func:`~decgauge.hodge._exact_part`, one vertex-Laplacian
-    solve grounded at a vertex per component, pivot-gated at ``rank_tolerance``."""
+def coclosed_projector(host, rank_tolerance=tolerances.RANK_REL):
+    """The coclosed projection on a closed hypersurface (the boundary gauge
+    fix) or a region (the bulk one), a map of columns ``x`` to ``x`` less its
+    Neumann :func:`~decgauge.hodge._exact_projection`, and the record of its
+    vertex Laplacian, grounded at a vertex per component and pivot-gated."""
     if isinstance(host, HypersurfaceMesh) and not host.is_closed():
         raise BoundaryError("coclosed gauge fixing needs a closed hypersurface")
     try:
-        return x - _exact_part(host, 1, False, x, rank_tolerance)[0]
+        exact, record = _exact_projection(host, 1, False, rank_tolerance)
     except HodgeError as exc:
         raise BoundaryError(str(exc)) from exc
+    return (lambda x: x - exact(x)), record
+
+
+def coclosed_projection(host, x, rank_tolerance=tolerances.RANK_REL) -> np.ndarray:
+    """Coclosed representatives of the columns of ``x`` (:func:`coclosed_projector`)."""
+    return coclosed_projector(host, rank_tolerance)[0](x)
 
 
 def gauge_fix_coclosed(datum: BoundaryDatum) -> BoundaryDatum:
@@ -158,13 +157,6 @@ def gauge_fix_coclosed(datum: BoundaryDatum) -> BoundaryDatum:
     fixed = coclosed_projection(
         datum.host, np.column_stack([datum.phi.values, datum.phi_dot.values]))
     return BoundaryDatum.from_vector(datum.host, fixed.T.ravel())
-
-
-def coclosed_defect(datum: BoundaryDatum) -> float:
-    scale = max(norm(datum.phi), norm(datum.phi_dot), 1e-300)
-    return max(
-        norm(codifferential(datum.phi)), norm(codifferential(datum.phi_dot))
-    ) / scale
 
 
 # -- holonomy ---------------------------------------------------------------------
@@ -366,10 +358,3 @@ def large_gauge_orbit(datum: BoundaryDatum, winding) -> BoundaryDatum:
         if w:
             phi = phi + (2 * np.pi * float(w)) * rep
     return BoundaryDatum(phi, datum.phi_dot)
-
-
-def gauge_pairing_defect(sigma: HypersurfaceMesh, f: Cochain,
-                         phi_dot: Cochain) -> float:
-    """|<d f, phi_dot>| for coclosed phi_dot; vanishes since the pairing
-    transposes onto the codifferential."""
-    return abs(inner_product(d(f), phi_dot))

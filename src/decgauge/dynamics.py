@@ -5,8 +5,8 @@ curvature adjoint; its boundary rows are exactly the normal flux paired by
 the boundary two-form.  That split makes the restricted solution pairing
 symmetric, so isotropy of the image holds to roundoff.  The image is the
 graph of the Dirichlet-to-Neumann map over the coclosed boundary traces,
-and it is verified to be Lagrangian inside the coclosed pairs from that
-map alone.  The same Dirichlet extension of boundary traces gives the
+and it is verified to be Lagrangian inside the coclosed pairs from a few
+random probes of that map.  The same Dirichlet extension of boundary traces gives the
 solution space, the restriction and the extension of boundary data.
 """
 
@@ -22,6 +22,7 @@ from .boundary import (
     BoundaryDatum,
     BoundaryError,
     coclosed_projection,
+    coclosed_projector,
     trace_columns,
     trace_solution,
 )
@@ -49,35 +50,72 @@ def field_equation_matrix(mesh: RegionMesh) -> np.ndarray:
     return _curvature_adjoint(mesh)[mesh.interior_simplex_mask(1)].toarray()
 
 
+#: Probe traces of :func:`verify_lagrangian`: it reads min(r, PROBES) of them.
+PROBES = 8
+
+
 class SolutionSpace:
-    """Solutions of the bulk equation, from the Dirichlet extension ``A``
-    (``extension``, its solve record ``solve``) of ``Q`` (``coclosed``, the
-    r S-orthonormal coclosed boundary 1-cochains, record ``coclosed_basis``;
-    None without a boundary), and the Dirichlet harmonic basis ``H`` the
-    solve was grounded on (``grounding``, or None).  A solution with zero
-    trace is closed, so it lies in ``H`` plus exact fields: every solution
-    is ``A c + H h + d f``.
-    ``gauge_fixed_dim`` is the exact count ``r - c(bd M) + c_bounded(M) +
+    """Solutions of the bulk equation from two factorizations: the boundary
+    gauge fix ``gauge_fix`` (:func:`~decgauge.boundary.coclosed_projector`,
+    record ``gauge_fix_solve``) and the Dirichlet extension ``extend``
+    (record ``solve``), grounded on the Dirichlet harmonic basis ``H``
+    (``grounding``, or None).  A solution with zero trace is closed, so
+    every solution extends a coclosed trace, plus ``H h + d f``.
+    ``coclosed_dim`` is r, the boundary edges off the spanning forest;
+    ``gauge_fixed_dim`` the exact count ``r - c(bd M) + c_bounded(M) +
     b_1(M, bd M)`` (components of the boundary and of M with a boundary,
     relative Betti number); ``dim`` adds the ``n_0 - components`` exact
-    directions.  No full basis is ever built.
+    directions.  What is r columns wide is built on first use: Q
+    (``coclosed``), its extension A (``extension``), ``gauge_fixed_basis``.
     """
 
-    def __init__(self, mesh: RegionMesh, coclosed, coclosed_basis: dict, extension,
-                 grounding, solve: dict, gauge_fixed_dim: int, rank_tolerance):
-        self.mesh = mesh
-        self.coclosed = coclosed
-        self.coclosed_basis = coclosed_basis
-        self.extension = extension
-        self.grounding = grounding
-        self.solve = solve
-        self.gauge_fixed_dim = int(gauge_fixed_dim)
-        self.rank_tolerance = rank_tolerance
+    def __init__(self, mesh: RegionMesh, rank_tolerance=tolerances.RANK_REL):
+        cx, sigma = mesh.complex, mesh.boundary
+        if cx.dim < 2:
+            raise DynamicsError("field equation needs a region of dimension >= 2")
+        self.mesh, self.rank_tolerance = mesh, rank_tolerance
+        self.gauge_fix, self.coclosed_dim, bounded = None, 0, 0
+        self.gauge_fix_solve = {"block_size": 0, "grounded": 0, "pivot_ratio": None,
+                                "rank_tolerance": rank_tolerance}
+        if sigma is not None:
+            self.gauge_fix, self.gauge_fix_solve = coclosed_projector(sigma, rank_tolerance)
+            self.coclosed_dim = int((~sigma.complex.forest_edges).sum())
+            bounded = (np.unique(cx.vertex_components()[sigma.vertex_map]).size
+                       - sigma.complex.n_components())
+        self.extend, self.solve, self.grounding = dirichlet_extension(mesh, rank_tolerance)
+        self.gauge_fixed_dim = self.coclosed_dim + bounded + relative_betti_oracle(mesh, 1)
 
     @property
     def dim(self) -> int:
         cx = self.mesh.complex
         return self.gauge_fixed_dim + cx.n_simplices(0) - cx.n_components()
+
+    def random_traces(self, rng, count: int) -> np.ndarray:
+        """``count`` coclosed boundary traces ``Q g``, ``g`` standard normal,
+        drawn as the gauge fix of ``z / sqrt(S)``, ``z`` standard normal."""
+        s = self.mesh.boundary.star_diagonal(1)
+        return self.gauge_fix(rng.standard_normal((s.size, count)) / np.sqrt(s)[:, None])
+
+    def extend_traces(self, phi) -> np.ndarray:
+        """The extensions of the boundary 1-cochain columns ``phi``."""
+        x = np.zeros((self.mesh.complex.n_simplices(1), phi.shape[1]))
+        x[self.mesh.boundary.region_simplex_map(1)] = phi
+        return self.extend(x)
+
+    @functools.cached_property
+    def coclosed(self) -> Subspace | None:
+        """Q (:func:`~decgauge.symplectic.coclosed_subspace`), or None."""
+        if self.mesh.boundary is None:
+            return None
+        return coclosed_subspace(self.mesh.boundary, self.rank_tolerance,
+                                 self.gauge_fix)[0]
+
+    @functools.cached_property
+    def extension(self) -> np.ndarray:
+        """A, the extension of Q."""
+        if self.coclosed is None:
+            return np.zeros((self.mesh.complex.n_simplices(1), 0))
+        return self.extend_traces(self.coclosed.columns)
 
     @functools.cached_property
     def gauge_fixed_basis(self) -> Subspace:
@@ -102,36 +140,23 @@ class SolutionSpace:
         return [Cochain(self.mesh, 1, c) for c in self.gauge_fixed_basis.columns.T]
 
     def random_solutions(self, rng, count: int) -> np.ndarray:
-        """``count`` random solutions ``G.project(x) + d f`` as columns, ``x``
-        and ``f`` standard normal; the projection, unlike coefficients on
-        the basis, does not depend on how the basis is rotated."""
+        """``count`` random solutions as columns: the extensions of
+        :meth:`random_traces`, plus ``H.project(x)`` and ``d f``, ``x`` and
+        ``f`` standard normal; no basis is built, or read."""
         cx = self.mesh.complex
-        x = rng.standard_normal((cx.n_simplices(1), count))
-        f = rng.standard_normal((cx.n_simplices(0), count))
-        return self.gauge_fixed_basis.project(x) + cx.boundary_matrices[1].T @ f
+        out = cx.boundary_matrices[1].T @ rng.standard_normal((cx.n_simplices(0), count))
+        if self.mesh.boundary is not None:
+            out += self.extend_traces(self.random_traces(rng, count))
+        if self.grounding is not None:
+            out += self.grounding.project(rng.standard_normal((cx.n_simplices(1), count)))
+        return out
 
 
 def solution_space(mesh: RegionMesh,
                    rank_tolerance=tolerances.RANK_REL) -> SolutionSpace:
-    """``Q``, its Dirichlet extension ``A``, the grounding basis and the
-    exact gauge-fixed count (see :class:`SolutionSpace`).  A singular
-    interior block, or a kernel the relative Betti number does not predict,
-    raises in the extension's pivot gate."""
-    cx = mesh.complex
-    if cx.dim < 2:
-        raise DynamicsError("field equation needs a region of dimension >= 2")
-    sigma = mesh.boundary
-    x, q, bounded = np.zeros((cx.n_simplices(1), 0)), None, 0
-    record = {"edges_off_forest": 0, "pivot_ratio": None, "rank_tolerance": rank_tolerance}
-    if sigma is not None:
-        q, record = coclosed_subspace(sigma, rank_tolerance)
-        x = np.zeros((cx.n_simplices(1), q.dim))
-        x[sigma.region_simplex_map(1)] = q.columns
-        bounded = (np.unique(cx.vertex_components()[sigma.vertex_map]).size
-                   - sigma.complex.n_components())
-    x, solve, grounding = dirichlet_extension(mesh, x, rank_tolerance)
-    count = x.shape[1] + bounded + relative_betti_oracle(mesh, 1)
-    return SolutionSpace(mesh, q, record, x, grounding, solve, count, rank_tolerance)
+    """The region's :class:`SolutionSpace`.  A singular block, or a kernel
+    the relative Betti number does not predict, raises at its pivot gate."""
+    return SolutionSpace(mesh, rank_tolerance)
 
 
 def actions(mesh: RegionMesh, columns):
@@ -230,62 +255,63 @@ def verify_lagrangian(space: SolutionSpace,
                       angle_tolerance=tolerances.PRINCIPAL_ANGLE,
                       solution_tolerance=tolerances.SOLUTION_REL,
                       gap_factor=tolerances.RANK_GAP_FACTOR,
-                      coclosed_tolerance=tolerances.COCLOSED_INPUT_REL) -> dict:
+                      coclosed_tolerance=tolerances.COCLOSED_INPUT_REL,
+                      seed=0) -> dict:
     """The restricted solutions inside the coclosed boundary pairs, as the
     graph of the Dirichlet-to-Neumann map ``Lam`` (phi to the flux of its
-    extension) over the coclosed traces; no gauge-fixed basis is built.
+    extension) over the r coclosed traces, read on ``k = min(r, PROBES)``
+    probes ``Phi = Q g``, ``g`` standard normal from ``seed``
+    (:meth:`SolutionSpace.random_traces`); nothing r columns wide is built.
 
-    The fluxes of the space's extension ``A`` of ``Q`` (r columns) are
-    taken with every column's bulk residual gated.
-    In the coordinates ``(Q c, Q c_dot)`` of the coclosed pairs the image is
-    graph(M), ``M = Q^T S Lam Q``, and the two-form is ``sign/2 [[0, I],
-    [-I, 0]]``.  So half-dimension holds by construction.  With ``L L^T =
-    I + M^T M``, ``[I; M] L^-T`` is an orthonormal basis of graph(M) and
-    ``[-M; I] L^-T`` one of the orthogonal complement of graph(M^T), the
-    symplectic complement; both pair graph(M) through ``K = L^-1 (M - M^T)
-    L^-T``.  What is measured is:
+    In the coordinates of the coclosed pairs the image is graph(M), ``M =
+    Q^T S Lam Q``: half-dimension holds by construction, and it is
+    Lagrangian exactly when M is symmetric, an operator identity that random
+    probes check (Freivalds).  The probes' fluxes ``F`` are taken with every
+    bulk residual gated; ``m = Phi^T S F = g^T M g``, and with ``L L^T =
+    Phi^T S Phi + F^T S F`` the form on the orthonormal basis ``[Phi; F]
+    L^-T`` of their image is ``sign/2 K``, ``K = L^-1 (m - m^T) L^-T``:
 
-    - isotropy, the form on the orthonormal graph basis, ``max |K| / 2``
-      (scale 1/2);
-    - Green's identity ``M = (dA)^T S_2 dA`` (the bulk action of the
-      extensions), which makes M symmetric: the largest gap plus one unit
-      roundoff of the sums' magnitudes, relative to the largest action, and
-      gated by ``isotropy_tolerance`` too; unlike the symmetry, it is not
-      vacuous when r = 1;
-    - coisotropy: the principal angles between graph(M) and graph(M^T),
-      the arcsines of the singular values of ``K``, must stay below
-      ``angle_tolerance``;
-    - the fluxes' distance from span Q (``embedding_defect``, each pair
-      relative to its norm), at most ``coclosed_tolerance``.
+    - isotropy, ``max |K| / 2`` (scale 1/2);
+    - Green's identity ``m = (dA Phi)^T S_2 (dA Phi)``, which makes M
+      symmetric and is not vacuous when r = 1: the largest gap plus one unit
+      roundoff of the sums' magnitudes, relative to the largest action,
+      gated by ``isotropy_tolerance``;
+    - coisotropy: the angles between graph(M) and graph(M^T) on the probes,
+      the arcsines of the singular values of ``K``, below ``angle_tolerance``;
+    - the fluxes' distance from the coclosed traces (a second gauge fix,
+      each pair relative to its norm), at most ``coclosed_tolerance``.
 
-    ``gauge_fixed`` is the space's exact count; ``rank_ambiguous`` when the
-    grounding basis's gap is below ``gap_factor`` (Q cuts no rank).
-    Without a boundary every reading is zero."""
-    mesh, sigma, q = space.mesh, space.mesh.boundary, space.coclosed
-    r = 0 if q is None else q.dim
+    With r <= PROBES the probes span every coclosed trace, so the check is
+    complete.  ``dims`` are the exact counts; ``rank_ambiguous`` when the
+    grounding basis's gap is below ``gap_factor``.  Without a boundary
+    every reading is zero."""
+    mesh, sigma, r = space.mesh, space.mesh.boundary, space.coclosed_dim
+    k = min(r, PROBES)
     iso = green = embed_defect = 0.0
     sines = np.zeros(0)
-    if sigma is not None:
-        cx, s, x = mesh.complex, sigma.star_diagonal(1), space.extension
+    if k:
+        s = sigma.star_diagonal(1)
+        phi = space.random_traces(np.random.default_rng(seed), k)
+        x = space.extend_traces(phi)
         flux = trace_columns(mesh, x, sigma, solution_tolerance)[1]
-        m = q.coords(flux)
-        # |[q; flux]| >= |q| = 1: the distance of each image pair from the pairs
-        off = flux - q.columns @ m
-        embed_defect = float((np.sqrt(s @ off ** 2) / np.sqrt(1.0 + s @ flux ** 2)
-                              ).max(initial=0.0))
-        da = cx.boundary_matrices[2].T @ x
+        s_flux = s[:, None] * flux
+        m = phi.T @ s_flux
+        off = flux - space.gauge_fix(flux)
+        embed_defect = float(np.sqrt(s @ off ** 2 / (s @ phi ** 2 + s @ flux ** 2)).max())
+        da = mesh.complex.boundary_matrices[2].T @ x
         energy = da.T @ (mesh.star_diagonal(2)[:, None] * da)
         # A gap below one unit roundoff of what the two sums accumulate is not
         # resolved, so that much is added: a computed zero is not an exact one.
         resolution = np.finfo(float).eps / 2 * (
-            (np.abs(q.columns) * np.abs(s[:, None] * flux)).sum(axis=0)
-            + np.diag(energy)).max(initial=0.0)
-        green = float((np.abs(m - energy).max(initial=0.0) + resolution)
-                      / max(np.diag(energy).max(initial=0.0), 1e-300))
-        inv = orthonormalize(np.vstack([np.eye(r), m]), np.ones(2 * r))[0][:r]  # L^-T
-        k = inv.T @ (m - m.T) @ inv
-        iso = 0.5 * float(np.abs(k).max(initial=0.0))
-        sines = np.linalg.svd(k, compute_uv=False)[::-1]
+            (np.abs(phi) * np.abs(s_flux)).sum(axis=0) + np.diag(energy)).max()
+        green = float((np.abs(m - energy).max() + resolution)
+                      / max(np.diag(energy).max(), 1e-300))
+        top, bottom = np.vsplit(orthonormalize(np.vstack([phi, flux]),
+                                               np.tile(s, 2))[0], 2)
+        k_form = top.T @ (s[:, None] * bottom)
+        k_form = k_form - k_form.T
+        iso = 0.5 * float(np.abs(k_form).max())
+        sines = np.linalg.svd(k_form, compute_uv=False)[::-1]
     angles = np.arcsin(np.clip(sines, 0.0, 1.0))
     max_angle = float(angles.max(initial=0.0))
     return {
@@ -303,8 +329,9 @@ def verify_lagrangian(space: SolutionSpace,
         "coisotropy_angles": [float(a) for a in angles],
         "max_principal_angle": max_angle,
         "embedding_defect": embed_defect,
+        "probes": {"count": k, "coclosed_dim": r, "seed": seed},
         "extension_solve": space.solve,
-        "coclosed_basis": space.coclosed_basis,
+        "gauge_fix_solve": space.gauge_fix_solve,
         "half_dimension": True,
         "rank_ambiguous": space.grounding is not None and space.grounding.gap < gap_factor,
         "lagrangian": bool(iso <= isotropy_tolerance * 0.5
@@ -347,7 +374,7 @@ def extend(datum: BoundaryDatum, mesh: RegionMesh,
         return Cochain.zeros(mesh, 1)
     x = np.zeros((mesh.complex.n_simplices(1), 1))
     x[sigma.region_simplex_map(1), 0] = datum.phi.values
-    eta = Cochain(mesh, 1, dirichlet_extension(mesh, x, rank_tolerance)[0][:, 0])
+    eta = Cochain(mesh, 1, dirichlet_extension(mesh, rank_tolerance)[0](x)[:, 0])
     back = trace_solution(eta, sigma, solution_tolerance).vector()
     residual = float(np.linalg.norm(w * (back - vec))) / scale
     if residual > membership_tolerance:

@@ -21,7 +21,7 @@ from scipy import sparse
 from . import subspaces, tolerances
 from .dec import Cochain, DECError, adjoint_full, codifferential, d, inner_product, norm
 from .mesh import RegionMesh, _components
-from .subspaces import Subspace, factorized_solve, from_span, null_space
+from .subspaces import DENSE_BLOCK_MAX, Subspace, factorize, from_span, null_space
 
 
 #: Sketch columns beyond the oracle's dimension (a larger harmonic space
@@ -282,8 +282,9 @@ def _harmonic_basis(mesh, k: int, rank_tolerance, dirichlet: bool,
     the largest S-norm of ``x``'s columns.  ``building`` holds the (degree,
     condition) pairs whose sketch is being solved: in 3D, H^1 and H^2 may
     ground each other's projections, and the one requested again takes the
-    dense null space of its rows.  A dimension other than the integer
-    oracle's (relative) Betti number raises."""
+    dense null space of its rows, or raises above ``DENSE_BLOCK_MAX`` columns
+    (its value at import, which steering the factorizations leaves alone).
+    A dimension other than the integer oracle's (relative) Betti number raises."""
     cx = mesh.complex
     n, gram = cx.dim, mesh.star_diagonal(k)
     expected = (relative_betti_oracle if dirichlet else betti_oracle)(mesh, k)
@@ -298,6 +299,10 @@ def _harmonic_basis(mesh, k: int, rank_tolerance, dirichlet: bool,
         cols = mesh.interior_simplex_mask(k) if dirichlet else slice(None)
         if (k, dirichlet) in building:
             a = _hodge_system(mesh, k, dirichlet)[0][:, cols]
+            if a.shape[1] > DENSE_BLOCK_MAX:
+                raise HodgeError(f"degree-{k} harmonic fields would take a dense "
+                                 f"SVD of {a.shape[0]} x {a.shape[1]} rows, above "
+                                 f"DENSE_BLOCK_MAX = {DENSE_BLOCK_MAX}")
             small = null_space(a.toarray(), gram=gram[cols],
                                rank_tolerance=rank_tolerance, n_columns=a.shape[1])
         else:
@@ -306,7 +311,8 @@ def _harmonic_basis(mesh, k: int, rank_tolerance, dirichlet: bool,
             if dirichlet:
                 x[mesh.boundary_simplex_mask(k)] = 0.0
             building = building | {(k, dirichlet)}
-            rest = (x - _exact_part(mesh, k, dirichlet, x, rank_tolerance, building)[0]
+            exact = _exact_projection(mesh, k, dirichlet, rank_tolerance, building)[0]
+            rest = (x - exact(x)
                     - _coexact_part(mesh, k, dirichlet, x, rank_tolerance, building)[0])
             small = from_span(rest[cols], gram[cols], rank_tolerance,
                               scale=np.sqrt(gram @ x ** 2).max())
@@ -382,15 +388,16 @@ class HmfDecomposition:
         }
 
 
-def _potential(mesh, j: int, dirichlet: bool, system, rhs, rank_tolerance,
+def _potential(mesh, j: int, dirichlet: bool, system, rank_tolerance,
                building=frozenset()):
-    """Solve the Hodge Laplacian of degree ``j`` (rows ``system``, see
-    :func:`_hodge_system`) for ``rhs`` (a vector or columns, orthogonal to
-    its kernel); the solve's record; and the harmonic basis (built under
+    """Factorize the Hodge Laplacian of degree ``j`` (rows ``system``, see
+    :func:`_hodge_system`) once.  Returns its solve, a map of a right-hand
+    side (a vector or columns, orthogonal to its kernel) to the potential;
+    the factorization's record; and the harmonic basis (built under
     ``building``) it was grounded on, or None: a kernel the oracle predicts
     is grounded by fixing at zero the unknowns on which it is best
     conditioned, the lowest index among rows tied to roundoff.  A block
-    large enough to be banded is solved in the order of its unknowns'
+    large enough to be banded is factorized in the order of its unknowns'
     barycentres (:func:`subspaces.barycentre_order`)."""
     a, w, cols = system
     a = a[:, cols]
@@ -404,31 +411,36 @@ def _potential(mesh, j: int, dirichlet: bool, system, rhs, rank_tolerance,
             i = int(np.argmax(norms >= norms.max() * (1 - tolerances.ROUNDOFF_REL)))
             free[i] = False
             h = h - np.outer(h @ h[i], h[i]) / (h[i] @ h[i])
-    x, ratio = np.zeros(np.shape(rhs)), None
     record = {"block_size": int(free.sum()), "grounded": int((~free).sum())}
     free = np.flatnonzero(free)
     cx = mesh.complex
     if cx.coordinates is not None and free.size >= subspaces.BANDED_MIN:
         free = free[subspaces.barycentre_order(
             cx.coordinates[cx.simplices[j][cols][free]].mean(axis=1))]
+    solve, ratio = (lambda rhs: rhs), None  # an empty block
     if free.size:
         a = a[:, free]
-        x[free], ratio = factorized_solve(a.T @ sparse.diags(w) @ a, rhs[free],
-                                          rank_tolerance, HodgeError)
-    return x, {**record, "pivot_ratio": ratio, "rank_tolerance": rank_tolerance}, basis
+        solve, ratio = factorize(a.T @ sparse.diags(w) @ a, rank_tolerance, HodgeError)
+
+    def potential(rhs):
+        x = np.zeros(np.shape(rhs))
+        x[free] = solve(rhs[free])
+        return x
+
+    return potential, {**record, "pivot_ratio": ratio,
+                       "rank_tolerance": rank_tolerance}, basis
 
 
-def _exact_part(mesh, k: int, dirichlet: bool, x, rank_tolerance,
-                building=frozenset()):
-    """S_k-projection of ``x`` (a vector or columns) onto ``d`` of the
-    (k-1)-cochains (Dirichlet: the interior ones) and the solve's record:
-    the Hodge Laplacian of degree k-1 for ``d^T S_k x`` (:func:`_potential`)."""
+def _exact_projection(mesh, k: int, dirichlet: bool, rank_tolerance,
+                      building=frozenset()):
+    """The S_k-projection onto ``d`` of the (k-1)-cochains (Dirichlet: the
+    interior ones), a map of a vector or columns, and its record: the Hodge
+    Laplacian of degree k-1 for ``d^T S_k x`` (:func:`_potential`)."""
     system = _hodge_system(mesh, k - 1, dirichlet)
-    dt = mesh.complex.boundary_matrices[k][system[2]]  # d^T
-    y, record, _ = _potential(mesh, k - 1, dirichlet, system,
-                              dt @ (mesh.star_diagonal(k) * x.T).T,
-                              rank_tolerance, building)
-    return dt.T @ y, record
+    dt, s = mesh.complex.boundary_matrices[k][system[2]], mesh.star_diagonal(k)  # d^T
+    potential, record, _ = _potential(mesh, k - 1, dirichlet, system,
+                                      rank_tolerance, building)
+    return (lambda x: dt.T @ potential(dt @ (s * x.T).T)), record
 
 
 def _coexact_part(mesh, k: int, dirichlet: bool, x, rank_tolerance,
@@ -441,26 +453,29 @@ def _coexact_part(mesh, k: int, dirichlet: bool, x, rank_tolerance,
     sb = adjoint_full(mesh, k + 1).tocsc()[:, system[2]]  # S_k B
     if dirichlet:
         sb = sparse.diags(mesh.interior_simplex_mask(k).astype(float)) @ sb
-    y, record, _ = _potential(mesh, k + 1, dirichlet, system, sb.T @ x,
-                              rank_tolerance, building)
-    return sparse.diags(1.0 / mesh.star_diagonal(k)) @ (sb @ y), record
+    potential, record, _ = _potential(mesh, k + 1, dirichlet, system,
+                                      rank_tolerance, building)
+    return sparse.diags(1.0 / mesh.star_diagonal(k)) @ (sb @ potential(sb.T @ x)), record
 
 
-def dirichlet_extension(mesh: RegionMesh, x, rank_tolerance=tolerances.RANK_REL):
-    """The 1-cochain columns equal to ``x`` on the boundary edges that solve
-    the Dirichlet Hodge Laplacian ``L`` of degree 1 on the interior edges
-    ``J``: ``L_JJ y_J = -L_J,bd x_bd``, one :func:`_potential` solve
-    (grounded on H^1(M, boundary) when it is nonzero, an empty block without
-    interior edges).  So ``d^T S_2 d y`` and ``del_1 S_1 y`` vanish on the
-    interior edges and vertices.  Returns them, the solve's record and the
-    grounding Dirichlet basis (None unless one was built)."""
+def dirichlet_extension(mesh: RegionMesh, rank_tolerance=tolerances.RANK_REL):
+    """The Dirichlet extension: a map of 1-cochain columns ``x`` to the
+    columns equal to ``x`` on the boundary edges that solve the Dirichlet
+    Hodge Laplacian ``L`` of degree 1 on the interior edges ``J``, ``L_JJ
+    y_J = -L_J,bd x_bd`` (:func:`_potential`, grounded on H^1(M, boundary)
+    when it is nonzero, an empty block without interior edges).  So ``d^T
+    S_2 d y`` and ``del_1 S_1 y`` vanish on the interior edges and vertices.
+    Returns the map, its record and the grounding basis (or None)."""
     system = rows, w, interior = _hodge_system(mesh, 1, True)
-    y = np.array(x, dtype=float)
-    y[interior] = 0.0
-    rhs = -(rows[:, interior].T @ (w[:, None] * (rows @ y)))
-    y[interior], record, grounding = _potential(mesh, 1, True, system, rhs,
-                                                rank_tolerance)
-    return y, record, grounding
+    potential, record, grounding = _potential(mesh, 1, True, system, rank_tolerance)
+
+    def extend(x):
+        y = np.array(x, dtype=float)
+        y[interior] = 0.0
+        y[interior] = potential(-(rows[:, interior].T @ (w[:, None] * (rows @ y))))
+        return y
+
+    return extend, record, grounding
 
 
 def hmf_decompose(alpha: Cochain, mesh: RegionMesh | None = None,
@@ -469,7 +484,7 @@ def hmf_decompose(alpha: Cochain, mesh: RegionMesh | None = None,
                   roundoff_tolerance=tolerances.ROUNDOFF_REL) -> HmfDecomposition:
     """Orthogonal projections onto the four summands; two independent solves.
 
-    The Dirichlet :func:`_exact_part` and the Neumann :func:`_coexact_part`
+    The Dirichlet :func:`_exact_projection` and the Neumann :func:`_coexact_part`
     (in degree 0, ``alpha`` minus its weighted mean per component).  The
     rest is projected onto the harmonic Neumann basis (built unless given,
     if the Betti number is nonzero); the remainder is exact harmonic.
@@ -484,8 +499,9 @@ def hmf_decompose(alpha: Cochain, mesh: RegionMesh | None = None,
     exact = coexact = np.zeros_like(alpha.values)
     solves = {}
     if k >= 1:
-        exact, solves["exact_dirichlet"] = _exact_part(
-            mesh, k, True, alpha.values, rank_tolerance)
+        project, solves["exact_dirichlet"] = _exact_projection(
+            mesh, k, True, rank_tolerance)
+        exact = project(alpha.values)
     if 1 <= k < mesh.complex.dim:
         coexact, solves["coexact_neumann"] = _coexact_part(
             mesh, k, False, alpha.values, rank_tolerance)

@@ -8,6 +8,8 @@ silently resolved.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import tolerances
@@ -263,17 +265,17 @@ def _banded_solve(strip, rhs):
 def barycentre_order(points):
     """Stable order of the rows of ``points``, one barycentre per unknown,
     along the longest axis of their bounding box: on a mesh block it gives
-    :func:`factorized_solve` a small bandwidth."""
+    :func:`factorize` a small bandwidth."""
     axis = int(np.argmax(np.ptp(points, axis=0)))
     return np.argsort(points[:, axis], kind="stable")
 
 
-def factorized_solve(block, rhs, rank_tolerance=tolerances.RANK_REL,
-                     error=ValueError):
-    """Solution and pivot ratio of the sparse SPD ``block`` for ``rhs``, by
-    one of three routes.  Up to ``DENSE_BLOCK_MAX`` unknowns a Cholesky in
-    numpy: block-tridiagonal (:func:`_banded_cholesky`) when the block is
-    large and narrow enough in its given order (``BANDED_MIN``), else dense
+def factorize(block, rank_tolerance=tolerances.RANK_REL, error=ValueError):
+    """The solve of the sparse SPD ``block`` (a map of a right-hand side,
+    a vector or columns, to the solution) and its pivot ratio, by one of
+    three routes.  Up to ``DENSE_BLOCK_MAX`` unknowns a Cholesky in numpy:
+    block-tridiagonal (:func:`_banded_cholesky`) when the block is large and
+    narrow enough in its given order (``BANDED_MIN``), else dense
     (:func:`gated_cholesky`).  Above it SuperLU with a minimum degree
     ordering and no pivoting off the diagonal.  A pivot ratio not above the
     rank tolerance raises ``error``."""
@@ -285,9 +287,9 @@ def factorized_solve(block, rhs, rank_tolerance=tolerances.RANK_REL,
             width = max(BANDED_WIDTH_MIN, int((coo.row - coo.col).max()))
             if -(-n // width) >= BANDED_MIN_BLOCKS:
                 strip, ratio = _banded_cholesky(coo, width, rank_tolerance, error)
-                return _banded_solve(strip, rhs), ratio
+                return functools.partial(_banded_solve, strip), ratio
         factor, ratio = gated_cholesky(block.toarray(), rank_tolerance, error)
-        return _cholesky_solve(factor, rhs), ratio
+        return functools.partial(_cholesky_solve, factor), ratio
     from scipy.sparse.linalg import splu
     try:
         lu = splu(block.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
@@ -296,7 +298,7 @@ def factorized_solve(block, rhs, rank_tolerance=tolerances.RANK_REL,
     except RuntimeError:  # exactly singular
         pivots = np.zeros(1)
     ratio = _pivot_gate(pivots, n, rank_tolerance, error)
-    return lu.solve(rhs), ratio
+    return lu.solve, ratio
 
 
 def _gap(s, rank) -> float:
@@ -323,18 +325,10 @@ def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
     return np.where(cos ** 2 >= 0.5, small, np.arccos(np.clip(cos, -1.0, 1.0)))
 
 
-def contains(outer: Subspace, inner: Subspace,
-             angle_tolerance=tolerances.PRINCIPAL_ANGLE):
-    """Whether every direction of ``inner`` lies in ``outer``.
-
-    Returns ``(contained, max_angle)``; containment holds when all principal
-    angles against ``inner``'s full dimension stay below the tolerance.
-    """
-    return _contains(outer, inner, principal_angles(outer, inner), angle_tolerance)
-
-
 def _contains(outer: Subspace, inner: Subspace, angles, angle_tolerance):
-    """``contains`` from the already computed ``principal_angles(outer, inner)``."""
+    """Whether every direction of ``inner`` lies in ``outer``, from the
+    ``principal_angles(outer, inner)``: ``(contained, max_angle)``, all
+    angles against ``inner``'s full dimension below the tolerance."""
     if inner.dim == 0:
         return True, 0.0
     if outer.dim < inner.dim:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tolerances
-from .boundary import BoundaryDatum, BoundaryError, coclosed_projection
+from .boundary import BoundaryDatum, BoundaryError, coclosed_projector
 from .dec import Cochain, inner_product
 from .mesh import HypersurfaceMesh, extract_face
 from .subspaces import (Subspace, _contains, from_span, null_space, orthonormalize,
@@ -33,10 +33,9 @@ def omega(a: BoundaryDatum, b: BoundaryDatum) -> float:
 class SymplecticSpace:
     """Concatenated (phi, phi_dot) coordinates with their two-form and gram."""
 
-    def __init__(self, omega_matrix, gram, host=None):
+    def __init__(self, omega_matrix, gram):
         self.omega_matrix = np.asarray(omega_matrix, dtype=float)
         self.gram = np.asarray(gram, dtype=float)
-        self.host = host
         if self.omega_matrix.shape[0] != self.omega_matrix.shape[1]:
             raise ValueError("two-form matrix must be square")
         skew = np.abs(self.omega_matrix + self.omega_matrix.T).max(initial=0.0)
@@ -44,60 +43,25 @@ class SymplecticSpace:
         if skew > 1e-13 * max(scale, 1.0):
             raise ValueError("two-form matrix is not antisymmetric")
 
-    @classmethod
-    def from_hypersurface(cls, sigma: HypersurfaceMesh) -> "SymplecticSpace":
-        n = sigma.complex.n_simplices(1)
-        s = sigma.star_diagonal(1)
-        m = np.zeros((2 * n, 2 * n))
-        half = 0.5 * sigma.orientation_sign * np.diag(s)
-        m[:n, n:] = half
-        m[n:, :n] = -half
-        return cls(m, np.concatenate([s, s]), host=sigma)
-
     @property
     def ambient_dim(self) -> int:
         return self.omega_matrix.shape[0]
 
-    def kernel(self, rank_tolerance=tolerances.RANK_REL) -> Subspace:
-        """Degeneracy directions of the two-form, reported explicitly."""
-        return null_space(self.omega_matrix, gram=self.gram,
-                          rank_tolerance=rank_tolerance,
-                          n_columns=self.ambient_dim)
 
-    def restrict(self, phi_subspace: Subspace):
-        """Reduced symplectic space on a subspace, with coordinate maps.
-
-        Returns ``(reduced, to_reduced, from_reduced)``; ``to_reduced`` is
-        exact on vectors inside the subspace and maps a matrix by columns.
-        """
-        q = phi_subspace.columns
-        omega_red = q.T @ self.omega_matrix @ q
-        omega_red = 0.5 * (omega_red - omega_red.T)
-        reduced = SymplecticSpace(omega_red, np.ones(q.shape[1]), host=self.host)
-
-        gram = self.gram  # the maps must not keep the 2n x 2n two-form alive
-
-        def to_reduced(x):  # a vector, or one column per vector
-            return q.T @ (gram * np.asarray(x, dtype=float).T).T
-
-        def from_reduced(y):
-            return q @ np.asarray(y, dtype=float)
-
-        return reduced, to_reduced, from_reduced
-
-
-def coclosed_subspace(sigma: HypersurfaceMesh,
-                      rank_tolerance=tolerances.RANK_REL) -> tuple[Subspace, dict]:
+def coclosed_subspace(sigma: HypersurfaceMesh, rank_tolerance=tolerances.RANK_REL,
+                      projection=None) -> tuple[Subspace, dict]:
     """S-orthonormal basis ``Q`` of the coclosed 1-cochains (``ker del_1 S_1``)
     and its record.  The coclosed projections ``Y`` of the r edges off the
-    spanning forest (one grounded vertex-Laplacian solve) are independent,
-    as a ``d f`` vanishing on a spanning forest is zero: ``Q = Y L^-T`` for
-    ``L L^T = Y^T S Y``, pivot-gated (:func:`~decgauge.subspaces.orthonormalize`)."""
+    spanning forest (``projection``, by default a
+    :func:`~decgauge.boundary.coclosed_projector` of its own) are
+    independent, as a ``d f`` vanishing on a spanning forest is zero:
+    ``Q = Y L^-T`` for ``L L^T = Y^T S Y``, pivot-gated
+    (:func:`~decgauge.subspaces.orthonormalize`)."""
     s = sigma.star_diagonal(1)
     off = np.flatnonzero(~sigma.complex.forest_edges)
     y = np.zeros((s.size, off.size))
     y[off, np.arange(off.size)] = 1.0
-    y = coclosed_projection(sigma, y, rank_tolerance)
+    y = (projection or coclosed_projector(sigma, rank_tolerance)[0])(y)
     cols, ratio = orthonormalize(y, s, rank_tolerance, BoundaryError)
     q = Subspace(cols, gram=s, rank_tolerance=rank_tolerance)
     return q, {"edges_off_forest": off.size, "pivot_ratio": ratio,

@@ -10,12 +10,17 @@ coclosed boundary traces; :func:`reduced_gauge_fixed` and
 :func:`traced_restrict` are the route through the null space of the stacked
 bulk system and the traces of its basis that it replaced, and
 :func:`svd_lagrangian` the Lagrangian check through them, the restriction
-and the 2n-wide two-form.  :func:`qr_lagrangian_readings` takes the
-isotropy and coisotropy readings of graph(M) from QR bases of the two
-graphs, the route the r x r Cholesky readings replaced.
+and the 2n-wide two-form.  :func:`r_wide_lagrangian` reads the Lagrangian
+check off the r x r matrix ``M = Q^T S Lam Q`` of every coclosed trace, the
+route the probe readings replaced, and :func:`qr_lagrangian_readings` takes
+its isotropy and coisotropy readings from QR bases of graph(M) and
+graph(M^T), the route the r x r Cholesky readings replaced.
 :func:`svd_coclosed_subspace` is the coclosed boundary basis from the dense
 SVD of the boundary incidence, the route the spanning-forest basis replaced.
 :func:`laplacian0` assembles the vertex Laplacian outside the Hodge systems.
+:func:`hypersurface_form`, :func:`form_kernel`, :func:`restrict_form` and
+:func:`contains` complete the dense two-form API of ``decgauge.symplectic``,
+and :func:`coclosed_defect` measures boundary data against the codifferential.
 """
 
 import numpy as np
@@ -23,9 +28,48 @@ from scipy import sparse
 
 from decgauge import dynamics, tolerances
 from decgauge.boundary import coclosed_projection, trace_columns
-from decgauge.dec import Cochain
-from decgauge.subspaces import Subspace, from_span, null_space, principal_angles
+from decgauge.dec import Cochain, codifferential, norm
+from decgauge.subspaces import (Subspace, from_span, null_space, orthonormalize,
+                                 principal_angles)
+from decgauge.subspaces import _contains
 from decgauge.symplectic import SymplecticSpace, _omega_scale, is_lagrangian
+
+
+def coclosed_defect(datum) -> float:
+    """The larger codifferential of a datum's phi and phi_dot, relative to
+    the larger of their norms."""
+    scale = max(norm(datum.phi), norm(datum.phi_dot), 1e-300)
+    return max(norm(codifferential(datum.phi)), norm(codifferential(datum.phi_dot))) / scale
+
+
+def contains(outer, inner, angle_tolerance=tolerances.PRINCIPAL_ANGLE):
+    """Whether every direction of ``inner`` lies in ``outer``:
+    ``(contained, max_angle)`` from their principal angles."""
+    return _contains(outer, inner, principal_angles(outer, inner), angle_tolerance)
+
+
+def hypersurface_form(sigma) -> SymplecticSpace:
+    """The 2n x 2n two-form ``sign/2 [[0, S], [-S, 0]]`` of a hypersurface on
+    the concatenated (phi, phi_dot) coordinates, with the doubled stars."""
+    n, s = sigma.complex.n_simplices(1), sigma.star_diagonal(1)
+    m = np.zeros((2 * n, 2 * n))
+    m[:n, n:] = 0.5 * sigma.orientation_sign * np.diag(s)
+    return SymplecticSpace(m - m.T, np.concatenate([s, s]))
+
+
+def form_kernel(w, rank_tolerance=tolerances.RANK_REL) -> Subspace:
+    """Degeneracy directions of the two-form of ``w``, reported explicitly."""
+    return null_space(w.omega_matrix, gram=w.gram, rank_tolerance=rank_tolerance,
+                      n_columns=w.ambient_dim)
+
+
+def restrict_form(w, phi_subspace):
+    """The two-form of ``w`` reduced on a subspace, and the map of a vector
+    or columns to the subspace's coordinates (exact inside it)."""
+    q = phi_subspace.columns
+    omega_red = q.T @ w.omega_matrix @ q
+    reduced = SymplecticSpace(0.5 * (omega_red - omega_red.T), np.ones(q.shape[1]))
+    return reduced, lambda x: q.T @ (w.gram * np.asarray(x, dtype=float).T).T
 
 
 def laplacian0(host):
@@ -114,7 +158,7 @@ def svd_lagrangian(mesh, rank_tolerance=tolerances.RANK_REL,
     single = svd_coclosed_subspace(sigma, rank_tolerance)
     phi = Subspace(np.kron(np.eye(2), single.columns), gram=np.tile(single.gram, 2),
                    rank_tolerance=rank_tolerance)
-    reduced, to_reduced, _ = SymplecticSpace.from_hypersurface(sigma).restrict(phi)
+    reduced, to_reduced = restrict_form(hypersurface_form(sigma), phi)
     x, y = image.columns, to_reduced(image.columns)
     embed_defect = float((np.linalg.norm(phi.columns @ y - x, axis=0) / np.maximum(
         np.linalg.norm(x, axis=0), 1e-300)).max(initial=0.0))
@@ -153,3 +197,49 @@ def qr_lagrangian_readings(space, solution_tolerance=tolerances.SOLUTION_REL):
     top, bottom = np.vsplit(image.columns, 2)
     iso = float(np.abs(0.5 * (top.T @ bottom - bottom.T @ top)).max(initial=0.0))
     return iso, principal_angles(image, comp)
+
+
+def r_wide_lagrangian(space, isotropy_tolerance=tolerances.ISOTROPY_REL,
+                      angle_tolerance=tolerances.PRINCIPAL_ANGLE,
+                      solution_tolerance=tolerances.SOLUTION_REL,
+                      coclosed_tolerance=tolerances.COCLOSED_INPUT_REL) -> dict:
+    """The readings of ``dynamics.verify_lagrangian`` on all r coclosed
+    traces: ``M = Q^T S Lam Q`` from the extension ``A`` of ``Q``, Green's
+    identity ``M = (dA)^T S_2 dA``, and ``K = L^-1 (M - M^T) L^-T`` for
+    ``L L^T = I + M^T M``, ``L^-T`` the top block of the orthonormal graph
+    basis ``[I; M] L^-T``.  The fluxes come from ``dynamics.trace_columns``,
+    so a fault patched in there shows here too."""
+    mesh, sigma, q = space.mesh, space.mesh.boundary, space.coclosed
+    r = 0 if q is None else q.dim
+    iso = green = embed_defect = 0.0
+    sines = np.zeros(0)
+    if r:
+        s, x = sigma.star_diagonal(1), space.extension
+        flux = dynamics.trace_columns(mesh, x, sigma, solution_tolerance)[1]
+        m = q.coords(flux)
+        off = flux - q.columns @ m
+        embed_defect = float((np.sqrt(s @ off ** 2) / np.sqrt(1.0 + s @ flux ** 2)).max())
+        da = mesh.complex.boundary_matrices[2].T @ x
+        energy = da.T @ (mesh.star_diagonal(2)[:, None] * da)
+        resolution = np.finfo(float).eps / 2 * (
+            (np.abs(q.columns) * np.abs(s[:, None] * flux)).sum(axis=0)
+            + np.diag(energy)).max()
+        green = float((np.abs(m - energy).max() + resolution)
+                      / max(np.diag(energy).max(), 1e-300))
+        inv = orthonormalize(np.vstack([np.eye(r), m]), np.ones(2 * r))[0][:r]
+        k = inv.T @ (m - m.T) @ inv
+        iso = 0.5 * float(np.abs(k).max())
+        sines = np.linalg.svd(k, compute_uv=False)[::-1]
+    angles = np.arcsin(np.clip(sines, 0.0, 1.0))
+    max_angle = float(angles.max(initial=0.0))
+    return {
+        "isotropy_max": iso,
+        "green_residual": green,
+        "coisotropy_angles": angles,
+        "max_principal_angle": max_angle,
+        "embedding_defect": embed_defect,
+        "lagrangian": bool(iso <= isotropy_tolerance * 0.5
+                           and green <= isotropy_tolerance
+                           and max_angle <= angle_tolerance
+                           and embed_defect <= coclosed_tolerance),
+    }

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from decgauge import builders, cli, dynamics, hodge, mesh
+from decgauge import builders, cli, dynamics, hodge, mesh, tolerances
 from decgauge.cli import ExperimentConfig
 from decgauge.dec import Cochain
 from dense_oracles import full_basis
@@ -155,6 +155,27 @@ def test_seed_recorded_and_changes_data(tmp_path):
     ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
     assert ra["seed"] == 1 and rb["seed"] == 2
     assert ra["detail"]["component_norms"] != rb["detail"]["component_norms"]
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path):
+    # one parser per process; a second call sees none of the first's options
+    assert cli._build_parser() is cli._build_parser()
+    out = tmp_path / "r.json"
+
+    def run(*args):
+        out.unlink(missing_ok=True)
+        code = cli.main([*args, "--out", str(out)])
+        return code, json.loads(out.read_text()) if out.exists() else None
+
+    code, first = run("harmonic", "--mesh", "disk:N=8", "--degree", "2",
+                      "--tol", "HARMONIC_REL=1e-3")
+    assert code == 0 and first["detail"]["degree"] == 2
+    assert first["tolerances"]["HARMONIC_REL"] == 1e-3
+    code, second = run("harmonic", "--mesh", "disk:N=8")
+    assert code == 0 and second["detail"]["degree"] == 1
+    assert second["tolerances"] == tolerances.DEFAULTS
+    assert run("glue", "--mesh", "strip:N=4", "--faces", "west", "east")[0] == 0
+    assert run("glue", "--mesh", "strip:N=4") == (cli.EXIT_CONFIG_ERROR, None)
 
 
 def test_csv_format(tmp_path):

@@ -97,18 +97,28 @@ def test_one_more_edge_off_the_forest_raises(spec):
 
 @pytest.mark.parametrize("name", sorted(REGIONS))
 def test_coclosed_basis_record(name):
-    rep = dynamics.verify_lagrangian(dynamics.solution_space(REGIONS[name]()))
-    record = rep["coclosed_basis"]
+    # Q, on the space's gauge fix, has the report's exact dimension; the
+    # report records that gauge fix's solve, grounded once per component
+    space = dynamics.solution_space(REGIONS[name]())
+    sigma = space.mesh.boundary
+    rep = dynamics.verify_lagrangian(space)
+    q, record = coclosed_subspace(sigma, projection=space.gauge_fix)
     assert sorted(record) == ["edges_off_forest", "pivot_ratio", "rank_tolerance"]
-    assert record["edges_off_forest"] == rep["dims"]["image"]
+    assert record["edges_off_forest"] == q.dim == rep["dims"]["image"]
     assert record["pivot_ratio"] > record["rank_tolerance"] == tolerances.RANK_REL
+    solve = rep["gauge_fix_solve"]
+    assert sorted(solve) == ["block_size", "grounded", "pivot_ratio", "rank_tolerance"]
+    assert solve["grounded"] == sigma.complex.n_components()
+    assert solve["block_size"] + solve["grounded"] == sigma.complex.n_vertices
+    assert solve["pivot_ratio"] > solve["rank_tolerance"] == tolerances.RANK_REL
 
 
 def test_closed_region_record_and_shell_ambiguity():
     closed = mesh.region_from_hypersurface(builders.solid_torus(8).boundary)
     rep = dynamics.verify_lagrangian(dynamics.solution_space(closed))
-    assert rep["coclosed_basis"] == {"edges_off_forest": 0, "pivot_ratio": None,
-                                     "rank_tolerance": tolerances.RANK_REL}
+    assert rep["gauge_fix_solve"] == {"block_size": 0, "grounded": 0, "pivot_ratio": None,
+                                      "rank_tolerance": tolerances.RANK_REL}
+    assert rep["probes"] == {"count": 0, "coclosed_dim": 0, "seed": 0}
     # a shell grounds nothing and Q cuts no rank: nothing can be ambiguous
     shell = dynamics.solution_space(builders.solid_torus(8))
     assert shell.grounding is None
@@ -125,15 +135,15 @@ def test_rank_tolerance_reaches_the_gauge_fix_gate(ann8):
 
 def test_solution_space_gauge_fixes_at_its_tolerance(monkeypatch):
     seen = []
-    original = hodge.factorized_solve
+    original = hodge.factorize
 
-    def recording(block, rhs, rank_tolerance, error):
+    def recording(block, rank_tolerance, error):
         seen.append(rank_tolerance)
-        return original(block, rhs, rank_tolerance, error)
+        return original(block, rank_tolerance, error)
 
-    monkeypatch.setattr(hodge, "factorized_solve", recording)
+    monkeypatch.setattr(hodge, "factorize", recording)
     space = dynamics.solution_space(builders.annulus(16), rank_tolerance=1e-9)
-    built = len(seen)  # Q, the extension and its grounding H^1(M, bd M)
+    built = len(seen)  # the gauge fix, the extension and its grounding H^1(M, bd M)
     assert built >= 2
     space.gauge_fixed_basis
     assert len(seen) == built + 1

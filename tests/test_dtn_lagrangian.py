@@ -1,18 +1,19 @@
-"""The Lagrangian check through the Dirichlet-to-Neumann map against the SVD
-route it replaced (``dense_oracles.svd_lagrangian``), its readings against
-the QR route (``dense_oracles.qr_lagrangian_readings``), the restriction,
-its fault detection, and the builtin cube that gives its extension solve
-interior vertices."""
+"""The Lagrangian check through probes of the Dirichlet-to-Neumann map
+against the SVD route (``dense_oracles.svd_lagrangian``) and the r-wide
+readings (``dense_oracles.r_wide_lagrangian``), those against the QR route
+(``dense_oracles.qr_lagrangian_readings``), the restriction, its fault
+detection, and the builtin cube that gives its extension solve interior
+vertices."""
 
 import json
 
 import numpy as np
 import pytest
-from dense_oracles import qr_lagrangian_readings, svd_lagrangian
+from dense_oracles import qr_lagrangian_readings, r_wide_lagrangian, svd_lagrangian
 from hypothesis import given, settings
 from test_oracle import relabelled
 
-from decgauge import builders, cli, dynamics, mesh, tolerances
+from decgauge import builders, cli, dynamics, mesh, symplectic, tolerances
 from decgauge.subspaces import from_span, principal_angles
 from decgauge.symplectic import SymplecticSpace
 
@@ -43,15 +44,27 @@ REGIONS = {
 
 
 def assert_matches_qr_route(space):
-    """The Cholesky readings against the QR route: a fault's agree
-    relatively; a clean mesh's are roundoff of either route (at most
-    ~1e-15) and agree only absolutely."""
+    """The probe verdict against the r-wide one, whose Cholesky readings
+    agree with the QR route: a fault's relatively; a clean mesh's are
+    roundoff of either route (at most ~1e-15) and agree only absolutely.
+    With r <= PROBES the probes span every coclosed trace, and their
+    angles are the r-wide ones, unless the fluxes leave the coclosed traces:
+    the r-wide ``L`` drops that part of them, the probes' keeps it."""
     rep = dynamics.verify_lagrangian(space)
+    wide = r_wide_lagrangian(space)
     iso, angles = qr_lagrangian_readings(space)
-    assert np.isclose(rep["isotropy_max"], iso, rtol=1e-12, atol=1e-14)
-    assert len(rep["coisotropy_angles"]) == len(angles) == space.coclosed.dim
-    assert np.abs(np.array(rep["coisotropy_angles"]) - angles).max() <= 1e-13
+    r = space.coclosed.dim
+    assert np.isclose(wide["isotropy_max"], iso, rtol=1e-12, atol=1e-14)
+    assert len(wide["coisotropy_angles"]) == len(angles) == r == space.coclosed_dim
+    assert np.abs(wide["coisotropy_angles"] - angles).max() <= 1e-13
+    assert rep["probes"] == {"count": min(r, dynamics.PROBES), "coclosed_dim": r,
+                             "seed": 0}
+    assert len(rep["coisotropy_angles"]) == rep["probes"]["count"]
     assert rep["max_principal_angle"] == max(rep["coisotropy_angles"])
+    assert rep["lagrangian"] is wide["lagrangian"]
+    if r <= dynamics.PROBES and wide["embedding_defect"] <= tolerances.COCLOSED_INPUT_REL:
+        assert np.isclose(rep["max_principal_angle"], wide["max_principal_angle"],
+                          rtol=1e-9, atol=1e-13)
     return rep
 
 
@@ -103,17 +116,71 @@ def test_extension_solve_record():
 @pytest.mark.parametrize("spec", ["annulus:N=16", "solid_torus:K=8", "cube:N=2"])
 def test_builds_no_gauge_fixed_basis_or_two_form(spec, monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
-        raise AssertionError("gauge-fixed basis, 2n-wide two-form, graph QR "
-                             "or principal-angle SVD taken")
+        raise AssertionError("gauge-fixed basis, coclosed basis Q, 2n-wide "
+                             "two-form, graph QR or principal-angle SVD taken")
 
     assert not hasattr(dynamics, "_graph")
+    assert not hasattr(SymplecticSpace, "from_hypersurface")  # a tests-only oracle
     monkeypatch.setattr(dynamics.SolutionSpace, "gauge_fixed_basis", property(refuse))
-    monkeypatch.setattr(SymplecticSpace, "from_hypersurface", refuse)
+    monkeypatch.setattr(symplectic, "coclosed_subspace", refuse)
+    monkeypatch.setattr(dynamics, "coclosed_subspace", refuse)
     monkeypatch.setattr(np.linalg, "qr", refuse)
     monkeypatch.setattr(dynamics, "principal_angles", refuse)
     out = tmp_path / "r.json"
     assert cli.main(["verify-lagrangian", "--mesh", spec, "--out", str(out)]) == cli.EXIT_OK
     assert json.loads(out.read_text())["detail"]["lagrangian"] is True
+
+
+@pytest.mark.parametrize("spec", ["annulus:N=16", "solid_torus:K=8", "cube:N=2"])
+def test_verify_axioms_builds_r_wide_columns_only_in_a11(spec, monkeypatch):
+    # A4, A8 and A9 read the two factorizations; only the gluing check of
+    # A11 builds Q and the gauge-fixed bases
+    inside, built = [], []
+    check, coclosed = cli.gluing_check, dynamics.coclosed_subspace
+    gauge_fixed = dynamics.SolutionSpace.gauge_fixed_basis.func
+
+    def gluing(*args, **kwargs):
+        inside.append(True)
+        try:
+            return check(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def only_in_a11(build, name):
+        def wrapped(*args, **kwargs):
+            assert inside, f"{name} built outside A11"
+            built.append(name)
+            return build(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "gluing_check", gluing)
+    monkeypatch.setattr(dynamics, "coclosed_subspace", only_in_a11(coclosed, "Q"))
+    monkeypatch.setattr(dynamics.SolutionSpace, "gauge_fixed_basis",
+                        property(only_in_a11(gauge_fixed, "G")))
+    axioms = cli.verify_axioms(builders.from_spec(spec))
+    assert all(row["passed"] for row in axioms.values())
+    assert "Q" in built and "G" in built
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1])
+def test_probes_follow_the_seed(seed, tmp_path):
+    # r = 49 > PROBES: the seed picks the probes, so readings move with it
+    # at roundoff while verdict and dims stay; one seed reads byte-identical
+    def run(s):
+        out = tmp_path / f"{s}.json"
+        args = ["verify-lagrangian", "--mesh", "solid_torus:K=8", "--out", str(out),
+                "--seed", str(s)]
+        assert cli.main(args) == cli.EXIT_OK
+        return out.read_text()
+
+    text = run(seed)
+    assert run(seed) == text
+    detail, other = (json.loads(t)["detail"] for t in (text, run(seed + 1)))
+    assert detail["probes"] == {"count": dynamics.PROBES, "coclosed_dim": 49,
+                                "seed": seed}
+    assert len(detail["coisotropy_angles"]) == dynamics.PROBES
+    assert other["dims"] == detail["dims"] and other["lagrangian"]
+    assert other["coisotropy_angles"] != detail["coisotropy_angles"]
 
 
 @pytest.mark.parametrize("name", sorted(REGIONS))
@@ -168,11 +235,32 @@ def poisoned_star():
     return traces
 
 
+def one_edge_flux():
+    """Traces whose flux has the wrong sign on the first boundary edge."""
+    original = dynamics.trace_columns
+
+    def traces(m, columns, sigma, tolerance):
+        phi, flux = original(m, columns, sigma, tolerance)
+        flux = flux.copy()
+        flux[0] *= -1.0
+        return phi, flux
+
+    return traces
+
+
 FAULTS = {
     "flip-annulus": ("annulus:N=16", flipped_flux("inner")),
     "flip-cube": ("cube:N=2", flipped_flux("top")),
     "star-annulus": ("annulus:N=16", poisoned_star()),
     "star-cube": ("cube:N=2", poisoned_star()),
+}
+
+# With one coclosed trace (a square) every line is Lagrangian, and a flux of
+# the wrong sign everywhere (one-face shell) leaves M symmetric.
+GREEN_ONLY = {
+    "flip-square": ("square:N=8", flipped_flux("north")),
+    "star-square": ("square:N=8", poisoned_star()),
+    "flip-shell": ("solid_torus:K=8", flipped_flux("shell")),
 }
 
 
@@ -192,15 +280,9 @@ def test_fault_fails_the_check(spec, fault, monkeypatch, tmp_path):
     assert detail["max_principal_angle"] > ANGLE
 
 
-@pytest.mark.parametrize("spec, fault", [
-    ("square:N=8", flipped_flux("north")),
-    ("square:N=8", poisoned_star()),
-    ("solid_torus:K=8", flipped_flux("shell")),
-], ids=["flip-square", "star-square", "flip-shell"])
+@pytest.mark.parametrize("spec, fault", GREEN_ONLY.values(), ids=GREEN_ONLY)
 def test_green_identity_sees_what_symmetry_cannot(spec, fault, monkeypatch):
-    # With one coclosed trace (a square) every line is Lagrangian, and a flux
-    # of the wrong sign everywhere (one-face shell) leaves M symmetric: the
-    # SVD route passes these, Green's identity does not.
+    # The SVD route passes these faults, Green's identity does not.
     monkeypatch.setattr(dynamics, "trace_columns", fault)
     m = builders.from_spec(spec)
     assert svd_lagrangian(m)["lagrangian"] is True
@@ -208,6 +290,26 @@ def test_green_identity_sees_what_symmetry_cannot(spec, fault, monkeypatch):
     assert rep["isotropy_max"] <= ISO * rep["isotropy_scale"]
     assert rep["green_residual"] > 1e-3
     assert rep["lagrangian"] is False
+
+
+SEEDED_FAULTS = {**FAULTS, **GREEN_ONLY,
+                 "one-edge-shell": ("solid_torus:K=48", one_edge_flux())}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_FAULTS))
+def test_fault_fails_on_every_seed(name, monkeypatch):
+    # min(r, PROBES) probes see each fault whichever they are; r = 289 on the
+    # shell, and a flux of the wrong sign on one of its edges
+    spec, fault = SEEDED_FAULTS[name]
+    monkeypatch.setattr(dynamics, "trace_columns", fault)
+    space = dynamics.solution_space(builders.from_spec(spec))
+    for seed in range(100):
+        rep = dynamics.verify_lagrangian(space, seed=seed)
+        assert rep["lagrangian"] is False, seed
+        assert rep["green_residual"] > 1e-6, seed
+        if name in FAULTS:  # with r > 1 each measure sees it
+            assert rep["isotropy_max"] > ISO * rep["isotropy_scale"], seed
+            assert rep["max_principal_angle"] > ANGLE, seed
 
 
 @pytest.mark.parametrize("spec, fault", FAULTS.values(), ids=FAULTS)

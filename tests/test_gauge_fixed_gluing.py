@@ -10,6 +10,7 @@ import pytest
 
 from decgauge import builders, cli, dynamics, mesh, subspaces
 from dense_oracles import curvature_adjoint_full, field_equation_matrix, full_basis
+from test_harmonic_reduction import torus_seam
 
 
 def _two_squares():
@@ -90,23 +91,29 @@ def _two_cubes():
     return two, "m0.east", "m1.west", dict(zip(side("m0.east"), side("m1.west")))
 
 
-# A face of an n x n grid has 2n(n+1) axis edges and n^2 diagonals.
-CUBE_GLUINGS = {"cube3": (lambda: _cube(3), 33), "cube4": (lambda: _cube(4), 56),
-                "two_cubes": (_two_cubes, 16)}
+# (build, matched edges, glued solutions).  A face of an n x n grid has
+# 2n(n+1) axis edges and n^2 diagonals; after the first gluing into a ring,
+# the south face has n fewer.  The second seam of T^2 x I is an annulus with
+# corners and carries a class of H^1.
+CUBE_GLUINGS = {"cube3": (lambda: _cube(3), 33, 120),
+                "cube4": (lambda: _cube(4), 56, 228),
+                "two_cubes": (_two_cubes, 16, 123),
+                "torus_seam3": (lambda: torus_seam(3), 30, 73),
+                "torus_seam4": (lambda: torus_seam(4), 52, 145)}
 
 
 @pytest.mark.parametrize("name", sorted(CUBE_GLUINGS))
 def test_cube_gluing_matches_dense_oracle(name):
     # The perimeter edges of a 3D face stay on the boundary after gluing:
     # their traces are matched, their fluxes are not.
-    build, matched = CUBE_GLUINGS[name]
+    build, matched, dim = CUBE_GLUINGS[name]
     m, la, lb, matching = build()
     rep = dynamics.gluing_check(m, la, lb, matching)
     glued = mesh.glue(m, la, lb, matching)
     glued_full = full_basis(dynamics.solution_space(glued))
     equalizer = dense_equalizer(m, la, matching, glued)
     assert rep["passed"]
-    assert rep["dims"]["glued_solutions"] == glued_full.dim == equalizer.dim
+    assert rep["dims"]["glued_solutions"] == glued_full.dim == equalizer.dim == dim
     assert rep["dims"]["equalizer"] == equalizer.dim
     assert rep["matched_edges"] == matched
     assert rep["containment_residual"] <= 1e-13

@@ -63,8 +63,10 @@ def glued_cube(n):
     return mesh.glue(m, "west", "east", builders.strip_end_matching(m))
 
 
-def torus_times_interval(n):
-    """cube:N=n glued west~east, then south~north (vertices paired by x, z)."""
+def torus_seam(n):
+    """cube:N=n glued west~east, and its south~north matching (vertices
+    paired by x, z): the second gluing into T^2 x I, across an annulus whose
+    perimeter meets the top and bottom faces at corner edges."""
     m = glued_cube(n)
     cx = m.complex
 
@@ -72,7 +74,12 @@ def torus_times_interval(n):
         verts = np.unique(cx.simplices[2][sorted(m.face_labels[label])])
         return verts[np.lexsort(cx.coordinates[verts][:, [0, 2]].T[::-1])].tolist()
 
-    return mesh.glue(m, "south", "north", dict(zip(side("south"), side("north"))))
+    return m, "south", "north", dict(zip(side("south"), side("north")))
+
+
+def torus_times_interval(n):
+    """cube:N=n glued west~east, then south~north."""
+    return mesh.glue(*torus_seam(n))
 
 
 def region(name, request):
@@ -103,6 +110,21 @@ def test_reduced_harmonic_matches_dense_oracle(name, condition, request,
         assert max_angle(fast, dense) <= 1e-10, k
         assert fast.orthonormality_defect() <= 1e-12, k
         assert harmonic.max_residual() <= tolerances.HARMONIC_REL, k
+
+
+def test_dense_fallback_is_size_gated(monkeypatch):
+    # On T^2 x I, H^1 and H^2 ground each other's projections, and the one
+    # requested again takes the dense rows of its degree: 378 x 216 for
+    # degree 1 at N=3.  Above the gate it raises before any SVD.
+    m = torus_times_interval(3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense SVD taken")
+
+    monkeypatch.setattr(hodge, "DENSE_BLOCK_MAX", 200)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    with pytest.raises(hodge.HodgeError, match="dense SVD of 378 x 216 rows"):
+        hodge.harmonic_neumann_basis(m, 1)
 
 
 def test_dirichlet_basis_vanishes_off_the_interior(annulus16):

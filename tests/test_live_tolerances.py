@@ -122,6 +122,41 @@ def test_lagrangian_gates_read_their_tolerance(tmp_path, name, reading):
     assert not row["passed"] and row[reading] > 1e-300
 
 
+# The extreme value of each gate of the probe route, and the reading that
+# then fails the row (None: the run aborts at a gate, with this message).
+PROBE_GATES = {
+    "ISOTROPY_REL": ("1e-300", "isotropy_max"),
+    "PRINCIPAL_ANGLE": ("1e-300", "max_principal_angle"),
+    "COCLOSED_INPUT_REL": ("1e-300", "embedding_defect"),
+    "SOLUTION_REL": ("1e-300", "bulk equation"),
+    "RANK_REL": ("1", "pivot ratio"),
+}
+
+
+@pytest.mark.parametrize("spec", ["solid_torus:K=8", "cube:N=2"])
+@pytest.mark.parametrize("name", sorted(PROBE_GATES))
+def test_every_probe_gate_is_live(name, spec, tmp_path):
+    # r = 49 and 47 coclosed traces, read on 8 probes
+    out = tmp_path / "lag.json"
+    args = ["verify-lagrangian", "--mesh", spec, "--out", str(out)]
+    assert cli.main(args) == 0
+    probes = json.loads(out.read_text())["detail"]["probes"]
+    assert probes["count"] == 8 < probes["coclosed_dim"]
+    value, reading = PROBE_GATES[name]
+    code = cli.main(args + ["--tol", f"{name}={value}"])
+    row = json.loads(out.read_text())["checks"][0]
+    if name == "SOLUTION_REL" and spec == "solid_torus:K=8":
+        # a shell has no interior edge: its bulk equation has no row, and
+        # every residual is an exact zero
+        assert code == 0 and row["passed"]
+    elif reading in row:
+        assert code == cli.EXIT_CHECK_FAILED and row["id"] == "lagrangian"
+        assert not row["passed"] and row[reading] > float(value)
+    else:
+        assert code == cli.EXIT_CHECK_FAILED and row["id"] == "aborted"
+        assert reading in row["error"]
+
+
 def test_every_table_name_is_read_by_the_library():
     # A name that no module applies would be echoed in every report and
     # accepted by --tol while gating nothing.
