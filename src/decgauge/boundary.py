@@ -146,16 +146,11 @@ def coclosed_projector(host, rank_tolerance=tolerances.RANK_REL):
     return (lambda x: x - exact(x)), record
 
 
-def coclosed_projection(host, x, rank_tolerance=tolerances.RANK_REL) -> np.ndarray:
-    """Coclosed representatives of the columns of ``x`` (:func:`coclosed_projector`)."""
-    return coclosed_projector(host, rank_tolerance)[0](x)
-
-
 def gauge_fix_coclosed(datum: BoundaryDatum) -> BoundaryDatum:
     """The unique coclosed representative of a datum's gauge orbit: both
-    components through :func:`coclosed_projection`, an idempotent projection."""
-    fixed = coclosed_projection(
-        datum.host, np.column_stack([datum.phi.values, datum.phi_dot.values]))
+    components through :func:`coclosed_projector`, an idempotent projection."""
+    fixed = coclosed_projector(datum.host)[0](
+        np.column_stack([datum.phi.values, datum.phi_dot.values]))
     return BoundaryDatum.from_vector(datum.host, fixed.T.ravel())
 
 

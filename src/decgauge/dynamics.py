@@ -21,7 +21,6 @@ from . import tolerances
 from .boundary import (
     BoundaryDatum,
     BoundaryError,
-    coclosed_projection,
     coclosed_projector,
     trace_columns,
     trace_solution,
@@ -69,21 +68,13 @@ class SolutionSpace:
     (``coclosed``), its extension A (``extension``), ``gauge_fixed_basis``.
     """
 
-    def __init__(self, mesh: RegionMesh, rank_tolerance=tolerances.RANK_REL):
-        cx, sigma = mesh.complex, mesh.boundary
-        if cx.dim < 2:
-            raise DynamicsError("field equation needs a region of dimension >= 2")
+    def __init__(self, mesh: RegionMesh, gauge_fix, gauge_fix_solve: dict,
+                 coclosed_dim: int, extend, solve: dict, grounding,
+                 gauge_fixed_dim: int, rank_tolerance):
         self.mesh, self.rank_tolerance = mesh, rank_tolerance
-        self.gauge_fix, self.coclosed_dim, bounded = None, 0, 0
-        self.gauge_fix_solve = {"block_size": 0, "grounded": 0, "pivot_ratio": None,
-                                "rank_tolerance": rank_tolerance}
-        if sigma is not None:
-            self.gauge_fix, self.gauge_fix_solve = coclosed_projector(sigma, rank_tolerance)
-            self.coclosed_dim = int((~sigma.complex.forest_edges).sum())
-            bounded = (np.unique(cx.vertex_components()[sigma.vertex_map]).size
-                       - sigma.complex.n_components())
-        self.extend, self.solve, self.grounding = dirichlet_extension(mesh, rank_tolerance)
-        self.gauge_fixed_dim = self.coclosed_dim + bounded + relative_betti_oracle(mesh, 1)
+        self.gauge_fix, self.gauge_fix_solve = gauge_fix, gauge_fix_solve
+        self.coclosed_dim, self.gauge_fixed_dim = coclosed_dim, gauge_fixed_dim
+        self.extend, self.solve, self.grounding = extend, solve, grounding
 
     @property
     def dim(self) -> int:
@@ -120,15 +111,16 @@ class SolutionSpace:
     @functools.cached_property
     def gauge_fixed_basis(self) -> Subspace:
         """The solutions S_1-orthogonal to every ``d f``: ``[A, H]`` less its
-        exact part (:func:`~decgauge.boundary.coclosed_projection`, one
+        exact part (:func:`~decgauge.boundary.coclosed_projector`, one
         grounded vertex-Laplacian solve), orthonormalized.  The exact
         Dirichlet fields drop out at the rank cut; a rank other than
         ``gauge_fixed_dim`` raises.  Built on first use."""
         x = self.extension
         if self.grounding is not None:
             x = np.hstack([x, self.grounding.columns])
-        fixed = coclosed_projection(self.mesh, x, self.rank_tolerance) if x.size else x
-        basis = from_span(fixed, gram=self.mesh.star_diagonal(1),
+        if x.size:
+            x = coclosed_projector(self.mesh, self.rank_tolerance)[0](x)
+        basis = from_span(x, gram=self.mesh.star_diagonal(1),
                           rank_tolerance=self.rank_tolerance)
         if basis.dim != self.gauge_fixed_dim:
             raise DynamicsError(
@@ -154,9 +146,25 @@ class SolutionSpace:
 
 def solution_space(mesh: RegionMesh,
                    rank_tolerance=tolerances.RANK_REL) -> SolutionSpace:
-    """The region's :class:`SolutionSpace`.  A singular block, or a kernel
-    the relative Betti number does not predict, raises at its pivot gate."""
-    return SolutionSpace(mesh, rank_tolerance)
+    """The boundary gauge fix, the Dirichlet extension, its grounding basis
+    and the exact counts (see :class:`SolutionSpace`).  A singular block, or
+    a kernel the relative Betti number does not predict, raises at its
+    pivot gate."""
+    cx, sigma = mesh.complex, mesh.boundary
+    if cx.dim < 2:
+        raise DynamicsError("field equation needs a region of dimension >= 2")
+    gauge_fix, coclosed_dim, bounded = None, 0, 0
+    record = {"block_size": 0, "grounded": 0, "pivot_ratio": None,
+              "rank_tolerance": rank_tolerance}
+    if sigma is not None:
+        gauge_fix, record = coclosed_projector(sigma, rank_tolerance)
+        coclosed_dim = int((~sigma.complex.forest_edges).sum())
+        bounded = (np.unique(cx.vertex_components()[sigma.vertex_map]).size
+                   - sigma.complex.n_components())
+    extend, solve, grounding = dirichlet_extension(mesh, rank_tolerance)
+    count = coclosed_dim + bounded + relative_betti_oracle(mesh, 1)
+    return SolutionSpace(mesh, gauge_fix, record, coclosed_dim, extend, solve,
+                         grounding, count, rank_tolerance)
 
 
 def actions(mesh: RegionMesh, columns):
@@ -267,9 +275,10 @@ def verify_lagrangian(space: SolutionSpace,
     Q^T S Lam Q``: half-dimension holds by construction, and it is
     Lagrangian exactly when M is symmetric, an operator identity that random
     probes check (Freivalds).  The probes' fluxes ``F`` are taken with every
-    bulk residual gated; ``m = Phi^T S F = g^T M g``, and with ``L L^T =
-    Phi^T S Phi + F^T S F`` the form on the orthonormal basis ``[Phi; F]
-    L^-T`` of their image is ``sign/2 K``, ``K = L^-1 (m - m^T) L^-T``:
+    bulk residual gated; ``m = Phi^T S F = g^T M g``.  With ``F_c = Q M g``
+    the coclosed part of F (its gauge fix) and ``L L^T = Phi^T S Phi +
+    F_c^T S F_c``, the form on the orthonormal basis ``[Phi; F_c] L^-T`` of
+    graph(M) on the probes is ``sign/2 K``, ``K = L^-1 (m - m^T) L^-T``:
 
     - isotropy, ``max |K| / 2`` (scale 1/2);
     - Green's identity ``m = (dA Phi)^T S_2 (dA Phi)``, which makes M
@@ -282,7 +291,7 @@ def verify_lagrangian(space: SolutionSpace,
       each pair relative to its norm), at most ``coclosed_tolerance``.
 
     With r <= PROBES the probes span every coclosed trace, so the check is
-    complete.  ``dims`` are the exact counts; ``rank_ambiguous`` when the
+    complete and the angles are those of graph(M) on all of them.  ``dims`` are the exact counts; ``rank_ambiguous`` when the
     grounding basis's gap is below ``gap_factor``.  Without a boundary
     every reading is zero."""
     mesh, sigma, r = space.mesh, space.mesh.boundary, space.coclosed_dim
@@ -296,7 +305,8 @@ def verify_lagrangian(space: SolutionSpace,
         flux = trace_columns(mesh, x, sigma, solution_tolerance)[1]
         s_flux = s[:, None] * flux
         m = phi.T @ s_flux
-        off = flux - space.gauge_fix(flux)
+        coclosed_flux = space.gauge_fix(flux)
+        off = flux - coclosed_flux
         embed_defect = float(np.sqrt(s @ off ** 2 / (s @ phi ** 2 + s @ flux ** 2)).max())
         da = mesh.complex.boundary_matrices[2].T @ x
         energy = da.T @ (mesh.star_diagonal(2)[:, None] * da)
@@ -306,7 +316,7 @@ def verify_lagrangian(space: SolutionSpace,
             (np.abs(phi) * np.abs(s_flux)).sum(axis=0) + np.diag(energy)).max()
         green = float((np.abs(m - energy).max() + resolution)
                       / max(np.diag(energy).max(), 1e-300))
-        top, bottom = np.vsplit(orthonormalize(np.vstack([phi, flux]),
+        top, bottom = np.vsplit(orthonormalize(np.vstack([phi, coclosed_flux]),
                                                np.tile(s, 2))[0], 2)
         k_form = top.T @ (s[:, None] * bottom)
         k_form = k_form - k_form.T

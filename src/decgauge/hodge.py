@@ -21,12 +21,15 @@ from scipy import sparse
 from . import subspaces, tolerances
 from .dec import Cochain, DECError, adjoint_full, codifferential, d, inner_product, norm
 from .mesh import RegionMesh, _components
-from .subspaces import DENSE_BLOCK_MAX, Subspace, factorize, from_span, null_space
+from .subspaces import Subspace, factorize, from_span, null_space
 
 
 #: Sketch columns beyond the oracle's dimension (a larger harmonic space
 #: shows up as a higher rank), and the sketch's seed.
 SKETCH_OVERSAMPLING, SKETCH_SEED = 2, 0
+
+#: Columns above which the harmonic bases' dense fallback raises.
+DENSE_SVD_MAX = 1000
 
 
 class HodgeError(ValueError):
@@ -282,8 +285,7 @@ def _harmonic_basis(mesh, k: int, rank_tolerance, dirichlet: bool,
     the largest S-norm of ``x``'s columns.  ``building`` holds the (degree,
     condition) pairs whose sketch is being solved: in 3D, H^1 and H^2 may
     ground each other's projections, and the one requested again takes the
-    dense null space of its rows, or raises above ``DENSE_BLOCK_MAX`` columns
-    (its value at import, which steering the factorizations leaves alone).
+    dense null space of its rows, or raises above ``DENSE_SVD_MAX`` columns.
     A dimension other than the integer oracle's (relative) Betti number raises."""
     cx = mesh.complex
     n, gram = cx.dim, mesh.star_diagonal(k)
@@ -299,10 +301,10 @@ def _harmonic_basis(mesh, k: int, rank_tolerance, dirichlet: bool,
         cols = mesh.interior_simplex_mask(k) if dirichlet else slice(None)
         if (k, dirichlet) in building:
             a = _hodge_system(mesh, k, dirichlet)[0][:, cols]
-            if a.shape[1] > DENSE_BLOCK_MAX:
+            if a.shape[1] > DENSE_SVD_MAX:
                 raise HodgeError(f"degree-{k} harmonic fields would take a dense "
                                  f"SVD of {a.shape[0]} x {a.shape[1]} rows, above "
-                                 f"DENSE_BLOCK_MAX = {DENSE_BLOCK_MAX}")
+                                 f"DENSE_SVD_MAX = {DENSE_SVD_MAX}")
             small = null_space(a.toarray(), gram=gram[cols],
                                rank_tolerance=rank_tolerance, n_columns=a.shape[1])
         else:

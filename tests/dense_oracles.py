@@ -27,7 +27,7 @@ import numpy as np
 from scipy import sparse
 
 from decgauge import dynamics, tolerances
-from decgauge.boundary import coclosed_projection, trace_columns
+from decgauge.boundary import coclosed_projector, trace_columns
 from decgauge.dec import Cochain, codifferential, norm
 from decgauge.subspaces import (Subspace, from_span, null_space, orthonormalize,
                                  principal_angles)
@@ -139,7 +139,7 @@ def traced_restrict(mesh, gauge_fixed: Subspace,
     projection, orthonormal in the doubled boundary stars."""
     sigma = mesh.boundary
     x = np.hstack(trace_columns(mesh, gauge_fixed.columns, sigma, solution_tolerance))
-    fixed = coclosed_projection(sigma, x)
+    fixed = coclosed_projector(sigma)[0](x)
     return from_span(np.vstack(np.hsplit(fixed, 2)),
                      gram=np.tile(sigma.star_diagonal(1), 2),
                      rank_tolerance=rank_tolerance)

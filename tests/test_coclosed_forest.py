@@ -128,9 +128,9 @@ def test_closed_region_record_and_shell_ambiguity():
 def test_rank_tolerance_reaches_the_gauge_fix_gate(ann8):
     sigma = ann8.boundary
     x = np.random.default_rng(0).standard_normal((sigma.complex.n_simplices(1), 2))
-    boundary.coclosed_projection(sigma, x)
+    boundary.coclosed_projector(sigma)[0](x)
     with pytest.raises(BoundaryError, match="pivot ratio"):
-        boundary.coclosed_projection(sigma, x, rank_tolerance=1.0)
+        boundary.coclosed_projector(sigma, rank_tolerance=1.0)[0](x)
 
 
 def test_solution_space_gauge_fixes_at_its_tolerance(monkeypatch):
@@ -163,7 +163,7 @@ def test_gauge_fixes_are_the_hodge_exact_part(monkeypatch):
     monkeypatch.setattr(hodge, "_potential", recording)
     m = builders.annulus(16)
     x = np.random.default_rng(0).standard_normal((m.boundary.complex.n_simplices(1), 2))
-    boundary.coclosed_projection(m.boundary, x)
+    boundary.coclosed_projector(m.boundary)[0](x)
     assert calls == [(m.boundary, 0, False)]
     space = dynamics.solution_space(m)
     calls.clear()

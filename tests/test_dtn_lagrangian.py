@@ -47,9 +47,8 @@ def assert_matches_qr_route(space):
     """The probe verdict against the r-wide one, whose Cholesky readings
     agree with the QR route: a fault's relatively; a clean mesh's are
     roundoff of either route (at most ~1e-15) and agree only absolutely.
-    With r <= PROBES the probes span every coclosed trace, and their
-    angles are the r-wide ones, unless the fluxes leave the coclosed traces:
-    the r-wide ``L`` drops that part of them, the probes' keeps it."""
+    With r <= PROBES the probes span every coclosed trace, and every angle
+    is the r-wide one."""
     rep = dynamics.verify_lagrangian(space)
     wide = r_wide_lagrangian(space)
     iso, angles = qr_lagrangian_readings(space)
@@ -62,9 +61,9 @@ def assert_matches_qr_route(space):
     assert len(rep["coisotropy_angles"]) == rep["probes"]["count"]
     assert rep["max_principal_angle"] == max(rep["coisotropy_angles"])
     assert rep["lagrangian"] is wide["lagrangian"]
-    if r <= dynamics.PROBES and wide["embedding_defect"] <= tolerances.COCLOSED_INPUT_REL:
-        assert np.isclose(rep["max_principal_angle"], wide["max_principal_angle"],
-                          rtol=1e-9, atol=1e-13)
+    if r <= dynamics.PROBES:
+        assert np.abs(np.sort(rep["coisotropy_angles"])
+                      - np.sort(wide["coisotropy_angles"])).max() <= 1e-13
     return rep
 
 
@@ -235,14 +234,15 @@ def poisoned_star():
     return traces
 
 
-def one_edge_flux():
-    """Traces whose flux has the wrong sign on the first boundary edge."""
+def one_edge_flux(factor=-1.0):
+    """Traces whose flux on the first boundary edge is scaled by ``factor``
+    (by default, has the wrong sign)."""
     original = dynamics.trace_columns
 
     def traces(m, columns, sigma, tolerance):
         phi, flux = original(m, columns, sigma, tolerance)
         flux = flux.copy()
-        flux[0] *= -1.0
+        flux[0] *= factor
         return phi, flux
 
     return traces
@@ -310,6 +310,23 @@ def test_fault_fails_on_every_seed(name, monkeypatch):
         if name in FAULTS:  # with r > 1 each measure sees it
             assert rep["isotropy_max"] > ISO * rep["isotropy_scale"], seed
             assert rep["max_principal_angle"] > ANGLE, seed
+
+
+def test_probes_dilute_a_one_edge_fault_by_at_most_r(monkeypatch):
+    # With r > PROBES a fault on one boundary edge reads smaller on the
+    # probes than on all r coclosed traces: Green's residual down to 1/193 of
+    # the r-wide one on solid_torus:K=48 (r = 289) over these seeds, the
+    # median 1/31.  So the probes resolve such a fault once its r-wide
+    # reading is about r times the gate; this one's is 8 r times (2.4e-8).
+    monkeypatch.setattr(dynamics, "trace_columns", one_edge_flux(1.0 + 1e-7))
+    space = dynamics.solution_space(builders.from_spec("solid_torus:K=48"))
+    r = space.coclosed_dim
+    wide = r_wide_lagrangian(space)["green_residual"]
+    assert 5 * r * ISO < wide < 10 * r * ISO
+    for seed in range(100):
+        rep = dynamics.verify_lagrangian(space, seed=seed)
+        assert rep["green_residual"] > wide / r > ISO, seed
+        assert rep["lagrangian"] is False, seed
 
 
 @pytest.mark.parametrize("spec, fault", FAULTS.values(), ids=FAULTS)

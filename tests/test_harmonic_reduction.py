@@ -121,7 +121,7 @@ def test_dense_fallback_is_size_gated(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense SVD taken")
 
-    monkeypatch.setattr(hodge, "DENSE_BLOCK_MAX", 200)
+    monkeypatch.setattr(hodge, "DENSE_SVD_MAX", 200)
     monkeypatch.setattr(np.linalg, "svd", refuse)
     with pytest.raises(hodge.HodgeError, match="dense SVD of 378 x 216 rows"):
         hodge.harmonic_neumann_basis(m, 1)

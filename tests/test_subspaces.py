@@ -255,5 +255,5 @@ def test_boundary_vertex_block_of_a_large_annulus_is_banded(monkeypatch):
     sigma = builders.annulus(256).boundary
     seen = record_banded(monkeypatch)
     x = np.random.default_rng(0).standard_normal((sigma.complex.n_simplices(1), 2))
-    boundary.coclosed_projection(sigma, x)
+    boundary.coclosed_projector(sigma)[0](x)
     assert seen == [(510, 32)]
