@@ -15,21 +15,30 @@ import numpy as np
 from .mesh import HypersurfaceMesh, MeshError, RegionMesh, SimplicialComplex
 
 
-def _path_edges(cx: SimplicialComplex, verts) -> np.ndarray:
-    """Indices of the edges joining consecutive vertices of ``verts``."""
-    return cx.simplex_indices(1, np.column_stack([verts[:-1], verts[1:]]))
-
-
 def disk(n: int = 16) -> RegionMesh:
     """Regular n-gon fan of circumradius 1 with a single labeled rim."""
     if n < 3:
         raise MeshError("disk needs at least 3 rim vertices")
     angles = 2 * np.pi * np.arange(n) / n
     coords = np.vstack([[0.0, 0.0], np.column_stack([np.cos(angles), np.sin(angles)])])
-    cells = [(0, 1 + k, 1 + (k + 1) % n) for k in range(n)]
+    rim = 1 + np.arange(n + 1) % n
+    cells = np.column_stack([np.zeros(n, dtype=int), rim[:-1], rim[1:]])
     cx = SimplicialComplex(n + 1, cells, coordinates=coords)
-    rim = _path_edges(cx, 1 + np.arange(n + 1) % n)
-    return RegionMesh(cx, face_labels={"rim": rim}, name=f"disk:N={n}")
+    return RegionMesh(cx, face_labels={"rim": cx.boundary_facets()}, name=f"disk:N={n}")
+
+
+def _ring_region(outer: np.ndarray, inner: np.ndarray, name: str) -> RegionMesh:
+    """The band between two closed n-gons, vertex k of the outer one joined
+    to vertex k of the inner one, with faces "outer" and "inner"."""
+    n = len(outer)
+    a = np.arange(n)
+    b = (a + 1) % n
+    cells = np.stack([a, b, n + a, b, n + b, n + a], axis=1).reshape(-1, 3)
+    cx = SimplicialComplex(2 * n, cells, coordinates=np.vstack([outer, inner]))
+    facets = cx.boundary_facets()
+    on_outer = cx.simplices[1][facets, 1] < n
+    return RegionMesh(cx, face_labels={"outer": facets[on_outer], "inner": facets[~on_outer]},
+                      name=name)
 
 
 def annulus(n: int = 16, inner_radius: float = 0.5) -> RegionMesh:
@@ -40,39 +49,13 @@ def annulus(n: int = 16, inner_radius: float = 0.5) -> RegionMesh:
         raise MeshError("inner radius must lie in (0, 1)")
     angles = 2 * np.pi * np.arange(n) / n
     outer = np.column_stack([np.cos(angles), np.sin(angles)])
-    inner = inner_radius * outer
-    coords = np.vstack([outer, inner])
-    cells = []
-    for k in range(n):
-        a, b = k, (k + 1) % n
-        cells.append((a, b, n + a))
-        cells.append((b, n + b, n + a))
-    cx = SimplicialComplex(2 * n, cells, coordinates=coords)
-    ring = np.arange(n + 1) % n
-    return RegionMesh(
-        cx,
-        face_labels={"outer": _path_edges(cx, ring), "inner": _path_edges(cx, n + ring)},
-        name=f"annulus:N={n}",
-    )
+    return _ring_region(outer, inner_radius * outer, f"annulus:N={n}")
 
 
 def square_annulus() -> RegionMesh:
     """The 8-triangle square annulus between [-2,2]^2 and [-1,1]^2."""
-    outer = np.array([[2, 2], [-2, 2], [-2, -2], [2, -2]], dtype=float)
     inner = np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]], dtype=float)
-    coords = np.vstack([outer, inner])
-    cells = []
-    for k in range(4):
-        a, b = k, (k + 1) % 4
-        cells.append((a, b, 4 + a))
-        cells.append((b, 4 + b, 4 + a))
-    cx = SimplicialComplex(8, cells, coordinates=coords)
-    ring = np.arange(5) % 4
-    return RegionMesh(
-        cx,
-        face_labels={"outer": _path_edges(cx, ring), "inner": _path_edges(cx, 4 + ring)},
-        name="ann8",
-    )
+    return _ring_region(2 * inner, inner, "ann8")
 
 
 def _grid_region(nx: int, ny: int, width: float, height: float, name: str) -> RegionMesh:
@@ -85,12 +68,12 @@ def _grid_region(nx: int, ny: int, width: float, height: float, name: str) -> Re
     a, b, c, d = vid(i, j), vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1)
     cells = np.stack([a, b, d, a, d, c], axis=1).reshape(-1, 3)
     cx = SimplicialComplex((nx + 1) * (ny + 1), cells, coordinates=coords)
-    xi, yj = np.arange(nx + 1), np.arange(ny + 1)
-    sides = {"south": vid(xi, 0), "east": vid(nx, yj), "north": vid(xi, ny),
-             "west": vid(0, yj)}
+    facets = cx.boundary_facets()
+    y, x = np.divmod(cx.simplices[1][facets], nx + 1)  # grid position of each end
+    sides = {"south": y == 0, "east": x == nx, "north": y == ny, "west": x == 0}
     return RegionMesh(
         cx,
-        face_labels={side: _path_edges(cx, verts) for side, verts in sides.items()},
+        face_labels={side: facets[at.all(axis=1)] for side, at in sides.items()},
         name=name,
     )
 
@@ -140,34 +123,19 @@ def solid_torus(k: int = 8, major_radius: float = 2.0) -> RegionMesh:
     if k < 3:
         raise MeshError("solid torus needs at least 3 segments")
     section = np.array([[0.5, 0.0], [-0.25, 0.4], [-0.25, -0.4]])
-    coords = []
-    for s in range(k):
-        theta = 2 * np.pi * s / k
-        for r, z in section:
-            coords.append(
-                [
-                    (major_radius + r) * np.cos(theta),
-                    (major_radius + r) * np.sin(theta),
-                    z,
-                ]
-            )
-    coords = np.asarray(coords)
-
-    def vid(s, j):
-        return 3 * (s % k) + j
-
-    cells = []
-    for s in range(k):
-        a = [vid(s, j) for j in range(3)]
-        b = [vid(s + 1, j) for j in range(3)]
-        for tet in ((a[0], a[1], a[2], b[2]), (a[0], a[1], b[1], b[2]),
-                    (a[0], b[0], b[1], b[2])):
-            p = coords[list(tet)]
-            det = np.linalg.det(p[1:] - p[0])
-            cells.append(tet if det > 0 else (tet[1], tet[0]) + tet[2:])
+    theta = 2 * np.pi * np.arange(k) / k
+    radius = major_radius + section[:, 0]
+    coords = np.stack([np.outer(np.cos(theta), radius), np.outer(np.sin(theta), radius),
+                       np.tile(section[:, 1], (k, 1))], axis=-1).reshape(-1, 3)
+    # Prism s has vertices 3s + (0, 1, 2) and the same on section s + 1.
+    prism = np.hstack([np.arange(3 * k).reshape(k, 3),
+                       np.roll(np.arange(3 * k), -3).reshape(k, 3)])
+    cells = prism[:, [[0, 1, 2, 5], [0, 1, 4, 5], [0, 3, 4, 5]]].reshape(-1, 4)
+    flip = ~(np.linalg.det(coords[cells[:, 1:]] - coords[cells[:, :1]]) > 0)
+    cells[flip, :2] = cells[flip, 1::-1]
     cx = SimplicialComplex(3 * k, cells, coordinates=coords)
-    shell = {int(f) for f in cx.boundary_facets()}
-    return RegionMesh(cx, face_labels={"shell": shell}, name=f"solid_torus:K={k}")
+    return RegionMesh(cx, face_labels={"shell": cx.boundary_facets()},
+                      name=f"solid_torus:K={k}")
 
 
 def cube(n: int = 2) -> RegionMesh:
@@ -208,7 +176,7 @@ def circle(n: int = 24, length: float = 2 * np.pi) -> HypersurfaceMesh:
     radius = length / (2 * n * np.sin(np.pi / n))
     angles = 2 * np.pi * np.arange(n) / n
     coords = radius * np.column_stack([np.cos(angles), np.sin(angles)])
-    cells = [(i, (i + 1) % n) for i in range(n)]
+    cells = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
     cx = SimplicialComplex(n, cells, coordinates=coords)
     return HypersurfaceMesh(cx, orientation_sign=1)
 

@@ -57,37 +57,43 @@ def _unique_rows(rows: np.ndarray):
     return ranked[new], index
 
 
-def _row_index(rows: np.ndarray) -> np.ndarray:
-    """Position of each row among the distinct rows, in lexicographic order.
-
-    Rows that list every k-simplex of a complex at least once, as sorted
-    vertex tuples, get their simplex index: simplices are stored sorted.
-    """
-    return _unique_rows(rows)[1]
-
-
 def _gram_volume(gram: np.ndarray) -> np.ndarray:
-    """Volumes sqrt(det G)/m! of the simplices with stacked (..., m, m) Grams."""
-    det = np.clip(np.linalg.det(gram), 0.0, None)
-    return np.sqrt(det) / math.factorial(gram.shape[-1])
+    """Volumes sqrt(det G)/m! of the simplices with Grams stacked as an
+    (m, m, ...) array.  det G is the product of the pivots of an elimination
+    in whole-array steps, as accurate as LU for semidefinite G (a cofactor
+    expansion loses digits on thin simplices); a pivot <= 0 makes it 0."""
+    size = len(gram)
+    det = np.ones(gram.shape[2:])
+    for m in range(size, 0, -1):
+        pivot = np.maximum(gram[0, 0], 0.0)
+        det *= pivot
+        if m > 1:
+            scale = np.where(pivot > 0, pivot, 1.0)
+            gram = gram[1:, 1:] - gram[1:, :1] * (gram[:1, 1:] / scale)
+    return np.sqrt(det) / math.factorial(size)
 
 
-def _dual_flags(n: int):
-    """Barycentric dual pieces of an n-simplex, per sub-simplex degree k.
+@functools.cache
+def _dual_flags(n: int) -> tuple:
+    """Barycentric dual pieces of an n-simplex, per sub-simplex degree k, as
+    read-only linear maps from a cell's Gram to the Grams of its pieces;
+    built once per dimension.
 
-    Yields ``(k, subs, delta)``.  ``subs`` are the local k-faces.  Face ``s``
-    has one piece per ordering ``p`` of the other vertices: the simplex on
-    the barycenters of the growing flag from the face up to the cell.  Row j
-    of ``delta[s, p]`` is the weight difference between the flag's (j+1)-th
-    barycenter and the face's, in coordinates 1..n, so over the edge vectors
-    from local vertex 0 the piece of a cell with Gram ``G`` has Gram
-    ``delta G deltaᵀ``.
+    Local k-face ``s`` (the k+1 vertex choices in ``itertools.combinations``
+    order) has one piece per ordering ``p`` of the other vertices: the
+    simplex on the barycenters of the growing flag from the face up to the
+    cell.  Row j of ``delta[s, p]`` is the weight difference between the
+    flag's (j+1)-th barycenter and the face's, in coordinates 1..n, so over
+    the edge vectors from local vertex 0 the piece of a cell with Gram ``G``
+    has Gram ``delta G deltaᵀ``: ``np.tensordot(maps[k], G, 2)``, a Gram per
+    ``[s, p]`` and per cell stacked along ``G``'s trailing axis.
     """
     def barycenter(verts):
         w = np.zeros(n + 1)
         w[list(verts)] = 1.0 / len(verts)
         return w[1:]
 
+    maps = []
     for k in range(n + 1):
         subs = list(itertools.combinations(range(n + 1), k + 1))
         delta = np.zeros((len(subs), math.factorial(n - k), n - k, n))
@@ -96,7 +102,10 @@ def _dual_flags(n: int):
             for p, order in enumerate(itertools.permutations(rest)):
                 for j in range(n - k):
                     delta[s, p, j] = barycenter(sub + order[: j + 1]) - barycenter(sub)
-        yield k, subs, delta
+        piece = np.einsum("spai,spbj->abspij", delta, delta, order="C")
+        piece.flags.writeable = False
+        maps.append(piece)
+    return tuple(maps)
 
 
 def _components(n: int, pairs: np.ndarray):
@@ -124,10 +133,12 @@ def _components(n: int, pairs: np.ndarray):
 class SimplicialComplex:
     """Oriented simplicial complex of dimension ``dim``.
 
-    Its topology is the sorted simplex arrays and the integer boundary
-    matrices alone: cofaces, the induced boundary orientation and face
-    closures are all read off the matrices, and every lookup from vertex
-    rows to simplex indices goes through :meth:`simplex_indices`.
+    Its topology is the sorted simplex arrays, the integer boundary
+    matrices and the face map :meth:`faces` that builds them: cofaces and
+    the induced boundary orientation are read off the matrices, the faces
+    of simplices and their closures off the face map, and every other
+    lookup from vertex rows to simplex indices goes through
+    :meth:`simplex_indices`.
 
     Parameters
     ----------
@@ -174,15 +185,19 @@ class SimplicialComplex:
         self.orientation[where] = _parity(cells)
 
         # Each degree is the distinct faces of the degree above, in
-        # lexicographic order; each face's position is its row in d_k.
+        # lexicographic order; each face's position is its row in d_k.  Of a
+        # sorted row, the later the vertex dropped, the smaller the face: in
+        # reverse the faces come in ``faces(k, k-1)`` order.
         self.simplices = [top]
         self.boundary_matrices = []
+        self._faces = {}
         for k in range(self.dim, 0, -1):
             above = self.simplices[0]
             drop = np.nonzero(~np.eye(k + 1, dtype=bool))[1].reshape(k + 1, k)
             faces, rows = _unique_rows(above[:, drop].reshape(-1, k))
             signs = np.tile(1 - 2 * (np.arange(k + 1) % 2), len(above))
             cols = np.repeat(np.arange(len(above)), k + 1)
+            self._faces[k, k - 1] = rows.reshape(-1, k + 1)[:, ::-1]
             self.simplices.insert(0, faces)
             self.boundary_matrices.insert(0, sparse.csr_matrix(
                 (signs, (rows, cols)), shape=(len(faces), len(above))))
@@ -230,12 +245,35 @@ class SimplicialComplex:
     def n_simplices(self, k: int) -> int:
         return len(self.simplices[k])
 
+    def faces(self, k: int, m: int) -> np.ndarray:
+        """Index of the m-face of every k-simplex on each choice of m+1 of
+        its k+1 sorted vertices: one row per k-simplex, one column per
+        choice in ``itertools.combinations`` order.  Gathers through the
+        (k-1)-faces kept by the construction; cached and read-only."""
+        if (k, m) not in self._faces:
+            if m == k:
+                out = np.arange(self.n_simplices(k))[:, None]
+            else:
+                # A choice missing local vertex j lies in the facet lacking
+                # j, at column k - j, where its vertices above j shift down.
+                local = {c: i for i, c in enumerate(
+                    itertools.combinations(range(k), m + 1))}
+                facet, within = [], []
+                for choice in itertools.combinations(range(k + 1), m + 1):
+                    j = max(set(range(k + 1)) - set(choice))
+                    facet.append(k - j)
+                    within.append(local[tuple(v - (v > j) for v in choice)])
+                out = self.faces(k - 1, m)[self.faces(k, k - 1)[:, facet], within]
+            self._faces[k, m] = out
+        self._faces[k, m].flags.writeable = False
+        return self._faces[k, m]
+
     def simplex_indices(self, k: int, rows) -> np.ndarray:
         """Index of the k-simplex on each row's vertices (in any order), or -1
         where the row spans no k-simplex of the complex."""
         table = self.simplices[k]
         rows = np.sort(np.asarray(rows, dtype=np.int64).reshape(-1, k + 1), axis=1)
-        index = _row_index(np.vstack([table, rows]))
+        index = _unique_rows(np.vstack([table, rows]))[1]
         owner = np.full(index.max() + 1, -1)
         owner[index[:len(table)]] = np.arange(len(table))
         return owner[index[len(table):]]
@@ -253,12 +291,10 @@ class SimplicialComplex:
 
     def facet_closure(self, facets, k: int) -> np.ndarray:
         """Mask of the k-simplices that are faces of the given facets
-        ((dim-1)-simplex indices), by repeated ``|d_j| @ mask``."""
-        mask = np.zeros(self.n_simplices(self.dim - 1), dtype=np.int64)
-        mask[np.fromiter(facets, dtype=np.int64)] = 1
-        for j in range(self.dim - 1, k, -1):
-            mask = abs(self.boundary_matrices[j]) @ mask
-        return mask > 0
+        ((dim-1)-simplex indices), by one gather of their k-faces."""
+        mask = np.zeros(self.n_simplices(k), dtype=bool)
+        mask[self.faces(self.dim - 1, k)[np.fromiter(facets, dtype=np.int64)]] = True
+        return mask
 
     def vertex_components(self) -> np.ndarray:
         """Connected component label per vertex (via the 1-skeleton)."""
@@ -317,40 +353,36 @@ class _MetricMesh:
             self.edge_lengths = np.zeros(0)
         self._compute_volumes()
 
-    def _gram(self, simplices: np.ndarray) -> np.ndarray:
-        """Gram matrices of each simplex's edge vectors from its first vertex,
-        G_ij = (l_0i² + l_0j² - l_ij²)/2 by the law of cosines."""
-        m = simplices.shape[1]
-        sq = np.zeros((len(simplices), m, m))
-        if m > 1:
-            i, j = np.triu_indices(m, 1)
-            edges = _row_index(simplices[:, np.stack([i, j], axis=1)].reshape(-1, 2))
-            sq[:, i, j] = sq[:, j, i] = self.edge_lengths[edges].reshape(-1, len(i)) ** 2
-        return 0.5 * (sq[:, :1, 1:] + sq[:, 1:, :1] - sq[:, 1:, 1:])
+    def _gram(self, k: int) -> np.ndarray:
+        """Gram matrices G of the k-simplices' edge vectors from their first
+        vertex, G_ij = (l_0i² + l_0j² - l_ij²)/2 by the law of cosines,
+        stacked as ``gram[i, j]``, one entry per simplex."""
+        sq = np.zeros((k + 1, k + 1, self.complex.n_simplices(k)))
+        if k:
+            i, j = np.triu_indices(k + 1, 1)
+            sq[i, j] = sq[j, i] = self.edge_lengths[self.complex.faces(k, 1).T] ** 2
+        return 0.5 * (sq[:1, 1:] + sq[1:, :1] - sq[1:, 1:])
 
     def _compute_volumes(self):
         cx = self.complex
         n = cx.dim
-        cells = cx.simplices[n]
-        gram = self._gram(cells)
+        gram = self._gram(n)
         # Positive semidefinite for a valid flat simplex; tolerate roundoff.
-        w = np.linalg.eigvalsh(gram)
+        w = np.linalg.eigvalsh(gram.transpose(2, 0, 1))
         floor = -FLAT_GRAM_FLOOR * np.maximum(1.0, w.max(axis=1, initial=0.0))
         bad = np.any(w < floor[:, None], axis=1)
         if bad.any():
-            raise MeshError(f"edge lengths of {tuple(cells[bad.argmax()].tolist())} "
-                            "do not embed in flat space")
+            cell = tuple(cx.simplices[n][bad.argmax()].tolist())
+            raise MeshError(f"edge lengths of {cell} do not embed in flat space")
         vols = {0: np.ones(cx.n_simplices(0))}
         if n >= 1:
             vols[1] = self.edge_lengths.copy()
         for k in range(2, n + 1):
-            vols[k] = _gram_volume(gram if k == n else self._gram(cx.simplices[k]))
+            vols[k] = _gram_volume(gram if k == n else self._gram(k))
         duals = {}
-        for k, subs, delta in _dual_flags(n):
-            pieces = delta @ gram[:, None, None] @ delta.swapaxes(-1, -2)
-            size = _gram_volume(pieces).sum(axis=2)
-            index = _row_index(cells[:, subs].reshape(-1, k + 1))
-            duals[k] = np.bincount(index, weights=size.reshape(-1),
+        for k, piece in enumerate(_dual_flags(n)):
+            size = _gram_volume(np.tensordot(piece, gram, 2)).sum(axis=1)
+            duals[k] = np.bincount(cx.faces(n, k).T.reshape(-1), weights=size.reshape(-1),
                                    minlength=cx.n_simplices(k))
         for k in range(n + 1):
             if np.any(vols[k] <= 0):
@@ -375,18 +407,18 @@ class _MetricMesh:
     def total_volume(self) -> float:
         return float(self._volumes[self.complex.dim].sum())
 
-    def _submesh(self, cells, orientation_sign=1, face_labels=None):
+    def _submesh(self, smaps, cells, orientation_sign=1, face_labels=None):
         """The hypersurface spanned by ``cells`` (oriented top cells, as rows
-        of this mesh's vertices) with the inherited metric; ``face_labels``
-        name this mesh's simplices of the cells' dimension."""
+        of this mesh's vertices) with the inherited metric.  ``smaps`` lists
+        per degree the sorted indices of the simplices the cells span: the
+        vertex map is increasing, so sorted rows map to sorted rows and
+        these are the new complex's simplex maps.  ``face_labels`` name this
+        mesh's simplices of the cells' dimension."""
         cx = self.complex
-        verts, local = np.unique(cells, return_inverse=True)
+        verts = cx.simplices[0][smaps[0], 0]
         coords = cx.coordinates[verts] if cx.coordinates is not None else None
-        sub = SimplicialComplex(len(verts), local.reshape(cells.shape),
+        sub = SimplicialComplex(len(verts), np.searchsorted(verts, cells),
                                 coordinates=coords)
-        # The vertex map is increasing, so sorted rows map to sorted rows.
-        smaps = [cx.simplex_indices(k, verts[rows])
-                 for k, rows in enumerate(sub.simplices)]
         labels = None
         if face_labels:
             back = np.full(cx.n_simplices(sub.dim), -1)
@@ -496,30 +528,26 @@ class RegionMesh(_MetricMesh):
     # -- labels and strata -----------------------------------------------------
 
     def _normalize_labels(self, face_labels):
-        cx = self.complex
-        bfacets = set(int(f) for f in cx.boundary_facets())
+        signs = self.complex.induced_signs
         if face_labels is None:
-            if bfacets:
-                return {"boundary": frozenset(bfacets)}
-            return {}
+            bfacets = np.flatnonzero(signs)
+            return {"boundary": frozenset(bfacets.tolist())} if bfacets.size else {}
         out = {}
-        seen = {}
-        for label, facets in face_labels.items():
-            idx = frozenset(int(f) for f in facets)
-            for f in idx:
-                if f not in bfacets:
-                    raise MeshError(
-                        f"label {label!r} marks a non-boundary facet"
-                    )
-                if f in seen:
-                    raise MeshError(
-                        f"facet {f} labeled both {seen[f]!r} and {label!r}"
-                    )
-                seen[f] = label
-            out[str(label)] = idx
-        unlabeled = bfacets - set(seen)
-        if unlabeled:
-            raise MeshError(f"unlabeled boundary facets: {sorted(unlabeled)}")
+        labels = list(face_labels)
+        owner = np.full(len(signs), -1)
+        for i, label in enumerate(labels):
+            idx = np.fromiter(face_labels[label], dtype=np.int64)
+            if not (((idx >= 0) & (idx < len(signs))).all() and signs[idx].all()):
+                raise MeshError(f"label {label!r} marks a non-boundary facet")
+            taken = idx[owner[idx] >= 0]
+            if taken.size:
+                raise MeshError(f"facet {taken[0]} labeled both "
+                                f"{labels[owner[taken[0]]]!r} and {label!r}")
+            owner[idx] = i
+            out[str(label)] = frozenset(idx.tolist())
+        unlabeled = np.flatnonzero((signs != 0) & (owner < 0))
+        if unlabeled.size:
+            raise MeshError(f"unlabeled boundary facets: {unlabeled.tolist()}")
         return out
 
     def _corner_strata(self):
@@ -552,7 +580,8 @@ class RegionMesh(_MetricMesh):
             if cx.dim > 1:
                 flip = cx.induced_signs[facets] < 0
                 cells[flip, :2] = cells[flip, 1::-1]
-            self._boundary = self._submesh(cells, face_labels=self.face_labels)
+            smaps = [np.flatnonzero(self.boundary_simplex_mask(k)) for k in range(cx.dim)]
+            self._boundary = self._submesh(smaps, cells, face_labels=self.face_labels)
         return self._boundary
 
     # -- export ----------------------------------------------------------------
@@ -575,8 +604,11 @@ def extract_face(sigma: HypersurfaceMesh, label: str) -> HypersurfaceMesh:
         raise MeshError("hypersurface has no face labels")
     if label not in sigma.face_labels:
         raise MeshError(f"unknown face label {label!r}")
-    cells = sigma.complex.oriented_cells()[sorted(sigma.face_labels[label])]
-    return sigma._submesh(cells, orientation_sign=sigma.orientation_sign)
+    cx = sigma.complex
+    facets = sorted(sigma.face_labels[label])
+    smaps = [np.unique(cx.faces(cx.dim, k)[facets]) for k in range(cx.dim + 1)]
+    return sigma._submesh(smaps, cx.oriented_cells()[facets],
+                          orientation_sign=sigma.orientation_sign)
 
 
 # -- gluing ---------------------------------------------------------------------

@@ -25,7 +25,7 @@ def test_tri1_basics(tri1):
 
 
 def test_repeated_face_rejected():
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match="repeated top cell"):
         SimplicialComplex(3, [(0, 1, 2), (2, 1, 0)])
 
 
@@ -172,7 +172,7 @@ def test_glue_non_isometric_rejected():
         face_labels=st.face_labels,
         edge_lengths=st.edge_lengths * np.linspace(1.0, 2.0, len(st.edge_lengths)),
     )
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match="differ in length"):
         mesh.glue(tall, "west", "east", builders.strip_end_matching(st))
 
 
@@ -231,7 +231,7 @@ def test_off_single_triangle(tmp_path):
 def test_off_repeated_face_rejected(tmp_path):
     path = tmp_path / "bad.off"
     path.write_text("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 2 1 0\n")
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match="repeated top cell"):
         mesh.load_off(path, {})
 
 
@@ -285,6 +285,10 @@ def _sidecar_with_unknown_facet(tmp_path):
     return mesh.load_off(path, {"0,1": "rim", "0,5": "rim"})
 
 
+def _triangle(coordinates):
+    return mesh.RegionMesh(SimplicialComplex(3, [(0, 1, 2)], coordinates=coordinates))
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda tmp: SimplicialComplex(3, [(0, 0, 1)]), r"degenerate cell \(0, 0, 1\)"),
     (lambda tmp: SimplicialComplex(3, [(0, 1, 3)]),
@@ -300,9 +304,32 @@ def _sidecar_with_unknown_facet(tmp_path):
      "matching does not map facets onto facets"),
     (lambda tmp: _unit_square_glued_across(), r"degenerate cell \(0, 0, 1\)"),
     (_sidecar_with_unknown_facet, "label sidecar names unknown facet '0,5'"),
+    (lambda tmp: _triangle([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+     "non-positive dual volume at degree 0"),
+    (lambda tmp: _triangle([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]), "non-positive edge length"),
+    (lambda tmp: mesh.RegionMesh(SimplicialComplex(3, [(0, 1, 2)]), edge_lengths=[1.0, 1.0]),
+     "edge length array has wrong shape"),
+    (lambda tmp: mesh.RegionMesh(SimplicialComplex(3, [(0, 1, 2)])),
+     "need coordinates or edge lengths"),
+    (lambda tmp: mesh.glue(builders.strip(4, 2), "west", "south", {}),
+     "not combinatorially isomorphic"),
+    (lambda tmp: mesh.disjoint_union(builders.square(2), builders.cube(1)),
+     "regions of different dimension"),
 ], ids=["degenerate cell", "unknown vertex", "mixed dimension", "no cells",
         "coordinate count", "glue shared vertices", "glue not bijective",
-        "glue facets not onto facets", "glue collapsed simplex", "sidecar unknown facet"])
+        "glue facets not onto facets", "glue collapsed simplex", "sidecar unknown facet",
+        "collinear triangle", "coincident vertices", "edge length shape",
+        "no metric", "glue facet counts", "union of dimensions"])
 def test_mesh_error_paths(build, message, tmp_path):
     with pytest.raises(MeshError, match=message):
         build(tmp_path)
+
+
+@pytest.mark.parametrize("spec", [f"solid_torus:K={k}" for k in range(3, 13)]
+                         + [f"cube:N={n}" for n in range(1, 4)])
+def test_builtin_3d_cells_positively_oriented(spec):
+    # Each top cell, as oriented_cells() lists it, spans its tetrahedron
+    # with a positive determinant of edge vectors from its first vertex.
+    cx = builders.from_spec(spec).complex
+    p = cx.coordinates[cx.oriented_cells()]
+    assert np.all(np.linalg.det(p[:, 1:] - p[:, :1]) > 0)

@@ -94,6 +94,8 @@ CASES = {
     "strip:N=4": lambda: builders.strip(4),
     "tetrahedron": builders.tetrahedron,
     "solid_torus:K=4": lambda: builders.solid_torus(4),
+    "solid_torus:K=8": lambda: builders.solid_torus(8),
+    "cube:N=2": lambda: builders.cube(2),
     "circle": lambda: builders.circle(12),
     "glued strip:N=96": glued_strip,
     "union": lambda: mesh.disjoint_union(builders.annulus(8), builders.square_annulus()),
