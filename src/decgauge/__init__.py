@@ -7,6 +7,7 @@ its gauge reduction, and verification suites for the Lagrangian embedding
 of extendable boundary data and for gluing of regions.
 """
 
+from .axioms import verify_axioms
 from .boundary import (
     BoundaryDatum,
     GaugeTransformation,

@@ -1,4 +1,4 @@
-"""Command-line front end: mesh ingestion, verification suites, reports.
+"""Command-line front end: mesh ingestion, dispatch to the suites, reports.
 
 Commands map onto the library's verification machinery: ``decompose``,
 ``harmonic``, ``verify-lagrangian``, ``verify-axioms``, ``glue``, ``ym2d``.
@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -22,16 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import builders, tolerances
-from .boundary import BoundaryDatum, trace_solution
-from .dec import Cochain, d, norm
-from .dynamics import (
-    action,
-    action_difference_residual,
-    action_scale,
-    gluing_check,
-    solution_space,
-    verify_lagrangian,
-)
+from .axioms import _check, _gluing_fields, _lagrangian, _lagrangian_fields, verify_axioms
+from .dec import Cochain, norm
+from .dynamics import gluing_check, solution_space
 from .hodge import (
     HodgeError,
     betti_oracle,
@@ -40,7 +34,6 @@ from .hodge import (
     hmf_decompose,
 )
 from .mesh import MeshError, RegionMesh, glue, load_off
-from .symplectic import bracket, face_factorization_check, omega
 from .ym2d import lagrangian_line_check, reduced_form_check
 
 SCHEMA_VERSION = "1"
@@ -85,12 +78,6 @@ def _load_mesh(config: ExperimentConfig) -> RegionMesh:
             raise MeshError("OFF input needs a --labels sidecar")
         return load_off(spec, config.labels)
     return builders.from_spec(spec)
-
-
-def _check(check_id, passed, **extra):
-    row = {"id": check_id, "passed": bool(passed)}
-    row.update(extra)
-    return row
 
 
 # -- per-command runners ------------------------------------------------------------
@@ -151,133 +138,9 @@ def _run_harmonic(mesh: RegionMesh, config, tol, rng):
     return checks, body
 
 
-def _lagrangian(space, tol, seed) -> dict:
-    """:func:`verify_lagrangian` of the space under the run's tolerances."""
-    return verify_lagrangian(space, tol["ISOTROPY_REL"], tol["PRINCIPAL_ANGLE"],
-                             tol["SOLUTION_REL"], tol["RANK_GAP_FACTOR"],
-                             tol["COCLOSED_INPUT_REL"], seed)
-
-
 def _run_verify_lagrangian(mesh: RegionMesh, config, tol, rng):
     rep = _lagrangian(solution_space(mesh, tol["RANK_REL"]), tol, config.seed)
     return [_check("lagrangian", rep["lagrangian"], **_lagrangian_fields(rep))], rep
-
-
-def _lagrangian_fields(rep: dict) -> dict:
-    """Check-row fields of a :func:`verify_lagrangian` report (A9 and
-    ``verify-lagrangian``): every reading a gate applies to."""
-    return {k: rep[k] for k in ("dims", "isotropy_max", "green_residual",
-                                "max_principal_angle", "embedding_defect",
-                                "half_dimension", "rank_ambiguous")}
-
-
-@functools.cache
-def _strip_fixture():
-    """A11's default gluing pair, built once: a metric mesh never changes."""
-    strip = builders.strip(4)
-    return strip, "west", "east", builders.strip_end_matching(strip)
-
-
-def verify_axioms(mesh: RegionMesh, tol=None, rng=None,
-                  glue_fixture=None) -> dict:
-    """Run the mapped verification per axiom of the boundary framework.
-
-    A1-A3 and A10 are structural (properties of the data types, reported
-    with ``checked: false``); A4 tests the bracket and action-difference
-    identities, A5 the orientation involution, A6 disjoint-union
-    additivity, A7 face factorization, A8 gauge invariance of the action, A9
-    the Lagrangian embedding, A11/A12 the gluing exact sequence on a
-    built-in pair.
-    """
-    tol = tol or tolerances.table()
-    rng = rng if rng is not None else np.random.default_rng(0)
-    axioms = {}
-
-    for ax in ("A1", "A2", "A3", "A10"):
-        axioms[ax] = _check(ax, True, checked=False,
-                            note="structural, not checked at run time")
-
-    space = solution_space(mesh, tol["RANK_REL"])
-    sigma = mesh.boundary
-    if sigma is None:
-        axioms["A4"] = _check("A4", True, note="empty boundary")
-        axioms["A5"] = _check("A5", True, note="empty boundary")
-        axioms["A7"] = _check("A7", True, note="empty boundary")
-    else:
-        eta, xi = (Cochain(mesh, 1, c) for c in space.random_solutions(rng, 2).T)
-        a = trace_solution(eta, tolerance=tol["SOLUTION_REL"])
-        b = trace_solution(xi, tolerance=tol["SOLUTION_REL"])
-        eq2 = omega(a, b) - 0.5 * bracket(a, b) + 0.5 * bracket(b, a)
-        eq2_scale = max(abs(bracket(a, b)), abs(bracket(b, a)), 1e-300)
-        eq00, eq00_scale = action_difference_residual(eta, xi)
-        ok4 = (abs(eq2) <= tol["AXIOM_IDENTITY_REL"] * eq2_scale
-               and abs(eq00) <= tol["AXIOM_IDENTITY_REL"] * eq00_scale)
-        axioms["A4"] = _check("A4", ok4,
-                              bracket_identity_residual=abs(eq2) / eq2_scale,
-                              action_identity_residual=abs(eq00) / eq00_scale,
-                              tolerance=tol["AXIOM_IDENTITY_REL"])
-
-        rev = sigma.reversed()
-        flipped = BoundaryDatum(
-            Cochain(rev, 1, a.phi.values), Cochain(rev, 1, a.phi_dot.values)
-        )
-        flipped_b = BoundaryDatum(
-            Cochain(rev, 1, b.phi.values), Cochain(rev, 1, b.phi_dot.values)
-        )
-        inv = omega(flipped, flipped_b) + omega(a, b)
-        braid = bracket(flipped, flipped_b) + bracket(a, b)
-        axioms["A5"] = _check("A5", inv == 0.0 and braid == 0.0,
-                              omega_flip_residual=abs(inv),
-                              bracket_flip_residual=abs(braid))
-
-        fact = face_factorization_check(sigma, a, tol["FACTORIZATION_REL"])
-        axioms["A7"] = _check("A7", fact["passed"],
-                              residual=fact["residual"], scale=fact["scale"],
-                              per_face=fact["per_face"],
-                              tolerance=tol["FACTORIZATION_REL"])
-
-    from .mesh import disjoint_union
-
-    double = disjoint_union(mesh, mesh)
-    eta_d = Cochain(double, 1, rng.standard_normal(double.complex.n_simplices(1)))
-    # The union lists the first copy's edges, then the second's.
-    half_a, half_b = np.split(eta_d.values, 2)
-    s_total = action(eta_d)
-    s_parts = action(Cochain(mesh, 1, half_a)) + action(Cochain(mesh, 1, half_b))
-    scale6 = max(action_scale(eta_d), 1e-300)
-    axioms["A6"] = _check("A6", abs(s_total - s_parts) <= tol["ROUNDOFF_REL"] * scale6,
-                          residual=abs(s_total - s_parts) / scale6,
-                          tolerance=tol["ROUNDOFF_REL"])
-
-    eta = Cochain(mesh, 1, space.random_solutions(rng, 1)[:, 0])
-    f = Cochain(mesh, 0, rng.standard_normal(mesh.complex.n_simplices(0)))
-    shifted = eta + d(f)
-    res8 = abs(action(shifted) - action(eta))
-    scale8 = max(action_scale(shifted), action_scale(eta), 1e-300)
-    axioms["A8"] = _check("A8", res8 <= tol["ROUNDOFF_REL"] * scale8,
-                          residual=res8 / scale8, tolerance=tol["ROUNDOFF_REL"])
-
-    rep9 = _lagrangian(space, tol, int(rng.integers(2**31)))
-    axioms["A9"] = _check("A9", rep9["lagrangian"], **_lagrangian_fields(rep9))
-
-    gm, la, lb, matching = glue_fixture or _strip_fixture()
-    glued = glue(gm, la, lb, matching, tol["GLUE_LENGTH_REL"])
-    rep11 = gluing_check(gm, la, lb, matching, tol["RANK_REL"],
-                         tol["PRINCIPAL_ANGLE"], tol["GLUING_ACTION_REL"],
-                         tol["GLUE_LENGTH_REL"], tol["SOLUTION_REL"], glued=glued)
-    axioms["A11"] = _check("A11", rep11["passed"], **_gluing_fields(rep11))
-
-    expected = set()
-    n = gm.complex.dim
-    for lab, facets in gm.face_labels.items():
-        if lab in (la, lb):
-            continue
-        expected |= {int(glued.glue_info.simplex_maps[n - 1][f]) for f in facets}
-    actual = {int(i) for i in glued.complex.boundary_facets()}
-    axioms["A12"] = _check("A12", expected == actual,
-                           boundary_facets=len(actual),
-                           expected_facets=len(expected))
-    return axioms
 
 
 def _run_verify_axioms(mesh: RegionMesh, config, tol, rng):
@@ -289,23 +152,19 @@ def _run_verify_axioms(mesh: RegionMesh, config, tol, rng):
 def _run_glue(mesh: RegionMesh, config, tol, rng):
     if config.faces is None:
         raise MeshError("glue needs --faces LABEL_A LABEL_B")
-    la, lb = config.faces
     if config.matching == "builtin" or config.matching is None:
         matching = builders.strip_end_matching(mesh)
     else:
-        with open(config.matching) as fh:
-            matching = {int(k): int(v) for k, v in json.load(fh).items()}
-    rep = gluing_check(mesh, la, lb, matching, tol["RANK_REL"],
-                       tol["PRINCIPAL_ANGLE"], tol["GLUING_ACTION_REL"],
-                       tol["GLUE_LENGTH_REL"], tol["SOLUTION_REL"])
+        try:  # malformed JSON or an entry that is no vertex index: an input error
+            with open(config.matching) as fh:
+                matching = {int(k): operator.index(v) for k, v in json.load(fh).items()}
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise MeshError(f"matching file {config.matching!r}: {exc}") from None
+    glued = glue(mesh, *config.faces, matching, tol["GLUE_LENGTH_REL"])
+    rep = gluing_check(glued, tol["RANK_REL"], tol["PRINCIPAL_ANGLE"],
+                       tol["GLUING_ACTION_REL"], tol["SOLUTION_REL"])
     checks = [_check("gluing_equalizer", rep["passed"], **_gluing_fields(rep))]
     return checks, rep
-
-
-def _gluing_fields(rep: dict) -> dict:
-    """Check-row fields of a :func:`gluing_check` report (A11 and ``glue``)."""
-    return {k: rep[k] for k in ("dims", "action_residual", "max_principal_angle",
-                                "containment_residual", "trace_gauge_leak")}
 
 
 def _run_ym2d(mesh: RegionMesh, config, tol, rng):

@@ -27,7 +27,7 @@ from .boundary import (
 )
 from .dec import Cochain, DECError, d, inner_product, normal_trace, tangential_trace
 from .hodge import dirichlet_extension, relative_betti_oracle
-from .mesh import GlueInfo, RegionMesh, glue
+from .mesh import GlueInfo, RegionMesh
 from .subspaces import Subspace, from_span, null_space, orthonormalize, principal_angles
 from .symplectic import coclosed_subspace
 
@@ -395,37 +395,26 @@ def extend(datum: BoundaryDatum, mesh: RegionMesh,
     return eta
 
 
-def _matched_rows(mesh: RegionMesh, label_a: str, matching: dict, curvature):
-    """Sparse rows per edge ``a`` of face ``label_a`` and its matched edge
-    ``b`` (resorting sign ``s``): ``R_trace = a - s b`` (traces agree) and,
-    where ``a`` becomes interior, ``R_flux = K_a + s K_b`` (fluxes cancel,
-    ``K`` the curvature adjoint).  Edges of the face's perimeter (3D) lie
-    on other faces too and stay on the boundary: they get no flux row."""
-    cx = mesh.complex
-    facets = cx.simplices[cx.dim - 1][sorted(mesh.face_labels[label_a])]
-    edges = facets[:, np.transpose(np.triu_indices(cx.dim, 1))].reshape(-1, 2)
-    ia, first = np.unique(cx.simplex_indices(1, edges), return_index=True)
-    image = np.arange(cx.n_vertices)
-    image[list(matching)] = list(matching.values())
-    mapped = image[edges[first]]
-    ib = cx.simplex_indices(1, mapped)
-    sb = np.where(mapped[:, 0] < mapped[:, 1], 1.0, -1.0)
-    rows, shape = np.arange(len(ia)), (len(ia), cx.n_simplices(1))
-    pa = sparse.csr_matrix((np.ones(len(ia)), (rows, ia)), shape=shape)
-    pb = sparse.csr_matrix((sb, (rows, ib)), shape=shape)
-    others = [f for lab, fs in mesh.face_labels.items() if lab != label_a for f in fs]
-    inner = ~cx.facet_closure(others, 1)[ia]
-    return (pa - pb).tocsr(), ((pa + pb)[inner] @ curvature).tocsr()
+def _matched_rows(info: GlueInfo, curvature):
+    """Sparse rows per matched edge pair ``(a, b, s)`` of the seam:
+    ``R_trace = a - s b`` (traces agree) and, where the glued edge is
+    interior, ``R_flux = K_a + s K_b`` (fluxes cancel, ``K`` the curvature
+    adjoint).  Edges of the face's perimeter (3D) lie on other faces too and
+    stay on the boundary: they get no flux row."""
+    rows = np.arange(info.edge_a.size)
+    shape = (rows.size, info.parent.complex.n_simplices(1))
+    pa = sparse.csr_matrix((np.ones(rows.size), (rows, info.edge_a)), shape=shape)
+    pb = sparse.csr_matrix((info.edge_sign, (rows, info.edge_b)), shape=shape)
+    return (pa - pb).tocsr(), ((pa + pb)[info.interior] @ curvature).tocsr()
 
 
-def gluing_check(mesh: RegionMesh, label_a: str, label_b: str, matching: dict,
-                 rank_tolerance=tolerances.RANK_REL,
+def gluing_check(glued: RegionMesh, rank_tolerance=tolerances.RANK_REL,
                  angle_tolerance=tolerances.PRINCIPAL_ANGLE,
                  action_tolerance=tolerances.GLUING_ACTION_REL,
-                 length_tolerance=tolerances.GLUE_LENGTH_REL,
-                 solution_tolerance=tolerances.SOLUTION_REL, glued=None) -> dict:
+                 solution_tolerance=tolerances.SOLUTION_REL) -> dict:
     """Glued solutions versus the equalizer of the two face restrictions
-    (matched traces agree, matched fluxes cancel), modulo gauge.
+    (matched traces agree, matched fluxes cancel), modulo gauge, on the
+    cut region and the seam that ``glued.glue_info`` records.
 
     Every solution is ``g + d f`` (:class:`SolutionSpace`), so with ``P``
     the pullback and ``G``, ``G'`` the cut and glued gauge-fixed bases:
@@ -435,15 +424,15 @@ def gluing_check(mesh: RegionMesh, label_a: str, label_b: str, matching: dict,
     d)^T``, plus ``n_0 - rank(R_trace d) - components`` exact fields.
     Containment and equal dimensions make the spaces equal; also ``P G'``
     projected onto ``G`` must span the gauge-fixed equalizer, and the action
-    compose across ``P``.  ``glued`` is this gluing's mesh, if already
-    built (then ``length_tolerance`` is not read).
+    compose across ``P``.
     """
-    if glued is None:
-        glued = glue(mesh, label_a, label_b, matching, length_tolerance)
     info: GlueInfo = glued.glue_info
+    if info is None:
+        raise DynamicsError(f"{glued.name or 'the region'} is not a glued region")
+    mesh = info.parent
     cx = mesh.complex
     curvature = _curvature_adjoint(mesh)
-    trace, flux = _matched_rows(mesh, label_a, matching, curvature)
+    trace, flux = _matched_rows(info, curvature)
     space, glued_space = (solution_space(m, rank_tolerance) for m in (mesh, glued))
     pulled = info.pull_back(1, glued_space.gauge_fixed_basis.columns)
 

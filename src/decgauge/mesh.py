@@ -615,23 +615,24 @@ def extract_face(sigma: HypersurfaceMesh, label: str) -> HypersurfaceMesh:
 
 
 class GlueInfo:
-    """Maps from a parent region into a glued quotient region."""
+    """Maps from a parent region into a glued quotient region, and the seam:
+    each matched edge pair once, ``edge_a`` ascending on face ``labels[0]``,
+    its image ``edge_b`` with the resorting sign ``edge_sign``, and
+    ``interior`` where the glued edge lies inside (the perimeter of a 3D
+    face stays on the boundary)."""
 
-    def __init__(self, vertex_map, simplex_maps, simplex_signs):
-        self.vertex_map = vertex_map          # parent vertex -> glued vertex
+    def __init__(self, parent, labels, simplex_maps, simplex_signs, edge_a, edge_b,
+                 edge_sign, interior):
+        self.parent, self.labels = parent, labels
         self.simplex_maps = simplex_maps      # per k: parent index -> glued index
         self.simplex_signs = simplex_signs    # per k: resorting parity
+        self.edge_a, self.edge_b = edge_a, edge_b
+        self.edge_sign, self.interior = edge_sign, interior
 
     def pull_back(self, k, values_on_glued):
         """Cochain pullback: values on the glued complex to the parent (a
         vector, or a matrix column by column)."""
         return (self.simplex_signs[k] * values_on_glued[self.simplex_maps[k]].T).T
-
-
-def _facets_of_label(mesh: RegionMesh, label: str):
-    if label not in mesh.face_labels:
-        raise MeshError(f"unknown face label {label!r}")
-    return sorted(mesh.face_labels[label])
 
 
 def glue(mesh: RegionMesh, label_a: str, label_b: str, matching: dict,
@@ -642,13 +643,15 @@ def glue(mesh: RegionMesh, label_a: str, label_b: str, matching: dict,
     onto those of face ``label_b``; it must identify the two faces
     simplex-by-simplex, reversing the induced boundary orientation, and
     matched edges must have equal length to ``length_tolerance``.
-    """
+    ``glue_info`` (:class:`GlueInfo`) records the maps and the seam."""
     if label_a == label_b:
         raise MeshError("cannot glue a face to itself")
     cx = mesh.complex
     n = cx.dim
-    facets_a = _facets_of_label(mesh, label_a)
-    facets_b = _facets_of_label(mesh, label_b)
+    for label in (label_a, label_b):
+        if label not in mesh.face_labels:
+            raise MeshError(f"unknown face label {label!r}")
+    facets_a, facets_b = (sorted(mesh.face_labels[lab]) for lab in (label_a, label_b))
     if len(facets_a) != len(facets_b):
         raise MeshError("faces are not combinatorially isomorphic (facet counts)")
 
@@ -675,10 +678,13 @@ def glue(mesh: RegionMesh, label_a: str, label_b: str, matching: dict,
     if np.any(signs[facets_a] * _parity(mapped) * signs[facets_ab] != -1):
         raise MeshError("matching does not reverse orientation")
 
-    # Matched edges must be isometric.
+    # Each matched edge pair once, in ascending a-edge order; they must be
+    # isometric.
     edges = rows_a[:, np.transpose(np.triu_indices(n, 1))].reshape(-1, 2)
-    la = mesh.edge_lengths[cx.simplex_indices(1, edges)]
-    lb = mesh.edge_lengths[cx.simplex_indices(1, image[edges])]
+    edge_a, first = np.unique(cx.simplex_indices(1, edges), return_index=True)
+    edge_images = image[edges[first]]
+    edge_b = cx.simplex_indices(1, edge_images)
+    la, lb = mesh.edge_lengths[edge_a], mesh.edge_lengths[edge_b]
     if np.any(np.abs(la - lb) > length_tolerance * np.maximum(la, lb)):
         raise MeshError("matched edges differ in length; gluing must be "
                         "an isometry")
@@ -721,10 +727,8 @@ def glue(mesh: RegionMesh, label_a: str, label_b: str, matching: dict,
         name=f"{mesh.name}/glued[{label_a}~{label_b}]" if mesh.name else "glued",
     )
     out.glue_info = GlueInfo(
-        vertex_map=new_id,
-        simplex_maps=smaps,
-        simplex_signs=ssigns,
-    )
+        mesh, (label_a, label_b), smaps, ssigns, edge_a, edge_b,
+        _parity(edge_images), out.interior_simplex_mask(1)[smaps[1][edge_a]])
     return out
 
 

@@ -209,11 +209,11 @@ def test_criterion_9_gluing():
         {int(v) for f in two.face_labels["m1.west"] for v in cx.simplices[1][f]},
         key=lambda v: cx.coordinates[v][1],
     )
-    rep_rect = dynamics.gluing_check(two, "m0.east", "m1.west",
-                                     dict(zip(east, west)))
+    rep_rect = dynamics.gluing_check(mesh.glue(two, "m0.east", "m1.west",
+                                               dict(zip(east, west))))
     st = builders.strip(4)
-    rep_ann = dynamics.gluing_check(st, "west", "east",
-                                    builders.strip_end_matching(st))
+    rep_ann = dynamics.gluing_check(mesh.glue(st, "west", "east",
+                                              builders.strip_end_matching(st)))
     ok = True
     details = []
     for name, rep in (("rectangle", rep_rect), ("annulus", rep_ann)):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from decgauge import builders, cli, dynamics, hodge, mesh, tolerances
+from decgauge import axioms, builders, cli, dynamics, hodge, mesh, tolerances
 from decgauge.cli import ExperimentConfig
 from decgauge.dec import Cochain
 from dense_oracles import full_basis
@@ -61,17 +61,16 @@ def test_verify_axioms_glues_once_and_a11_a12_match_a_fresh_gluing(monkeypatch):
         calls.append(args[1:3])
         return mesh.glue(*args)
 
-    monkeypatch.setattr(cli, "glue", counting_glue)
-    monkeypatch.setattr(dynamics, "glue", counting_glue)
-    axioms = cli.verify_axioms(builders.square(2), glue_fixture=fixture)
+    monkeypatch.setattr(axioms, "glue", counting_glue)
+    rows = cli.verify_axioms(builders.square(2), glue_fixture=fixture)
     assert calls == [("west", "east")]
-    rep = dynamics.gluing_check(*fixture)
-    assert axioms["A11"] == cli._check("A11", rep["passed"], **cli._gluing_fields(rep))
     glued = mesh.glue(*fixture)
+    rep = dynamics.gluing_check(glued)
+    assert rows["A11"] == axioms._check("A11", rep["passed"], **axioms._gluing_fields(rep))
     facets = len(glued.complex.boundary_facets())
-    assert axioms["A12"] == cli._check("A12", True, boundary_facets=facets,
-                                       expected_facets=facets)
-    assert len(calls) == 2  # gluing_check without a glued mesh glues itself
+    assert rows["A12"] == axioms._check("A12", True, boundary_facets=facets,
+                                        expected_facets=facets)
+    assert not hasattr(dynamics, "glue")  # the check reads a glued mesh, never glues
 
 
 def test_verify_axioms_empty_boundary_trivial_a9(tmp_path, torus_region):
@@ -219,6 +218,21 @@ def test_glue_with_matching_file(tmp_path):
     code = run_cli(["glue", "--mesh", "strip:N=4", "--faces", "west", "east",
                     "--matching", str(mfile), "--out", str(out)])
     assert code == 0
+
+
+@pytest.mark.parametrize("text", [None, "{not json", '{"a": 12}', '{"0": "x"}',
+                                  '{"0": 1.5}', "[0, 12]"])
+def test_glue_with_a_bad_matching_file_exits_two(text, tmp_path):
+    # a missing file (None), malformed JSON, or a key or value that is no
+    # vertex index is an input error, not a failed verification
+    mfile = tmp_path / "matching.json"
+    if text is not None:
+        mfile.write_text(text)
+    out = tmp_path / "glue.json"
+    code = run_cli(["glue", "--mesh", "strip:N=4", "--faces", "west", "east",
+                    "--matching", str(mfile), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert not out.exists()
 
 
 def test_off_input_through_cli(tmp_path):

@@ -13,7 +13,7 @@ from dense_oracles import qr_lagrangian_readings, r_wide_lagrangian, svd_lagrang
 from hypothesis import given, settings
 from test_oracle import relabelled
 
-from decgauge import builders, cli, dynamics, mesh, symplectic, tolerances
+from decgauge import axioms, builders, cli, dynamics, mesh, symplectic, tolerances
 from decgauge.subspaces import from_span, principal_angles
 from decgauge.symplectic import SymplecticSpace
 
@@ -135,7 +135,7 @@ def test_verify_axioms_builds_r_wide_columns_only_in_a11(spec, monkeypatch):
     # A4, A8 and A9 read the two factorizations; only the gluing check of
     # A11 builds Q and the gauge-fixed bases
     inside, built = [], []
-    check, coclosed = cli.gluing_check, dynamics.coclosed_subspace
+    check, coclosed = axioms.gluing_check, dynamics.coclosed_subspace
     gauge_fixed = dynamics.SolutionSpace.gauge_fixed_basis.func
 
     def gluing(*args, **kwargs):
@@ -152,12 +152,12 @@ def test_verify_axioms_builds_r_wide_columns_only_in_a11(spec, monkeypatch):
             return build(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(cli, "gluing_check", gluing)
+    monkeypatch.setattr(axioms, "gluing_check", gluing)
     monkeypatch.setattr(dynamics, "coclosed_subspace", only_in_a11(coclosed, "Q"))
     monkeypatch.setattr(dynamics.SolutionSpace, "gauge_fixed_basis",
                         property(only_in_a11(gauge_fixed, "G")))
-    axioms = cli.verify_axioms(builders.from_spec(spec))
-    assert all(row["passed"] for row in axioms.values())
+    rows = cli.verify_axioms(builders.from_spec(spec))
+    assert all(row["passed"] for row in rows.values())
     assert "Q" in built and "G" in built
 
 

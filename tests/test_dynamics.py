@@ -187,18 +187,17 @@ def test_gluing_two_squares(square2):
         {int(v) for f in two.face_labels["m1.west"] for v in cx.simplices[1][f]},
         key=lambda v: cx.coordinates[v][1],
     )
-    rep = dynamics.gluing_check(two, "m0.east", "m1.west", dict(zip(east, west)))
+    rep = dynamics.gluing_check(mesh.glue(two, "m0.east", "m1.west",
+                                          dict(zip(east, west))))
     assert rep["passed"]
     assert rep["dims"]["glued_solutions"] == rep["dims"]["equalizer"]
 
 
 def test_gluing_strip_to_annulus(strip4):
-    rep = dynamics.gluing_check(
-        strip4, "west", "east", builders.strip_end_matching(strip4)
-    )
-    assert rep["passed"]
     glued = mesh.glue(strip4, "west", "east",
                       builders.strip_end_matching(strip4))
+    rep = dynamics.gluing_check(glued)
+    assert rep["passed"]
     # the glued annulus gains a harmonic direction the strip lacks
     assert hodge.betti_oracle(glued, 1) == 1
     assert hodge.betti_oracle(strip4, 1) == 0
@@ -206,8 +205,12 @@ def test_gluing_strip_to_annulus(strip4):
 
 
 def test_gluing_self_rejected(strip4):
+    # the check reads the seam of a glued mesh: a face glued to itself is
+    # refused by the gluing, and a region that was never glued by the check
     with pytest.raises(mesh.MeshError, match="itself"):
-        dynamics.gluing_check(strip4, "west", "west", {})
+        dynamics.gluing_check(mesh.glue(strip4, "west", "west", {}))
+    with pytest.raises(dynamics.DynamicsError, match="not a glued region"):
+        dynamics.gluing_check(strip4)
 
 
 def test_verify_lagrangian_glued_annulus():

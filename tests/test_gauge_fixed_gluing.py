@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from decgauge import builders, cli, dynamics, mesh, subspaces
+from decgauge import axioms, builders, cli, dynamics, mesh, subspaces
 from dense_oracles import curvature_adjoint_full, field_equation_matrix, full_basis
 from test_harmonic_reduction import torus_seam
 
@@ -34,23 +34,32 @@ GLUINGS = {"strip4": lambda: _strip(4), "strip6x2": lambda: _strip(6, 2),
            "strip3x3": lambda: _strip(3, 3), "two_squares": _two_squares}
 
 
-def dense_equalizer(m, label_a, matching, glued):
-    """Kernel of the dense stack [K_I; traces agree; fluxes cancel], with a
-    flux row only where ``glued`` has the matched edge inside."""
-    cx, full = m.complex, curvature_adjoint_full(m)
+def seam_by_edge(m, label_a, matching, glued):
+    """Per edge ``a`` of face ``label_a``, one simplex at a time: its matched
+    edge ``b``, the sign ``s`` that resorts b's mapped vertices, and whether
+    ``glued`` has the edge inside."""
+    cx = m.complex
     inside = glued.interior_simplex_mask(1)[glued.glue_info.simplex_maps[1]]
-    n1 = cx.n_simplices(1)
-    rows = [field_equation_matrix(m)]
+    seam = {}
     for f in sorted(m.face_labels[label_a]):
         for e in itertools.combinations(tuple(cx.simplices[cx.dim - 1][f]), 2):
             mapped = [matching[v] for v in e]
             ia, ib = cx.simplex_index(1, e), cx.simplex_index(1, mapped)
-            sb = 1 if mapped[0] < mapped[1] else -1
-            trace = np.zeros(n1)
-            trace[ia], trace[ib] = 1.0, -sb
-            rows.append(trace[None])
-            if inside[ia]:
-                rows.append((full[ia] + sb * full[ib])[None])
+            seam[ia] = (ib, 1 if mapped[0] < mapped[1] else -1, bool(inside[ia]))
+    return seam
+
+
+def dense_equalizer(m, label_a, matching, glued):
+    """Kernel of the dense stack [K_I; traces agree; fluxes cancel], with a
+    flux row only where ``glued`` has the matched edge inside."""
+    full, n1 = curvature_adjoint_full(m), m.complex.n_simplices(1)
+    rows = [field_equation_matrix(m)]
+    for ia, (ib, sb, inside) in seam_by_edge(m, label_a, matching, glued).items():
+        trace = np.zeros(n1)
+        trace[ia], trace[ib] = 1.0, -sb
+        rows.append(trace[None])
+        if inside:
+            rows.append((full[ia] + sb * full[ib])[None])
     return subspaces.null_space(np.vstack(rows), gram=m.star_diagonal(1),
                                 n_columns=n1)
 
@@ -58,8 +67,8 @@ def dense_equalizer(m, label_a, matching, glued):
 @pytest.mark.parametrize("name", sorted(GLUINGS))
 def test_full_dims_and_spaces_match_dense_oracle(name):
     m, la, lb, matching = GLUINGS[name]()
-    rep = dynamics.gluing_check(m, la, lb, matching)
     glued = mesh.glue(m, la, lb, matching)
+    rep = dynamics.gluing_check(glued)
     glued_full = full_basis(dynamics.solution_space(glued))
     equalizer = dense_equalizer(m, la, matching, glued)
     assert rep["passed"]
@@ -91,6 +100,26 @@ def _two_cubes():
     return two, "m0.east", "m1.west", dict(zip(side("m0.east"), side("m1.west")))
 
 
+SEAMS = {**GLUINGS, "cube3": lambda: _cube(3), "torus_seam3": lambda: torus_seam(3)}
+
+
+@pytest.mark.parametrize("name", sorted(SEAMS))
+def test_glue_records_each_matched_pair_once(name):
+    # the seam the gluing check reads equals the per-edge extraction of the
+    # dense oracle; a flux row where the glued edge is interior is where the
+    # matched edge lies on no other face of the cut region
+    m, la, lb, matching = SEAMS[name]()
+    glued = mesh.glue(m, la, lb, matching)
+    info, seam = glued.glue_info, seam_by_edge(m, la, matching, glued)
+    assert info.parent is m and info.labels == (la, lb)
+    assert info.edge_a.tolist() == sorted(seam)
+    assert list(zip(info.edge_b.tolist(), info.edge_sign.tolist(),
+                    info.interior.tolist())) == [seam[a] for a in sorted(seam)]
+    others = [f for lab, fs in m.face_labels.items() if lab != la for f in fs]
+    assert np.array_equal(info.interior,
+                          ~m.complex.facet_closure(others, 1)[info.edge_a])
+
+
 # (build, matched edges, glued solutions).  A face of an n x n grid has
 # 2n(n+1) axis edges and n^2 diagonals; after the first gluing into a ring,
 # the south face has n fewer.  The second seam of T^2 x I is an annulus with
@@ -108,8 +137,8 @@ def test_cube_gluing_matches_dense_oracle(name):
     # their traces are matched, their fluxes are not.
     build, matched, dim = CUBE_GLUINGS[name]
     m, la, lb, matching = build()
-    rep = dynamics.gluing_check(m, la, lb, matching)
     glued = mesh.glue(m, la, lb, matching)
+    rep = dynamics.gluing_check(glued)
     glued_full = full_basis(dynamics.solution_space(glued))
     equalizer = dense_equalizer(m, la, matching, glued)
     assert rep["passed"]
@@ -145,12 +174,12 @@ def _flipped_rows(which):
     the trace rows (``a + s b``) or in the flux rows (``K_a - s K_b``)."""
     original = dynamics._matched_rows
 
-    def rows(m, label_a, matching, curvature):
-        trace, flux = original(m, label_a, matching, curvature)
+    def rows(info, curvature):
+        trace, flux = original(info, curvature)
         if which == "flux":
             return trace, (trace @ curvature).tocsr()
         t = trace.tocoo()
-        on_a = np.isin(t.col, sorted(m.face_labels[label_a]))  # 2D: facets are edges
+        on_a = np.isin(t.col, info.edge_a)
         t.data = np.where(on_a, t.data, -t.data)
         return t.tocsr(), flux
 
@@ -162,7 +191,7 @@ def _flipped_rows(which):
 def test_flipped_sign_fails_gluing_check(name, which, monkeypatch):
     m, la, lb, matching = GLUINGS[name]()
     monkeypatch.setattr(dynamics, "_matched_rows", _flipped_rows(which))
-    rep = dynamics.gluing_check(m, la, lb, matching)
+    rep = dynamics.gluing_check(mesh.glue(m, la, lb, matching))
     assert not rep["passed"]
     if which == "trace":
         # matched traces may differ by a gauge: only d P_0 exposes the sign
@@ -234,9 +263,9 @@ def test_verify_axioms_builds_one_solution_space(disk8, monkeypatch):
         return original(m, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "solution_space", counting)
-    monkeypatch.setattr(cli, "solution_space", counting)
-    axioms = cli.verify_axioms(disk8)
-    assert all(row["passed"] for row in axioms.values())
+    monkeypatch.setattr(axioms, "solution_space", counting)
+    rows = cli.verify_axioms(disk8)
+    assert all(row["passed"] for row in rows.values())
     assert sum(m is disk8 for m in built) == 1
 
 

@@ -157,6 +157,27 @@ def test_every_probe_gate_is_live(name, spec, tmp_path):
         assert reading in row["error"]
 
 
+# Each tolerance that only the axiom suite reads, with a mesh on which its
+# reading is roundoff, never an exact zero, and the row it gates (A7's
+# residual is exactly 0 on disk:N=8 and annulus:N=16).
+AXIOM_GATES = {"AXIOM_IDENTITY_REL": ("annulus:N=16", "A4"),
+               "FACTORIZATION_REL": ("square:N=4", "A7"),
+               "ROUNDOFF_REL": ("annulus:N=16", "A8"),
+               "GLUING_ACTION_REL": ("annulus:N=16", "A11")}
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_GATES))
+def test_every_axiom_gate_is_live(name, tmp_path):
+    spec, gated = AXIOM_GATES[name]
+    out = tmp_path / "axioms.json"
+    args = ["verify-axioms", "--mesh", spec, "--out", str(out)]
+    assert cli.main(args) == 0
+    assert cli.main(args + ["--tol", f"{name}=1e-300"]) == cli.EXIT_CHECK_FAILED
+    report = json.loads(out.read_text())
+    assert report["tolerances"][name] == 1e-300
+    assert [row["id"] for row in report["checks"] if not row["passed"]] == [gated]
+
+
 def test_every_table_name_is_read_by_the_library():
     # A name that no module applies would be echoed in every report and
     # accepted by --tol while gating nothing.

@@ -97,8 +97,8 @@ def test_solution_paths_take_no_boundary_wide_null_space(name, request,
     back = boundary.trace_solution(dynamics.extend(datum, m))
     assert np.linalg.norm(back.vector() - datum.vector()) <= 1e-10 * np.linalg.norm(
         datum.vector())
-    assert dynamics.gluing_check(strip4, "west", "east",
-                                 builders.strip_end_matching(strip4))["passed"]
+    assert dynamics.gluing_check(mesh.glue(strip4, "west", "east",
+                                           builders.strip_end_matching(strip4)))["passed"]
     assert all(row["passed"] for row in cli.verify_axioms(m).values())
 
 
