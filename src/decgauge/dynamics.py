@@ -66,6 +66,8 @@ class SolutionSpace:
     relative Betti number); ``dim`` adds the ``n_0 - components`` exact
     directions.  What is r columns wide is built on first use: Q
     (``coclosed``), its extension A (``extension``), ``gauge_fixed_basis``.
+    The space is kept on its mesh (:func:`solution_space`), so every array
+    it keeps is read-only.
     """
 
     def __init__(self, mesh: RegionMesh, gauge_fix, gauge_fix_solve: dict,
@@ -98,15 +100,18 @@ class SolutionSpace:
         """Q (:func:`~decgauge.symplectic.coclosed_subspace`), or None."""
         if self.mesh.boundary is None:
             return None
-        return coclosed_subspace(self.mesh.boundary, self.rank_tolerance,
-                                 self.gauge_fix)[0]
+        return _read_only(coclosed_subspace(self.mesh.boundary, self.rank_tolerance,
+                                            self.gauge_fix)[0])
 
     @functools.cached_property
     def extension(self) -> np.ndarray:
         """A, the extension of Q."""
         if self.coclosed is None:
-            return np.zeros((self.mesh.complex.n_simplices(1), 0))
-        return self.extend_traces(self.coclosed.columns)
+            x = np.zeros((self.mesh.complex.n_simplices(1), 0))
+        else:
+            x = self.extend_traces(self.coclosed.columns)
+        x.flags.writeable = False
+        return x
 
     @functools.cached_property
     def gauge_fixed_basis(self) -> Subspace:
@@ -126,7 +131,7 @@ class SolutionSpace:
             raise DynamicsError(
                 f"gauge-fixed rank {basis.dim} != exact count "
                 f"{self.gauge_fixed_dim}; singular values {basis.singular_values}")
-        return basis
+        return _read_only(basis)
 
     def gauge_fixed_solutions(self):
         return [Cochain(self.mesh, 1, c) for c in self.gauge_fixed_basis.columns.T]
@@ -144,12 +149,23 @@ class SolutionSpace:
         return out
 
 
+def _read_only(space: Subspace) -> Subspace:
+    """``space`` with its basis columns and gram made read-only."""
+    space.columns.flags.writeable = False
+    space.gram.flags.writeable = False
+    return space
+
+
 def solution_space(mesh: RegionMesh,
                    rank_tolerance=tolerances.RANK_REL) -> SolutionSpace:
     """The boundary gauge fix, the Dirichlet extension, its grounding basis
     and the exact counts (see :class:`SolutionSpace`).  A singular block, or
     a kernel the relative Betti number does not predict, raises at its
-    pivot gate."""
+    pivot gate.  Built once per mesh and rank tolerance and kept on the
+    mesh, which is not changed after its construction: the factorizations
+    and what the space builds on first use last as long as the mesh."""
+    if rank_tolerance in mesh._solution_spaces:
+        return mesh._solution_spaces[rank_tolerance]
     cx, sigma = mesh.complex, mesh.boundary
     if cx.dim < 2:
         raise DynamicsError("field equation needs a region of dimension >= 2")
@@ -162,9 +178,13 @@ def solution_space(mesh: RegionMesh,
         bounded = (np.unique(cx.vertex_components()[sigma.vertex_map]).size
                    - sigma.complex.n_components())
     extend, solve, grounding = dirichlet_extension(mesh, rank_tolerance)
+    if grounding is not None:
+        _read_only(grounding)
     count = coclosed_dim + bounded + relative_betti_oracle(mesh, 1)
-    return SolutionSpace(mesh, gauge_fix, record, coclosed_dim, extend, solve,
-                         grounding, count, rank_tolerance)
+    space = SolutionSpace(mesh, gauge_fix, record, coclosed_dim, extend, solve,
+                          grounding, count, rank_tolerance)
+    mesh._solution_spaces[rank_tolerance] = space
+    return space
 
 
 def actions(mesh: RegionMesh, columns):
@@ -340,8 +360,8 @@ def verify_lagrangian(space: SolutionSpace,
         "max_principal_angle": max_angle,
         "embedding_defect": embed_defect,
         "probes": {"count": k, "coclosed_dim": r, "seed": seed},
-        "extension_solve": space.solve,
-        "gauge_fix_solve": space.gauge_fix_solve,
+        "extension_solve": dict(space.solve),
+        "gauge_fix_solve": dict(space.gauge_fix_solve),
         "half_dimension": True,
         "rank_ambiguous": space.grounding is not None and space.grounding.gap < gap_factor,
         "lagrangian": bool(iso <= isotropy_tolerance * 0.5

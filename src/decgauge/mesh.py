@@ -524,6 +524,8 @@ class RegionMesh(_MetricMesh):
         self.strata = self._corner_strata()
         self._boundary = None
         self.glue_info = None
+        # dynamics.solution_space keeps one space per rank tolerance here
+        self._solution_spaces = {}
 
     # -- labels and strata -----------------------------------------------------
 

@@ -133,7 +133,8 @@ def test_builds_no_gauge_fixed_basis_or_two_form(spec, monkeypatch, tmp_path):
 @pytest.mark.parametrize("spec", ["annulus:N=16", "solid_torus:K=8", "cube:N=2"])
 def test_verify_axioms_builds_r_wide_columns_only_in_a11(spec, monkeypatch):
     # A4, A8 and A9 read the two factorizations; only the gluing check of
-    # A11 builds Q and the gauge-fixed bases
+    # A11 builds Q and the gauge-fixed bases, here on a fixture glued for
+    # this test, whose spaces no earlier call has kept
     inside, built = [], []
     check, coclosed = axioms.gluing_check, dynamics.coclosed_subspace
     gauge_fixed = dynamics.SolutionSpace.gauge_fixed_basis.func
@@ -152,6 +153,7 @@ def test_verify_axioms_builds_r_wide_columns_only_in_a11(spec, monkeypatch):
             return build(*args, **kwargs)
         return wrapped
 
+    monkeypatch.setattr(axioms, "_glued_strip", axioms._glued_strip.__wrapped__)
     monkeypatch.setattr(axioms, "gluing_check", gluing)
     monkeypatch.setattr(dynamics, "coclosed_subspace", only_in_a11(coclosed, "Q"))
     monkeypatch.setattr(dynamics.SolutionSpace, "gauge_fixed_basis",

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from decgauge import axioms, builders, cli, dynamics, mesh, subspaces
+from decgauge import axioms, builders, cli, dynamics, mesh, subspaces, tolerances
 from dense_oracles import curvature_adjoint_full, field_equation_matrix, full_basis
 from test_harmonic_reduction import torus_seam
 
@@ -211,6 +211,45 @@ def test_flipped_sign_fails_glue_and_a11(which, monkeypatch, tmp_path, disk8):
     axioms = cli.verify_axioms(disk8)
     assert not axioms["A11"]["passed"]
     assert all(row["passed"] for ax, row in axioms.items() if ax != "A11")
+
+
+def _kept_fixture():
+    """The default A11 gluing and the strip it was cut from."""
+    glued = axioms._glued_strip(tolerances.GLUE_LENGTH_REL)
+    return glued, glued.glue_info.parent
+
+
+@pytest.mark.parametrize("which", ["trace", "flux"])
+def test_a11_reads_the_seam_on_every_call(which, disk8, monkeypatch):
+    # A clean suite keeps the fixture's cut and glued spaces on their
+    # meshes, but no reading of A11: a sign flipped afterwards fails it,
+    # and the restored rows pass it again
+    assert cli.verify_axioms(disk8)["A11"]["passed"]
+    assert all(tolerances.RANK_REL in m._solution_spaces for m in _kept_fixture())
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_matched_rows", _flipped_rows(which))
+        assert not cli.verify_axioms(disk8)["A11"]["passed"]
+    assert cli.verify_axioms(disk8)["A11"]["passed"]
+
+
+def test_a11_builds_new_spaces_for_a_new_rank_tolerance(disk8, monkeypatch):
+    # spaces are kept per rank tolerance: under another RANK_REL (one no
+    # other test uses) the fixture's regions are extended afresh, once
+    cli.verify_axioms(disk8)
+    extended = []
+    original = dynamics.dirichlet_extension
+
+    def counting(region, *args, **kwargs):
+        extended.append(region)
+        return original(region, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "dirichlet_extension", counting)
+    tol = tolerances.table({"RANK_REL": 3e-9})
+    for _ in range(2):
+        assert all(row["passed"] for row in cli.verify_axioms(disk8, tol=tol).values())
+    for m in _kept_fixture():
+        assert sum(r is m for r in extended) == 1
+        assert sorted(m._solution_spaces) == [3e-9, tolerances.RANK_REL]
 
 
 def _noisy_copy(m, seed=3, level=1e-15):

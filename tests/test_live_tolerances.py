@@ -178,6 +178,70 @@ def test_every_axiom_gate_is_live(name, tmp_path):
     assert [row["id"] for row in report["checks"] if not row["passed"]] == [gated]
 
 
+def rotated_strip_glue(tmp_path):
+    """``glue`` of :func:`rotated_strip` through its OFF, label and matching
+    files, so that its matched lengths differ by roundoff."""
+    region, label_a, label_b, matching = rotated_strip()
+    off, labels, match = (tmp_path / n for n in ("strip.off", "labels.json", "matching.json"))
+    region.save_off(off)
+    edges = region.complex.simplices[1]
+    labels.write_text(json.dumps({",".join(map(str, edges[f])): lab
+                                  for lab, facets in region.face_labels.items()
+                                  for f in facets}))
+    match.write_text(json.dumps(matching))
+    return ["glue", "--mesh", str(off), "--labels", str(labels),
+            "--faces", label_a, label_b, "--matching", str(match)]
+
+
+AXIOMS16 = ["verify-axioms", "--mesh", "annulus:N=16"]
+YM2D24 = ["ym2d", "--mesh", "disk:N=24"]  # both ym2d readings are roundoff here
+SHELL = ["verify-lagrangian", "--mesh", "solid_torus:K=8"]
+# Per name, a run whose outcome the name's extreme value changes.  The axiom
+# runs share A11's fixture and the spaces kept on it, which must hide no
+# changed tolerance.
+EXTREMES = {
+    "AXIOM_IDENTITY_REL": (AXIOMS16, "1e-300"),
+    "COCLOSED_INPUT_REL": (["verify-lagrangian", "--mesh", "cube:N=2"], "1e-300"),
+    "FACTORIZATION_REL": (["verify-axioms", "--mesh", "square:N=4"], "1e-300"),
+    "GLUE_LENGTH_REL": (rotated_strip_glue, "1e-300"),
+    "GLUING_ACTION_REL": (AXIOMS16, "1e-300"),
+    "HARMONIC_REL": (["harmonic", "--mesh", "annulus:N=16", "--degree", "1"], "1e-300"),
+    "HMF_REL": (["decompose", "--mesh", "annulus:N=16", "--degree", "1"], "1e-300"),
+    "ISOTROPY_REL": (SHELL, "1e-300"),
+    "PRINCIPAL_ANGLE": (SHELL, "1e-300"),
+    "RANK_GAP_FACTOR": (AXIOMS16, "1e300"),
+    "RANK_REL": (AXIOMS16, "1"),
+    "REDUCED_FORM_REL": (YM2D24, "1e-300"),
+    "ROUNDOFF_REL": (AXIOMS16, "1e-300"),
+    "SOLUTION_REL": (AXIOMS16, "1e-300"),
+    "STOKES_LINE_REL": (YM2D24, "1e-300"),
+}
+
+
+def outcome(argv, tmp_path, *tol):
+    """Exit code, and each row's verdict and rank flag (None without a
+    report)."""
+    out = tmp_path / "report.json"
+    out.unlink(missing_ok=True)
+    for item in tol:
+        argv = argv + ["--tol", item]
+    code = cli.main(argv + ["--out", str(out)])
+    if not out.exists():
+        return code, None
+    return code, [(row["id"], row["passed"], row.get("rank_ambiguous"))
+                  for row in json.loads(out.read_text())["checks"]]
+
+
+@pytest.mark.parametrize("name", sorted(tolerances.DEFAULTS))
+def test_every_tolerance_changes_an_outcome(name, tmp_path):
+    assert name in EXTREMES, f"{name} has no run that shows it is live"
+    argv, extreme = EXTREMES[name]
+    argv = argv(tmp_path) if callable(argv) else argv
+    default = outcome(argv, tmp_path)
+    assert default[0] == cli.EXIT_OK
+    assert outcome(argv, tmp_path, f"{name}={extreme}") != default
+
+
 def test_every_table_name_is_read_by_the_library():
     # A name that no module applies would be echoed in every report and
     # accepted by --tol while gating nothing.

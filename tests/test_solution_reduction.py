@@ -34,6 +34,13 @@ def max_angle(a, b):
     return float(subspaces.principal_angles(a, b).max(initial=0.0))
 
 
+def unkept(m):
+    """The same region as a new mesh, with no solution space kept on it:
+    each factorization route then builds its own."""
+    return mesh.RegionMesh(m.complex, face_labels=m.face_labels,
+                           edge_lengths=m.edge_lengths, name=m.name)
+
+
 ORACLE_MESHES = ("tri1", "disk8", "ann8", "annulus16", "strip4", "tet",
                  "solid_torus8", "torus_region", "two_annuli")
 
@@ -56,7 +63,7 @@ def factorization(route, monkeypatch):
 @FACTORIZATIONS
 @pytest.mark.parametrize("name", ORACLE_MESHES)
 def test_reduced_kernel_matches_dense_oracle(name, request, factorization):
-    m = request.getfixturevalue(name)
+    m = unkept(request.getfixturevalue(name))
     fast = dynamics.solution_space(m).gauge_fixed_basis
     dense = dense_gauge_fixed(m)
     assert fast.dim == dense.dim
@@ -97,9 +104,12 @@ def test_singular_interior_block_raises(monkeypatch, factorization):
         dynamics.solution_space(builders.annulus(8))
 
 
-def test_restrict_without_gauge_fixed_solutions(disk8, torus_region):
+def test_restrict_without_gauge_fixed_solutions():
     # restrict reads Q and its extension, never the gauge-fixed basis: it
-    # does not build it, and emptying it leaves the image alone
+    # does not build it, and emptying it leaves the image alone.  The meshes
+    # are built here, so no other test's kept space is read or emptied.
+    disk8 = builders.from_spec("disk:N=8")
+    torus_region = mesh.region_from_hypersurface(builders.solid_torus(8).boundary)
     space = dynamics.solution_space(disk8)
     image = dynamics.restrict(space)
     assert "gauge_fixed_basis" not in vars(space)

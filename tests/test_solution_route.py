@@ -5,6 +5,8 @@ replaced (``dense_oracles.reduced_gauge_fixed``), with the boundary-wide
 null space and a second interior factorization kept off every solution
 path."""
 
+import json
+
 import numpy as np
 import pytest
 from dense_oracles import coclosed_defect, reduced_gauge_fixed
@@ -122,7 +124,9 @@ def test_verify_axioms_factorizes_once_per_mesh(monkeypatch):
     assert len(extended) == 3  # and the glued annulus of A11
 
 
-def test_gauge_fixed_basis_is_built_on_first_use(ann8):
+def test_gauge_fixed_basis_is_built_on_first_use():
+    # a mesh of its own: a space kept by another test may have built it
+    ann8 = builders.from_spec("ann8")
     space = dynamics.solution_space(ann8)
     assert "gauge_fixed_basis" not in vars(space)
     assert space.dim == 9 and space.gauge_fixed_dim == 2
@@ -134,8 +138,28 @@ def test_gauge_fixed_basis_is_built_on_first_use(ann8):
     boundary.trace_columns(ann8, basis.columns, ann8.boundary)
 
 
-def test_gauge_fixed_rank_is_checked_against_the_count(ann8):
-    space = dynamics.solution_space(ann8)
+def test_kept_space_is_read_only():
+    # one space per mesh and rank tolerance, its arrays read-only, and no
+    # report shares its solve records: a report changed after the fact
+    # leaves the next one byte-identical
+    m = builders.from_spec("annulus:N=16")
+    space = dynamics.solution_space(m)
+    assert dynamics.solution_space(m) is space
+    assert dynamics.solution_space(m, 1e-9) is not space
+    bases = (space.coclosed, space.gauge_fixed_basis, space.grounding)
+    for kept in (space.extension, *(b.columns for b in bases), *(b.gram for b in bases)):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 1.0
+    first = dynamics.verify_lagrangian(space, seed=5)
+    text = json.dumps(first, sort_keys=True)
+    first["extension_solve"]["grounded"] = first["gauge_fix_solve"]["block_size"] = -1
+    again = dynamics.verify_lagrangian(dynamics.solution_space(m), seed=5)
+    assert json.dumps(again, sort_keys=True) == text
+
+
+def test_gauge_fixed_rank_is_checked_against_the_count():
+    # a mesh of its own: the wrong count stays on the space kept on it
+    space = dynamics.solution_space(builders.from_spec("ann8"))
     space.gauge_fixed_dim += 1
     with pytest.raises(dynamics.DynamicsError, match="exact count"):
         space.gauge_fixed_basis
