@@ -67,7 +67,8 @@ class SolutionSpace:
     directions.  What is r columns wide is built on first use: Q
     (``coclosed``), its extension A (``extension``), ``gauge_fixed_basis``.
     The space is kept on its mesh (:func:`solution_space`), so every array
-    it keeps is read-only.
+    it keeps is read-only; its attributes are not, and reassigning one
+    changes the space for every later caller on that mesh.
     """
 
     def __init__(self, mesh: RegionMesh, gauge_fix, gauge_fix_solve: dict,

@@ -280,12 +280,15 @@ def test_random_solutions_solve_the_bulk_equation(ann8, rng):
     assert np.linalg.matrix_rank(many, tol=1e-8 * np.abs(many).max()) == space.dim
 
 
-def test_random_solutions_do_not_depend_on_the_basis_rotation(ann8):
-    space = dynamics.solution_space(ann8)
+def test_random_solutions_do_not_depend_on_the_basis_rotation():
+    # two meshes of one region: the rotated basis is set on a space of its
+    # own, not on the one kept for the first mesh
+    space = dynamics.solution_space(builders.square_annulus())
     g = space.gauge_fixed_basis
     assert g.dim == 2
     c, s = np.cos(0.7), np.sin(0.7)
-    turned = dynamics.solution_space(ann8)
+    turned = dynamics.solution_space(builders.square_annulus())
+    assert turned is not space
     turned.gauge_fixed_basis = subspaces.Subspace(
         g.columns @ np.array([[c, -s], [s, c]]), gram=g.gram)
     a = space.random_solutions(np.random.default_rng(5), 3)
