@@ -138,11 +138,17 @@ def norm(alpha: Cochain) -> float:
 
 
 def adjoint_full(host, k: int):
-    """All rows of the metric adjoint data d^T S_k (without S_{k-1} scaling)."""
+    """All rows of the metric adjoint data d^T S_k (without S_{k-1} scaling),
+    built once per host and degree and kept read-only."""
     if k < 1 or k > host.complex.dim:
         raise DECError(f"no adjoint rows for degree {k}")
-    mat = host.complex.boundary_matrices[k]
-    return mat @ sparse.diags(host.star_diagonal(k))
+    if k not in host._adjoints:
+        mat = host.complex.boundary_matrices[k]
+        host._adjoints[k] = sparse.csr_matrix(
+            (mat.data * host.star_diagonal(k)[mat.indices], mat.indices, mat.indptr),
+            shape=mat.shape)
+        host._adjoints[k].data.flags.writeable = False
+    return host._adjoints[k]
 
 
 def codifferential(alpha: Cochain) -> Cochain:

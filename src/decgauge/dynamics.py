@@ -386,8 +386,8 @@ def extend(datum: BoundaryDatum, mesh: RegionMesh,
            solution_tolerance=tolerances.SOLUTION_REL) -> Cochain:
     """The bulk solution whose boundary datum reproduces the input.
 
-    The datum's phi, in whatever gauge, is extended by one
-    :func:`~decgauge.hodge.dirichlet_extension`.  Every solution with that
+    The datum's phi, in whatever gauge, is extended by the Dirichlet
+    extension kept on the mesh (:func:`solution_space`).  Every solution with that
     trace differs from the extension by a closed field, which has no flux,
     so the datum is extendable exactly when phi_dot is the extension's
     flux.  The round trip is the membership test: the distance of the
@@ -405,7 +405,7 @@ def extend(datum: BoundaryDatum, mesh: RegionMesh,
         return Cochain.zeros(mesh, 1)
     x = np.zeros((mesh.complex.n_simplices(1), 1))
     x[sigma.region_simplex_map(1), 0] = datum.phi.values
-    eta = Cochain(mesh, 1, dirichlet_extension(mesh, rank_tolerance)[0](x)[:, 0])
+    eta = Cochain(mesh, 1, solution_space(mesh, rank_tolerance).extend(x)[:, 0])
     back = trace_solution(eta, sigma, solution_tolerance).vector()
     residual = float(np.linalg.norm(w * (back - vec))) / scale
     if residual > membership_tolerance:

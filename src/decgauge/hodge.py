@@ -251,31 +251,49 @@ class HarmonicBasis:
         return worst
 
 
-def _hodge_system(mesh, k: int, dirichlet: bool):
-    """``(A, w, cols)``: the rows ``A = [d_k; del_k S_k]`` of the Hodge
-    Laplacian ``A^T diag(w) A`` on every k-simplex, their weights
-    ``w = (S_k+1, S_k-1^-1)`` and its unknowns ``cols``.  Neumann takes every
-    k-simplex and (k-1) row; Dirichlet the interior ones."""
+def _hodge_rows(mesh, k: int, dirichlet: bool):
+    """The rows ``A = [d_k; del_k S_k]`` of the Hodge Laplacian ``A^T diag(w)
+    A`` of degree k on every k-simplex, as CSR blocks with their weights ``w
+    = (S_k+1, S_k-1^-1)``; Dirichlet keeps the interior (k-1) rows."""
     cx = mesh.complex
-    if dirichlet:
-        cols = mesh.interior_simplex_mask(k)
-        rows = mesh.interior_simplex_mask(k - 1) if k else None
-    else:
-        cols, rows = slice(None), slice(None)
-    blocks, weights = [], []
+    out = []
     if k < cx.dim:
-        blocks.append(cx.boundary_matrices[k + 1].T)
-        weights.append(mesh.star_diagonal(k + 1))
+        out.append((cx.boundary_matrices[k + 1].T.tocsr(), mesh.star_diagonal(k + 1)))
     if k >= 1:
-        blocks.append(adjoint_full(mesh, k).tocsr()[rows])
-        weights.append(1.0 / mesh.star_diagonal(k - 1)[rows])
-    a = sparse.vstack(blocks) if len(blocks) > 1 else blocks[0]
-    return a.tocsc(), np.concatenate(weights), cols
+        rows = mesh.interior_simplex_mask(k - 1) if dirichlet else slice(None)
+        out.append((adjoint_full(mesh, k)[rows], 1.0 / mesh.star_diagonal(k - 1)[rows]))
+    return out
+
+
+def _hodge_block(mesh, k: int, dirichlet: bool):
+    """The Hodge Laplacian of degree k as unsummed COO triplets ``(row, col,
+    value)``, ``(A_ri A_rj) w_r`` per row r of :func:`_hodge_rows` and pair of
+    its entries i, j: up ``S_s s_i s_j``, down ``(S_i S_j) (1/S_t) s_i s_j``,
+    so the summed block is exactly symmetric.  Dirichlet keeps the interior
+    rows: the block and its coupling to the boundary.  Built once per mesh,
+    degree and condition, and kept on the mesh read-only."""
+    if (k, dirichlet) in mesh._hodge_blocks:
+        return mesh._hodge_blocks[k, dirichlet]
+    parts = []
+    for a, w in _hodge_rows(mesh, k, dirichlet):
+        count = np.diff(a.indptr)
+        r = np.repeat(np.arange(len(count)), count)  # the row of each entry
+        width = count[r]
+        p = np.repeat(np.arange(a.nnz), width)  # each entry, once per entry of its row
+        q = np.arange(p.size) - np.repeat(np.cumsum(width) - width - a.indptr[r], width)
+        parts.append((a.indices[p], a.indices[q], (a.data[p] * a.data[q]) * w[r[p]]))
+    out = tuple(np.concatenate(x) for x in zip(*parts))
+    if dirichlet:
+        out = tuple(x[mesh.interior_simplex_mask(k)[out[0]]] for x in out)
+    for x in out:
+        x.flags.writeable = False
+    mesh._hodge_blocks[k, dirichlet] = out
+    return out
 
 
 def _harmonic_basis(mesh, k: int, rank_tolerance, dirichlet: bool,
                     building=frozenset()) -> HarmonicBasis:
-    """Harmonic k-fields: the kernel of the :func:`_hodge_system` rows.
+    """Harmonic k-fields: the kernel of the rows of :func:`_hodge_rows`.
 
     In degree 0, the indicator of each component (Dirichlet: each without a
     boundary vertex); in the top degree n, ``orientation / S_n`` on each
@@ -300,7 +318,7 @@ def _harmonic_basis(mesh, k: int, rank_tolerance, dirichlet: bool,
     else:
         cols = mesh.interior_simplex_mask(k) if dirichlet else slice(None)
         if (k, dirichlet) in building:
-            a = _hodge_system(mesh, k, dirichlet)[0][:, cols]
+            a = sparse.vstack([a for a, _ in _hodge_rows(mesh, k, dirichlet)]).tocsc()[:, cols]
             if a.shape[1] > DENSE_SVD_MAX:
                 raise HodgeError(f"degree-{k} harmonic fields would take a dense "
                                  f"SVD of {a.shape[0]} x {a.shape[1]} rows, above "
@@ -390,20 +408,20 @@ class HmfDecomposition:
         }
 
 
-def _potential(mesh, j: int, dirichlet: bool, system, rank_tolerance,
-               building=frozenset()):
-    """Factorize the Hodge Laplacian of degree ``j`` (rows ``system``, see
-    :func:`_hodge_system`) once.  Returns its solve, a map of a right-hand
-    side (a vector or columns, orthogonal to its kernel) to the potential;
-    the factorization's record; and the harmonic basis (built under
+def _potential(mesh, j: int, dirichlet: bool, rank_tolerance, building=frozenset()):
+    """Factorize the Hodge Laplacian of degree ``j`` (:func:`_hodge_block`)
+    once.  Returns its solve, a map of a right-hand side on the unknowns
+    (a vector or columns, orthogonal to its kernel) to the potential; the
+    factorization's record; and the harmonic basis (built under
     ``building``) it was grounded on, or None: a kernel the oracle predicts
     is grounded by fixing at zero the unknowns on which it is best
     conditioned, the lowest index among rows tied to roundoff.  A block
     large enough to be banded is factorized in the order of its unknowns'
     barycentres (:func:`subspaces.barycentre_order`)."""
-    a, w, cols = system
-    a = a[:, cols]
-    free = np.ones(a.shape[1], dtype=bool)
+    cx = mesh.complex
+    cols = mesh.interior_simplex_mask(j) if dirichlet else slice(None)
+    index = np.arange(cx.n_simplices(j))[cols]
+    free = np.ones(index.size, dtype=bool)
     basis = None
     if (relative_betti_oracle if dirichlet else betti_oracle)(mesh, j):
         basis = _harmonic_basis(mesh, j, rank_tolerance, dirichlet, building).basis
@@ -415,14 +433,18 @@ def _potential(mesh, j: int, dirichlet: bool, system, rank_tolerance,
             h = h - np.outer(h @ h[i], h[i]) / (h[i] @ h[i])
     record = {"block_size": int(free.sum()), "grounded": int((~free).sum())}
     free = np.flatnonzero(free)
-    cx = mesh.complex
     if cx.coordinates is not None and free.size >= subspaces.BANDED_MIN:
         free = free[subspaces.barycentre_order(
-            cx.coordinates[cx.simplices[j][cols][free]].mean(axis=1))]
+            cx.coordinates[cx.simplices[j][index[free]]].mean(axis=1))]
     solve, ratio = (lambda rhs: rhs), None  # an empty block
     if free.size:
-        a = a[:, free]
-        solve, ratio = factorize(a.T @ sparse.diags(w) @ a, rank_tolerance, HodgeError)
+        row, col, value = _hodge_block(mesh, j, dirichlet)
+        at = np.full(cx.n_simplices(j), -1)  # each unknown's place in the block
+        at[index[free]] = np.arange(free.size)
+        keep = (at[row] >= 0) & (at[col] >= 0)
+        block = (value[keep], (at[row[keep]], at[col[keep]]))
+        solve, ratio = factorize(sparse.coo_matrix(block, shape=(free.size,) * 2),
+                                 rank_tolerance, HodgeError)
 
     def potential(rhs):
         x = np.zeros(np.shape(rhs))
@@ -438,10 +460,9 @@ def _exact_projection(mesh, k: int, dirichlet: bool, rank_tolerance,
     """The S_k-projection onto ``d`` of the (k-1)-cochains (Dirichlet: the
     interior ones), a map of a vector or columns, and its record: the Hodge
     Laplacian of degree k-1 for ``d^T S_k x`` (:func:`_potential`)."""
-    system = _hodge_system(mesh, k - 1, dirichlet)
-    dt, s = mesh.complex.boundary_matrices[k][system[2]], mesh.star_diagonal(k)  # d^T
-    potential, record, _ = _potential(mesh, k - 1, dirichlet, system,
-                                      rank_tolerance, building)
+    cols = mesh.interior_simplex_mask(k - 1) if dirichlet else slice(None)
+    dt, s = mesh.complex.boundary_matrices[k][cols], mesh.star_diagonal(k)  # d^T
+    potential, record, _ = _potential(mesh, k - 1, dirichlet, rank_tolerance, building)
     return (lambda x: dt.T @ potential(dt @ (s * x.T).T)), record
 
 
@@ -451,12 +472,11 @@ def _coexact_part(mesh, k: int, dirichlet: bool, x, rank_tolerance,
     ``B = S_k^-1 d_k^T S_k+1`` (Dirichlet: interior (k+1) columns, boundary k
     rows zero) and the solve's record: the Hodge Laplacian of degree k+1,
     down term ``B^T S_k B``, for ``B^T S_k x`` (:func:`_potential`)."""
-    system = _hodge_system(mesh, k + 1, dirichlet)
-    sb = adjoint_full(mesh, k + 1).tocsc()[:, system[2]]  # S_k B
+    cols = mesh.interior_simplex_mask(k + 1) if dirichlet else slice(None)
+    sb = adjoint_full(mesh, k + 1).tocsc()[:, cols]  # S_k B
     if dirichlet:
         sb = sparse.diags(mesh.interior_simplex_mask(k).astype(float)) @ sb
-    potential, record, _ = _potential(mesh, k + 1, dirichlet, system,
-                                      rank_tolerance, building)
+    potential, record, _ = _potential(mesh, k + 1, dirichlet, rank_tolerance, building)
     return sparse.diags(1.0 / mesh.star_diagonal(k)) @ (sb @ potential(sb.T @ x)), record
 
 
@@ -465,16 +485,19 @@ def dirichlet_extension(mesh: RegionMesh, rank_tolerance=tolerances.RANK_REL):
     columns equal to ``x`` on the boundary edges that solve the Dirichlet
     Hodge Laplacian ``L`` of degree 1 on the interior edges ``J``, ``L_JJ
     y_J = -L_J,bd x_bd`` (:func:`_potential`, grounded on H^1(M, boundary)
-    when it is nonzero, an empty block without interior edges).  So ``d^T
-    S_2 d y`` and ``del_1 S_1 y`` vanish on the interior edges and vertices.
-    Returns the map, its record and the grounding basis (or None)."""
-    system = rows, w, interior = _hodge_system(mesh, 1, True)
-    potential, record, grounding = _potential(mesh, 1, True, system, rank_tolerance)
+    when it is nonzero, an empty block without interior edges; both blocks
+    of the kept :func:`_hodge_block`).  So ``d^T S_2 d y`` and ``del_1 S_1
+    y`` vanish on the interior edges and vertices.  Returns the map, its
+    record and the grounding basis (or None)."""
+    potential, record, grounding = _potential(mesh, 1, True, rank_tolerance)
+    interior = mesh.interior_simplex_mask(1)
+    row, col, value = _hodge_block(mesh, 1, True)
+    cut = ~interior[col]
+    coupling = sparse.csr_matrix((value[cut], (row[cut], col[cut])), shape=(interior.size,) * 2)
 
     def extend(x):
         y = np.array(x, dtype=float)
-        y[interior] = 0.0
-        y[interior] = potential(-(rows[:, interior].T @ (w[:, None] * (rows @ y))))
+        y[interior] = potential(-(coupling @ y)[interior])
         return y
 
     return extend, record, grounding

@@ -334,7 +334,8 @@ class _MetricMesh:
 
     def _init_metric(self, edge_lengths=None):
         cx = self.complex
-        self._boundary_masks = {}
+        # kept per degree: boundary masks, dec's adjoints and hodge's blocks
+        self._boundary_masks, self._adjoints, self._hodge_blocks = {}, {}, {}
         if cx.dim >= 1:
             if edge_lengths is not None:
                 lengths = np.asarray(edge_lengths, dtype=float)

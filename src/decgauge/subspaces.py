@@ -203,14 +203,15 @@ def _banded_cholesky(block, width, rank_tolerance, error):
     bandwidth at most ``width``, in diagonal blocks of ``width`` rows, and its
     pivot ratio (:func:`_pivot_gate` on the squared diagonals of every block
     factor).  Block row k of the n x 2w strip holds ``L_k,k-1`` and the
-    inverse of ``L_kk``, so :func:`_banded_solve` needs only matmuls."""
+    inverse of ``L_kk``, so :func:`_banded_solve` needs only matmuls; the
+    gather into it sums duplicate entries."""
     n = block.shape[0]
     coo = block.tocoo()
     shift = coo.row // width - coo.col // width  # 1: below the diagonal block
     keep = (shift == 0) | (shift == 1)
     row = coo.row[keep]
-    strip = np.zeros((n, 2 * width))
-    strip[row, coo.col[keep] - (row // width - 1) * width] = coo.data[keep]
+    at = row * (2 * width) + coo.col[keep] - (row // width - 1) * width
+    strip = np.bincount(at, coo.data[keep], n * 2 * width).reshape(n, 2 * width)
     pivots = np.zeros(n)
     for i in range(0, n, width):
         rows = strip[i:i + width]
@@ -271,19 +272,18 @@ def barycentre_order(points):
 
 
 def factorize(block, rank_tolerance=tolerances.RANK_REL, error=ValueError):
-    """The solve of the sparse SPD ``block`` (a map of a right-hand side,
-    a vector or columns, to the solution) and its pivot ratio, by one of
-    three routes.  Up to ``DENSE_BLOCK_MAX`` unknowns a Cholesky in numpy:
-    block-tridiagonal (:func:`_banded_cholesky`) when the block is large and
-    narrow enough in its given order (``BANDED_MIN``), else dense
-    (:func:`gated_cholesky`).  Above it SuperLU with a minimum degree
-    ordering and no pivoting off the diagonal.  A pivot ratio not above the
-    rank tolerance raises ``error``."""
+    """The solve of the sparse SPD ``block``, unsummed COO or any format (a
+    map of a right-hand side, a vector or columns, to the solution), and its
+    pivot ratio, by one of three routes, each summing duplicate entries.  Up
+    to ``DENSE_BLOCK_MAX`` unknowns a Cholesky in numpy: block-tridiagonal
+    (:func:`_banded_cholesky`) when the block is large and narrow enough in
+    its given order (``BANDED_MIN``), else dense (:func:`gated_cholesky`).
+    Above it SuperLU with a minimum degree ordering and no pivoting off the
+    diagonal.  A pivot ratio not above the rank tolerance raises ``error``."""
     n = block.shape[0]
     if n <= DENSE_BLOCK_MAX:
         if n >= BANDED_MIN:
             coo = block.tocoo()
-            coo.sum_duplicates()
             width = max(BANDED_WIDTH_MIN, int((coo.row - coo.col).max()))
             if -(-n // width) >= BANDED_MIN_BLOCKS:
                 strip, ratio = _banded_cholesky(coo, width, rank_tolerance, error)

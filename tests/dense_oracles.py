@@ -17,7 +17,9 @@ its isotropy and coisotropy readings from QR bases of graph(M) and
 graph(M^T), the route the r x r Cholesky readings replaced.
 :func:`svd_coclosed_subspace` is the coclosed boundary basis from the dense
 SVD of the boundary incidence, the route the spanning-forest basis replaced.
-:func:`laplacian0` assembles the vertex Laplacian outside the Hodge systems.
+:func:`laplacian0` assembles the vertex Laplacian outside the Hodge systems,
+and :func:`row_form_laplacian` any Hodge block in the row form ``A^T diag(w)
+A`` that the kept per-simplex assembly replaced.
 :func:`hypersurface_form`, :func:`form_kernel`, :func:`restrict_form` and
 :func:`contains` complete the dense two-form API of ``decgauge.symplectic``,
 and :func:`coclosed_defect` measures boundary data against the codifferential.
@@ -76,6 +78,26 @@ def laplacian0(host):
     """Sparse weighted 0-form Laplacian d^T S_1 d (closed-complex adjoint)."""
     d0 = host.complex.boundary_matrices[1].T
     return d0.T @ sparse.diags(host.star_diagonal(1)) @ d0
+
+
+def row_form_laplacian(mesh, k, dirichlet):
+    """The Hodge Laplacian of degree k in row form, ``A^T diag(w) A`` with
+    ``A = [d_k; d_k-1^T S_k]`` and ``w = (S_k+1, S_k-1^-1)`` (Dirichlet: the
+    interior (k-1) rows), on the rows of its unknowns (Dirichlet: the
+    interior k-simplices) and every column, as CSR."""
+    cx = mesh.complex
+    rows = mesh.interior_simplex_mask(k - 1) if dirichlet and k else slice(None)
+    blocks, weights = [], []
+    if k < cx.dim:
+        blocks.append(cx.boundary_matrices[k + 1].T)
+        weights.append(mesh.star_diagonal(k + 1))
+    if k >= 1:
+        adjoint = cx.boundary_matrices[k] @ sparse.diags(mesh.star_diagonal(k))
+        blocks.append(adjoint.tocsr()[rows])
+        weights.append(1.0 / mesh.star_diagonal(k - 1)[rows])
+    a = sparse.vstack(blocks).tocsc()
+    full = (a.T @ sparse.diags(np.concatenate(weights)) @ a).tocsr()
+    return full[mesh.interior_simplex_mask(k)] if dirichlet else full
 
 
 def curvature_adjoint_full(mesh) -> np.ndarray:

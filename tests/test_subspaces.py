@@ -257,3 +257,48 @@ def test_boundary_vertex_block_of_a_large_annulus_is_banded(monkeypatch):
     x = np.random.default_rng(0).standard_normal((sigma.complex.n_simplices(1), 2))
     boundary.coclosed_projector(sigma)[0](x)
     assert seen == [(510, 32)]
+
+
+def split_entries(block, rng):
+    """``block`` as an unsummed COO matrix: every entry split into 2-3 random
+    parts, all parts in random order."""
+    coo = block.tocoo()
+    owner = np.repeat(np.arange(coo.nnz), rng.integers(2, 4, coo.nnz))
+    share = rng.uniform(0.5, 1.5, owner.size)
+    share /= np.bincount(owner, share)[owner]
+    order = rng.permutation(owner.size)
+    owner = owner[order]
+    return sparse.coo_matrix((coo.data[owner] * share[order],
+                              (coo.row[owner], coo.col[owner])), shape=block.shape)
+
+
+# One size per route: whole-block Cholesky, banded Cholesky, SuperLU.
+ROUTES = {"whole": 100, "banded": 300, "sparse": 1100}
+
+
+def route_of(solve):
+    func = getattr(solve, "func", None)
+    return {subspaces._cholesky_solve: "whole",
+            subspaces._banded_solve: "banded"}.get(func, "sparse")
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_unsummed_block_solves_as_its_sum_on_every_route(route, rng):
+    n = ROUTES[route]
+    block = banded_spd(n, 5, rng)
+    split = split_entries(block, rng)
+    assert split.nnz > 2 * block.nnz
+    rhs = rng.standard_normal((n, 3))
+    solve, ratio = subspaces.factorize(block)
+    solve_split, ratio_split = subspaces.factorize(split)
+    assert route_of(solve) == route_of(solve_split) == route
+    x, ref = solve_split(rhs), solve(rhs)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert ratio_split == pytest.approx(ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_unsummed_singular_block_raises_on_every_route(route, rng):
+    block = split_entries(weighted_path_laplacian(ROUTES[route], rng), rng)
+    with pytest.raises(Singular, match="singular"):
+        subspaces.factorize(block, 1e-8, Singular)
