@@ -38,8 +38,8 @@ def _lagrangian_fields(rep: dict) -> dict:
 
 def _gluing_fields(rep: dict) -> dict:
     """Check-row fields of a :func:`gluing_check` report (A11 and ``glue``)."""
-    return {k: rep[k] for k in ("dims", "action_residual", "max_principal_angle",
-                                "containment_residual", "trace_gauge_leak")}
+    return {k: v for k, v in rep.items()
+            if k not in ("mesh", "glued_mesh", "passed")}
 
 
 @functools.cache
@@ -130,8 +130,8 @@ def verify_axioms(mesh: RegionMesh, tol=None, rng=None,
 
     glued = (glue(*glue_fixture, tol["GLUE_LENGTH_REL"]) if glue_fixture
              else _glued_strip(tol["GLUE_LENGTH_REL"]))
-    rep11 = gluing_check(glued, tol["RANK_REL"], tol["PRINCIPAL_ANGLE"],
-                         tol["GLUING_ACTION_REL"], tol["SOLUTION_REL"])
+    rep11 = gluing_check(glued, tol["RANK_REL"], tol["GLUING_ACTION_REL"],
+                         tol["SOLUTION_REL"])
     axioms["A11"] = _check("A11", rep11["passed"], **_gluing_fields(rep11))
 
     # The glued boundary is the image of the faces left unglued.

@@ -161,10 +161,8 @@ def _run_glue(mesh: RegionMesh, config, tol, rng):
         except (ValueError, TypeError, AttributeError) as exc:
             raise MeshError(f"matching file {config.matching!r}: {exc}") from None
     glued = glue(mesh, *config.faces, matching, tol["GLUE_LENGTH_REL"])
-    rep = gluing_check(glued, tol["RANK_REL"], tol["PRINCIPAL_ANGLE"],
-                       tol["GLUING_ACTION_REL"], tol["SOLUTION_REL"])
-    checks = [_check("gluing_equalizer", rep["passed"], **_gluing_fields(rep))]
-    return checks, rep
+    rep = gluing_check(glued, tol["RANK_REL"], tol["GLUING_ACTION_REL"], tol["SOLUTION_REL"])
+    return [_check("gluing_equalizer", rep["passed"], **_gluing_fields(rep))], rep
 
 
 def _run_ym2d(mesh: RegionMesh, config, tol, rng):

@@ -334,7 +334,7 @@ class _MetricMesh:
 
     def _init_metric(self, edge_lengths=None):
         cx = self.complex
-        # kept per degree: boundary masks, dec's adjoints and hodge's blocks
+        # kept per degree: boundary masks, dec's and dynamics' adjoints, hodge's blocks
         self._boundary_masks, self._adjoints, self._hodge_blocks = {}, {}, {}
         if cx.dim >= 1:
             if edge_lengths is not None:
@@ -632,10 +632,14 @@ class GlueInfo:
         self.edge_a, self.edge_b = edge_a, edge_b
         self.edge_sign, self.interior = edge_sign, interior
 
-    def pull_back(self, k, values_on_glued):
-        """Cochain pullback: values on the glued complex to the parent (a
-        vector, or a matrix column by column)."""
-        return (self.simplex_signs[k] * values_on_glued[self.simplex_maps[k]].T).T
+    @functools.cached_property
+    def pullback(self):
+        """Edge pullback ``P`` (parent rows) and ``P^T``, sparse, kept read-only."""
+        p = sparse.csr_matrix((self.simplex_signs[1].astype(float), (
+            np.arange(self.simplex_maps[1].size), self.simplex_maps[1])))
+        pt = p.T.tocsr()
+        p.data.flags.writeable = pt.data.flags.writeable = False
+        return p, pt
 
 
 def glue(mesh: RegionMesh, label_a: str, label_b: str, matching: dict,

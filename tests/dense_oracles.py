@@ -23,7 +23,13 @@ A`` that the kept per-simplex assembly replaced.
 :func:`hypersurface_form`, :func:`form_kernel`, :func:`restrict_form` and
 :func:`contains` complete the dense two-form API of ``decgauge.symplectic``,
 and :func:`coclosed_defect` measures boundary data against the codifferential.
+:func:`r_wide_gluing` is the gluing check on the r-wide gauge-fixed bases of
+the cut and glued regions, with a numeric equalizer, the route the probe
+identities replaced; :func:`dense_equalizer` is the n1-wide equalizer of the
+cut region's full solutions, from the per-edge seam of :func:`seam_by_edge`.
 """
+
+import itertools
 
 import numpy as np
 from scipy import sparse
@@ -265,3 +271,108 @@ def r_wide_lagrangian(space, isotropy_tolerance=tolerances.ISOTROPY_REL,
                            and max_angle <= angle_tolerance
                            and embed_defect <= coclosed_tolerance),
     }
+
+
+def r_wide_gluing(glued, rank_tolerance=tolerances.RANK_REL,
+                  angle_tolerance=tolerances.PRINCIPAL_ANGLE,
+                  action_tolerance=tolerances.GLUING_ACTION_REL,
+                  solution_tolerance=tolerances.SOLUTION_REL) -> dict:
+    """Glued solutions versus the equalizer of the two face restrictions,
+    modulo gauge, on the r-wide gauge-fixed bases.
+
+    Every solution is ``g + d f``, so with ``P`` the pullback and ``G``,
+    ``G'`` the cut and glued gauge-fixed bases: containment is ``[K_I;
+    R_trace; R_flux] P G' = 0`` to ``solution_tolerance`` and ``R_trace d
+    P_0 = 0`` exactly; the equalizer is ``G ker [R_flux G; N^T R_trace G]``,
+    ``N = ker (R_trace d)^T``, plus ``n_0 - rank(R_trace d) - components``
+    exact fields, its dimension a numerical rank.  ``P G'`` projected onto
+    ``G`` must span the gauge-fixed equalizer, and the action compose
+    across ``P`` on ``G'`` and three random full glued solutions.
+    """
+    info = glued.glue_info
+    mesh = info.parent
+    cx = mesh.complex
+    curvature = dynamics._curvature_adjoint(mesh)[0]
+    trace, flux = dynamics._matched_rows(info, curvature)
+    space, glued_space = (dynamics.solution_space(m, rank_tolerance) for m in (mesh, glued))
+    pullback = info.pullback[0]
+    pulled = pullback @ glued_space.gauge_fixed_basis.columns
+
+    rows = sparse.vstack([curvature[mesh.interior_simplex_mask(1)], trace, flux])
+    reach = np.linalg.norm(abs(rows) @ np.ones(cx.n_simplices(1)))
+    containment = float((np.linalg.norm(rows @ pulled, axis=0) / np.maximum(
+        reach * np.abs(pulled).max(axis=0, initial=0.0), 1e-300)).max(initial=0.0))
+    trace_d = (trace @ cx.boundary_matrices[1].T).tocsc()
+    p0 = sparse.csr_matrix((np.ones(cx.n_vertices), (np.arange(cx.n_vertices),
+                                                     info.simplex_maps[0])))
+    gauge_leak = float(abs(trace_d @ p0).max())
+
+    # In coordinates on G.  Ranks are cut against the unreduced rows and
+    # columns: when every solution matches, the reduced constraints are
+    # roundoff, and their own largest singular value would keep it.
+    g = space.gauge_fixed_basis
+    seam = np.flatnonzero(np.diff(trace_d.indptr))  # vertices under the rows
+    left = null_space(trace_d[:, seam].toarray().T, n_columns=trace.shape[0])
+    rows_scale = np.sqrt(sparse.vstack([trace, flux]).power(2) @ (1.0 / g.gram)).max()
+    constraint = np.vstack([flux @ g.columns, left.columns.T @ (trace @ g.columns)])
+    equalizer = null_space(constraint, rank_tolerance=rank_tolerance,
+                           n_columns=g.dim, scale=rows_scale)
+    pulled_gf = from_span(g.coords(pulled), rank_tolerance=rank_tolerance,
+                          scale=np.sqrt(g.gram @ pulled ** 2).max(initial=0.0))
+    max_angle = float(principal_angles(pulled_gf, equalizer).max(initial=0.0))
+    equalizer_dim = (equalizer.dim + cx.n_vertices - (trace.shape[0] - left.dim)
+                     - cx.n_components())
+
+    mixed = np.hstack([glued_space.gauge_fixed_basis.columns,
+                       glued_space.random_solutions(np.random.default_rng(0), 3)])
+    s_glued, scale_glued = dynamics.actions(glued, mixed)
+    s_cut, scale_cut = dynamics.actions(mesh, pullback @ mixed)
+    worst_action = float((np.abs(s_glued - s_cut) / np.maximum(
+        np.maximum(scale_glued, scale_cut), 1e-300)).max(initial=0.0))
+
+    passed = (glued_space.dim == equalizer_dim and pulled_gf.dim == equalizer.dim
+              and max_angle <= angle_tolerance and containment <= solution_tolerance
+              and gauge_leak == 0.0 and worst_action <= action_tolerance)
+    return {
+        "dims": {
+            "glued_solutions": glued_space.dim,
+            "equalizer": equalizer_dim,
+            "cut_solutions": space.dim,
+            "pulled_gauge_fixed": pulled_gf.dim,
+            "equalizer_gauge_fixed": equalizer.dim,
+        },
+        "containment_residual": containment,
+        "trace_gauge_leak": gauge_leak,
+        "max_principal_angle": max_angle,
+        "action_residual": worst_action,
+        "passed": bool(passed),
+    }
+
+
+def seam_by_edge(m, label_a, matching, glued):
+    """Per edge ``a`` of face ``label_a``, one simplex at a time: its matched
+    edge ``b``, the sign ``s`` that resorts b's mapped vertices, and whether
+    ``glued`` has the edge inside."""
+    cx = m.complex
+    inside = glued.interior_simplex_mask(1)[glued.glue_info.simplex_maps[1]]
+    seam = {}
+    for f in sorted(m.face_labels[label_a]):
+        for e in itertools.combinations(tuple(cx.simplices[cx.dim - 1][f]), 2):
+            mapped = [matching[v] for v in e]
+            ia, ib = cx.simplex_index(1, e), cx.simplex_index(1, mapped)
+            seam[ia] = (ib, 1 if mapped[0] < mapped[1] else -1, bool(inside[ia]))
+    return seam
+
+
+def dense_equalizer(m, label_a, matching, glued):
+    """Kernel of the dense stack [K_I; traces agree; fluxes cancel], with a
+    flux row only where ``glued`` has the matched edge inside."""
+    full, n1 = curvature_adjoint_full(m), m.complex.n_simplices(1)
+    rows = [field_equation_matrix(m)]
+    for ia, (ib, sb, inside) in seam_by_edge(m, label_a, matching, glued).items():
+        trace = np.zeros(n1)
+        trace[ia], trace[ib] = 1.0, -sb
+        rows.append(trace[None])
+        if inside:
+            rows.append((full[ia] + sb * full[ib])[None])
+    return null_space(np.vstack(rows), gram=m.star_diagonal(1), n_columns=n1)

@@ -6,7 +6,7 @@ import pytest
 from decgauge import axioms, builders, cli, dynamics, hodge, mesh, tolerances
 from decgauge.cli import ExperimentConfig
 from decgauge.dec import Cochain
-from dense_oracles import full_basis
+from dense_oracles import full_basis, r_wide_gluing
 
 
 def run_cli(args):
@@ -206,7 +206,9 @@ def test_glue_command(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     dims = report["detail"]["dims"]
-    assert dims["glued_solutions"] == dims["equalizer"]
+    st = builders.strip(4)
+    glued = mesh.glue(st, "west", "east", builders.strip_end_matching(st))
+    assert dims["glued_solutions"] == dims["equalizer"] == r_wide_gluing(glued)["dims"]["equalizer"]
 
 
 def test_glue_with_matching_file(tmp_path):

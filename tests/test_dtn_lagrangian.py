@@ -124,43 +124,29 @@ def test_builds_no_gauge_fixed_basis_or_two_form(spec, monkeypatch, tmp_path):
     monkeypatch.setattr(symplectic, "coclosed_subspace", refuse)
     monkeypatch.setattr(dynamics, "coclosed_subspace", refuse)
     monkeypatch.setattr(np.linalg, "qr", refuse)
-    monkeypatch.setattr(dynamics, "principal_angles", refuse)
+    assert not hasattr(dynamics, "principal_angles")  # nor the gluing check's SVDs
     out = tmp_path / "r.json"
     assert cli.main(["verify-lagrangian", "--mesh", spec, "--out", str(out)]) == cli.EXIT_OK
     assert json.loads(out.read_text())["detail"]["lagrangian"] is True
 
 
 @pytest.mark.parametrize("spec", ["annulus:N=16", "solid_torus:K=8", "cube:N=2"])
-def test_verify_axioms_builds_r_wide_columns_only_in_a11(spec, monkeypatch):
-    # A4, A8 and A9 read the two factorizations; only the gluing check of
-    # A11 builds Q and the gauge-fixed bases, here on a fixture glued for
-    # this test, whose spaces no earlier call has kept
-    inside, built = [], []
-    check, coclosed = axioms.gluing_check, dynamics.coclosed_subspace
-    gauge_fixed = dynamics.SolutionSpace.gauge_fixed_basis.func
-
-    def gluing(*args, **kwargs):
-        inside.append(True)
-        try:
-            return check(*args, **kwargs)
-        finally:
-            inside.pop()
-
-    def only_in_a11(build, name):
-        def wrapped(*args, **kwargs):
-            assert inside, f"{name} built outside A11"
-            built.append(name)
-            return build(*args, **kwargs)
-        return wrapped
+def test_verify_axioms_builds_no_r_wide_column(spec, monkeypatch):
+    # A4, A8 and A9 read the two factorizations and A11 reads probes: no
+    # axiom builds Q, an extension A or a gauge-fixed basis, here with a
+    # fixture glued for this test, whose spaces no earlier call has kept
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{name} built")
+        return refused
 
     monkeypatch.setattr(axioms, "_glued_strip", axioms._glued_strip.__wrapped__)
-    monkeypatch.setattr(axioms, "gluing_check", gluing)
-    monkeypatch.setattr(dynamics, "coclosed_subspace", only_in_a11(coclosed, "Q"))
-    monkeypatch.setattr(dynamics.SolutionSpace, "gauge_fixed_basis",
-                        property(only_in_a11(gauge_fixed, "G")))
+    monkeypatch.setattr(dynamics, "coclosed_subspace", refuse("Q"))
+    for name in ("extension", "gauge_fixed_basis"):
+        monkeypatch.setattr(dynamics.SolutionSpace, name, property(refuse(name)))
     rows = cli.verify_axioms(builders.from_spec(spec))
     assert all(row["passed"] for row in rows.values())
-    assert "Q" in built and "G" in built
+    assert rows["A11"]["probes"]["count"] == dynamics.PROBES
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1])

@@ -4,7 +4,7 @@ import pytest
 from decgauge import boundary, builders, dec, dynamics, hodge, mesh
 from decgauge.boundary import BoundaryDatum
 from decgauge.dec import Cochain
-from dense_oracles import full_basis, solutions
+from dense_oracles import dense_equalizer, full_basis, solutions
 
 
 def test_solution_space_tri1(tri1):
@@ -187,10 +187,12 @@ def test_gluing_two_squares(square2):
         {int(v) for f in two.face_labels["m1.west"] for v in cx.simplices[1][f]},
         key=lambda v: cx.coordinates[v][1],
     )
-    rep = dynamics.gluing_check(mesh.glue(two, "m0.east", "m1.west",
-                                          dict(zip(east, west))))
+    matching = dict(zip(east, west))
+    glued = mesh.glue(two, "m0.east", "m1.west", matching)
+    rep = dynamics.gluing_check(glued)
     assert rep["passed"]
-    assert rep["dims"]["glued_solutions"] == rep["dims"]["equalizer"]
+    dense = dense_equalizer(two, "m0.east", matching, glued).dim
+    assert rep["dims"]["glued_solutions"] == rep["dims"]["equalizer"] == dense
 
 
 def test_gluing_strip_to_annulus(strip4):

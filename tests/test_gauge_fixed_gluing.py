@@ -1,15 +1,17 @@
 """Gluing and the axiom suite modulo gauge, against the dense full-space
-oracles: dimensions, sign mutations of the matched rows, reproducibility of
-A7, and the absence of n1-wide dense systems on the verdict paths."""
+oracles and the r-wide gluing route: dimensions, a catalogue of seam faults,
+reproducibility of A7, and the absence of n1-wide dense systems on the
+verdict paths."""
 
-import itertools
+import functools
 import json
 
 import numpy as np
 import pytest
 
 from decgauge import axioms, builders, cli, dynamics, mesh, subspaces, tolerances
-from dense_oracles import curvature_adjoint_full, field_equation_matrix, full_basis
+from dense_oracles import (dense_equalizer, field_equation_matrix, full_basis,
+                           r_wide_gluing, seam_by_edge)
 from test_harmonic_reduction import torus_seam
 
 
@@ -34,36 +36,6 @@ GLUINGS = {"strip4": lambda: _strip(4), "strip6x2": lambda: _strip(6, 2),
            "strip3x3": lambda: _strip(3, 3), "two_squares": _two_squares}
 
 
-def seam_by_edge(m, label_a, matching, glued):
-    """Per edge ``a`` of face ``label_a``, one simplex at a time: its matched
-    edge ``b``, the sign ``s`` that resorts b's mapped vertices, and whether
-    ``glued`` has the edge inside."""
-    cx = m.complex
-    inside = glued.interior_simplex_mask(1)[glued.glue_info.simplex_maps[1]]
-    seam = {}
-    for f in sorted(m.face_labels[label_a]):
-        for e in itertools.combinations(tuple(cx.simplices[cx.dim - 1][f]), 2):
-            mapped = [matching[v] for v in e]
-            ia, ib = cx.simplex_index(1, e), cx.simplex_index(1, mapped)
-            seam[ia] = (ib, 1 if mapped[0] < mapped[1] else -1, bool(inside[ia]))
-    return seam
-
-
-def dense_equalizer(m, label_a, matching, glued):
-    """Kernel of the dense stack [K_I; traces agree; fluxes cancel], with a
-    flux row only where ``glued`` has the matched edge inside."""
-    full, n1 = curvature_adjoint_full(m), m.complex.n_simplices(1)
-    rows = [field_equation_matrix(m)]
-    for ia, (ib, sb, inside) in seam_by_edge(m, label_a, matching, glued).items():
-        trace = np.zeros(n1)
-        trace[ia], trace[ib] = 1.0, -sb
-        rows.append(trace[None])
-        if inside:
-            rows.append((full[ia] + sb * full[ib])[None])
-    return subspaces.null_space(np.vstack(rows), gram=m.star_diagonal(1),
-                                n_columns=n1)
-
-
 @pytest.mark.parametrize("name", sorted(GLUINGS))
 def test_full_dims_and_spaces_match_dense_oracle(name):
     m, la, lb, matching = GLUINGS[name]()
@@ -74,11 +46,12 @@ def test_full_dims_and_spaces_match_dense_oracle(name):
     assert rep["passed"]
     assert rep["dims"]["glued_solutions"] == glued_full.dim
     assert rep["dims"]["equalizer"] == equalizer.dim == glued_full.dim
-    assert rep["dims"]["pulled_gauge_fixed"] == rep["dims"]["equalizer_gauge_fixed"]
+    assert rep["dims"]["cut_solutions"] == full_basis(dynamics.solution_space(m)).dim
     assert rep["containment_residual"] <= 1e-13
-    assert rep["trace_gauge_leak"] == 0.0
+    assert rep["trace_gauge_leak"] == 0.0 and rep["trace_row_leak"] == 0.0
     assert rep["action_residual"] <= 1e-13
-    pulled = subspaces.from_span(glued.glue_info.pull_back(1, glued_full.columns),
+    assert max(rep["operator_residual"], rep["flux_row_residual"]) <= 1e-15
+    pulled = subspaces.from_span(glued.glue_info.pullback[0] @ glued_full.columns,
                                  gram=m.star_diagonal(1))
     assert subspaces.principal_angles(pulled, equalizer).max() <= 1e-10
 
@@ -144,11 +117,31 @@ def test_cube_gluing_matches_dense_oracle(name):
     assert rep["passed"]
     assert rep["dims"]["glued_solutions"] == glued_full.dim == equalizer.dim == dim
     assert rep["dims"]["equalizer"] == equalizer.dim
-    assert rep["matched_edges"] == matched
+    assert rep["seam_rows"]["trace"] == rep["seam_rows"]["merged_edges"] == matched
     assert rep["containment_residual"] <= 1e-13
-    pulled = subspaces.from_span(glued.glue_info.pull_back(1, glued_full.columns),
+    pulled = subspaces.from_span(glued.glue_info.pullback[0] @ glued_full.columns,
                                  gram=m.star_diagonal(1))
     assert subspaces.principal_angles(pulled, equalizer).max() <= 1e-10
+
+
+ALL_GLUINGS = {**GLUINGS, **{name: build for name, (build, _, _) in CUBE_GLUINGS.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_GLUINGS))
+def test_probe_verdict_matches_the_r_wide_oracle(name):
+    # the probe identities give the equalizer's dimension as the glued exact
+    # count; the r-wide route finds it as a numerical rank on the cut region
+    m, la, lb, matching = ALL_GLUINGS[name]()
+    rep = dynamics.gluing_check(mesh.glue(m, la, lb, matching))
+    oracle = r_wide_gluing(mesh.glue(m, la, lb, matching))
+    assert rep["passed"] is oracle["passed"] is True
+    assert (rep["dims"]["glued_solutions"] == rep["dims"]["equalizer"]
+            == oracle["dims"]["equalizer"] == oracle["dims"]["glued_solutions"])
+    assert rep["dims"]["cut_solutions"] == oracle["dims"]["cut_solutions"]
+    assert oracle["dims"]["pulled_gauge_fixed"] == oracle["dims"]["equalizer_gauge_fixed"]
+    assert rep["probes"] == {"count": dynamics.PROBES, "seed": 0}
+    assert rep["extension_solve"]["pivot_ratio"] is None or (
+        rep["extension_solve"]["pivot_ratio"] > tolerances.RANK_REL)
 
 
 def test_glue_cube_through_the_cli(tmp_path):
@@ -157,8 +150,9 @@ def test_glue_cube_through_the_cli(tmp_path):
                      "--out", str(out)])
     assert code == cli.EXIT_OK
     dims = json.loads(out.read_text())["detail"]["dims"]
-    assert dims["glued_solutions"] == dims["equalizer"] == 120
-    assert dims["pulled_gauge_fixed"] == dims["equalizer_gauge_fixed"]
+    oracle = r_wide_gluing(mesh.glue(*_cube(3)))["dims"]
+    assert dims["glued_solutions"] == dims["equalizer"] == oracle["equalizer"] == 120
+    assert dims["cut_solutions"] == oracle["cut_solutions"]
 
 
 def test_a11_passes_with_a_cube_fixture(disk8):
@@ -200,6 +194,64 @@ def test_flipped_sign_fails_gluing_check(name, which, monkeypatch):
         assert rep["containment_residual"] > 1e-3
 
 
+def _dropped_flux_row(info, curvature):
+    """``_matched_rows`` less its first flux row."""
+    trace, flux = _MATCHED_ROWS(info, curvature)
+    return trace, flux[1:]
+
+
+def _scaled_glued_row(region):
+    """The curvature adjoint, one row of a glued region's ``K'`` (its first
+    seam edge) scaled by 1 + 1e-6."""
+    k, k_abs = _CURVATURE(region)
+    if region.glue_info is None:
+        return k, k_abs
+    k = k.copy()
+    row = region.glue_info.simplex_maps[1][region.glue_info.edge_a[0]]
+    k.data[k.indptr[row]:k.indptr[row + 1]] *= 1 + 1e-6
+    return k, k_abs
+
+
+_MATCHED_ROWS, _CURVATURE = dynamics._matched_rows, dynamics._curvature_adjoint
+FAULTS = {"trace": ("_matched_rows", _flipped_rows("trace")),
+          "flux": ("_matched_rows", _flipped_rows("flux")),
+          "dropped_flux_row": ("_matched_rows", _dropped_flux_row),
+          "operator_row": ("_curvature_adjoint", _scaled_glued_row),
+          "seam_sign": None}
+FAULT_GLUINGS = {"strip4": lambda: _strip(4), "two_squares": _two_squares,
+                 "cube3": lambda: _cube(3)}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("name", sorted(FAULT_GLUINGS))
+def test_seam_faults_fail_gluing_check_glue_and_a11(name, fault, monkeypatch, tmp_path):
+    # Each fault fails the check, the glue command (exit 1) and A11 under
+    # every probe seed 0-19, while every other axiom passes.  The seam sign
+    # is flipped in the gluing's record before its pullback is first built.
+    m, la, lb, matching = FAULT_GLUINGS[name]()
+    glued = mesh.glue(m, la, lb, matching)
+    if FAULTS[fault] is None:
+        glued.glue_info.simplex_signs[1][glued.glue_info.edge_b[0]] *= -1
+    else:
+        monkeypatch.setattr(dynamics, *FAULTS[fault])
+    monkeypatch.setattr(cli, "_load_mesh", lambda config: m)
+    monkeypatch.setattr(cli, "glue", lambda *args: glued)
+    monkeypatch.setattr(axioms, "glue", lambda *args: glued)
+    (tmp_path / "m.json").write_text(json.dumps({str(k): v for k, v in matching.items()}))
+    argv = ["glue", "--mesh", name, "--faces", la, lb, "--matching",
+            str(tmp_path / "m.json"), "--out", str(tmp_path / "glue.json")]
+    region = builders.square(2)
+    for seed in range(20):
+        assert not dynamics.gluing_check(glued, seed=seed)["passed"], seed
+        probe = functools.partial(dynamics.gluing_check, seed=seed)
+        monkeypatch.setattr(cli, "gluing_check", probe)
+        monkeypatch.setattr(axioms, "gluing_check", probe)
+        assert cli.main(argv) == cli.EXIT_CHECK_FAILED, seed
+        rows = cli.verify_axioms(region, glue_fixture=(m, la, lb, matching))
+        assert not rows["A11"]["passed"], seed
+        assert all(row["passed"] for ax, row in rows.items() if ax != "A11")
+
+
 @pytest.mark.parametrize("which", ["trace", "flux"])
 def test_flipped_sign_fails_glue_and_a11(which, monkeypatch, tmp_path, disk8):
     monkeypatch.setattr(dynamics, "_matched_rows", _flipped_rows(which))
@@ -221,11 +273,12 @@ def _kept_fixture():
 
 @pytest.mark.parametrize("which", ["trace", "flux"])
 def test_a11_reads_the_seam_on_every_call(which, disk8, monkeypatch):
-    # A clean suite keeps the fixture's cut and glued spaces on their
-    # meshes, but no reading of A11: a sign flipped afterwards fails it,
-    # and the restored rows pass it again
+    # A clean suite keeps the glued fixture's space on its mesh, and never
+    # extends the cut strip, but keeps no reading of A11: a sign flipped
+    # afterwards fails it, and the restored rows pass it again
     assert cli.verify_axioms(disk8)["A11"]["passed"]
-    assert all(tolerances.RANK_REL in m._solution_spaces for m in _kept_fixture())
+    glued, cut = _kept_fixture()
+    assert tolerances.RANK_REL in glued._solution_spaces and not cut._solution_spaces
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "_matched_rows", _flipped_rows(which))
         assert not cli.verify_axioms(disk8)["A11"]["passed"]
@@ -234,7 +287,8 @@ def test_a11_reads_the_seam_on_every_call(which, disk8, monkeypatch):
 
 def test_a11_builds_new_spaces_for_a_new_rank_tolerance(disk8, monkeypatch):
     # spaces are kept per rank tolerance: under another RANK_REL (one no
-    # other test uses) the fixture's regions are extended afresh, once
+    # other test uses) the glued fixture is extended afresh, once, and the
+    # cut strip under neither
     cli.verify_axioms(disk8)
     extended = []
     original = dynamics.dirichlet_extension
@@ -247,9 +301,10 @@ def test_a11_builds_new_spaces_for_a_new_rank_tolerance(disk8, monkeypatch):
     tol = tolerances.table({"RANK_REL": 3e-9})
     for _ in range(2):
         assert all(row["passed"] for row in cli.verify_axioms(disk8, tol=tol).values())
-    for m in _kept_fixture():
-        assert sum(r is m for r in extended) == 1
-        assert sorted(m._solution_spaces) == [3e-9, tolerances.RANK_REL]
+    glued, cut = _kept_fixture()
+    assert sum(r is glued for r in extended) == 1 and not any(r is cut for r in extended)
+    assert sorted(glued._solution_spaces) == [3e-9, tolerances.RANK_REL]
+    assert not cut._solution_spaces
 
 
 def _noisy_copy(m, seed=3, level=1e-15):
@@ -354,3 +409,29 @@ def test_verdict_paths_take_no_dense_bulk_system(argv, monkeypatch, tmp_path):
 
     monkeypatch.setattr(np.linalg, "svd", narrow_svd)
     assert cli.main(argv + ["--out", str(tmp_path / "r.json")]) == cli.EXIT_OK
+
+
+def test_gluing_operators_are_kept_read_only(monkeypatch):
+    # K and |K| are built once per region and P, P^T once per gluing, all
+    # read-only; the seam rows are read again on every check
+    m, la, lb, matching = _strip(4)
+    glued = mesh.glue(m, la, lb, matching)
+    built, seams = [], []
+    adjoint, rows = dynamics.adjoint_full, dynamics._matched_rows
+    monkeypatch.setattr(dynamics, "adjoint_full",
+                        lambda host, k: built.append(host) or adjoint(host, k))
+    monkeypatch.setattr(dynamics, "_matched_rows",
+                        lambda *args: seams.append(args) or rows(*args))
+
+    def operators():
+        return (*dynamics._curvature_adjoint(m), *dynamics._curvature_adjoint(glued),
+                *glued.glue_info.pullback)
+
+    first = dynamics.gluing_check(glued)
+    kept = operators()
+    assert dynamics.gluing_check(glued) == first
+    assert all(a is b for a, b in zip(operators(), kept))
+    assert built == [m, glued] and len(seams) == 2
+    for op in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            op.data[0] = 1.0

@@ -119,9 +119,10 @@ def test_verify_axioms_factorizes_once_per_mesh(monkeypatch):
     monkeypatch.setattr(hodge, "dirichlet_extension", counting)
     axioms = cli.verify_axioms(m, glue_fixture=fixture)
     assert all(row["passed"] for row in axioms.values())
+    # the glued annulus of A11 is extended, the cut strip never
     assert sum(r is m for r in extended) == 1
-    assert sum(r is strip for r in extended) == 1
-    assert len(extended) == 3  # and the glued annulus of A11
+    assert not any(r is strip for r in extended) and not strip._solution_spaces
+    assert len(extended) == 2
 
 
 def test_gauge_fixed_basis_is_built_on_first_use():
