@@ -28,7 +28,8 @@ from .boundary import (
 from .dec import Cochain, DECError, adjoint_full, d, inner_product, normal_trace, tangential_trace
 from .hodge import dirichlet_extension, relative_betti_oracle
 from .mesh import GlueInfo, RegionMesh
-from .subspaces import Subspace, from_span, orthonormalize
+# null_space is not called here: bench/selftest.py checks that its tracer restores this copy.
+from .subspaces import Subspace, from_span, null_space, orthonormalize  # noqa: F401
 from .symplectic import coclosed_subspace
 
 
@@ -478,8 +479,7 @@ def gluing_check(glued: RegionMesh, rank_tolerance=tolerances.RANK_REL,
     flux_rows = gap(flux @ x, (pt @ (curv @ x))[seam], abs(flux) @ np.abs(x)
                     + (abs(pt) @ (abs_curv @ np.abs(x)))[seam]) if counts else None
 
-    # Each column is accurate to roundoff of its largest entry, not entry by
-    # entry: a solution may vanish under every row but for roundoff.
+    # Relative to each column's largest entry: a solution may vanish under every row.
     solutions = glued_space.random_solutions(rng, PROBES)
     pulled = p @ solutions
     rows = sparse.vstack([curv[mesh.interior_simplex_mask(1)], trace, flux])
