@@ -26,7 +26,7 @@ from .boundary import (
     trace_solution,
 )
 from .dec import Cochain, DECError, adjoint_full, d, inner_product, normal_trace, tangential_trace
-from .hodge import dirichlet_extension, relative_betti_oracle
+from .hodge import dirichlet_extension, harmonic_dirichlet_basis, relative_betti_oracle
 from .mesh import GlueInfo, RegionMesh
 # null_space is not called here: bench/selftest.py checks that its tracer restores this copy.
 from .subspaces import Subspace, from_span, null_space, orthonormalize  # noqa: F401
@@ -63,8 +63,8 @@ class SolutionSpace:
     """Solutions of the bulk equation from two factorizations: the boundary
     gauge fix ``gauge_fix`` (:func:`~decgauge.boundary.coclosed_projector`,
     record ``gauge_fix_solve``) and the Dirichlet extension ``extend``
-    (record ``solve``), grounded on the Dirichlet harmonic basis ``H``
-    (``grounding``, or None).  A solution with zero trace is closed, so
+    (record ``solve``), and the Dirichlet harmonic basis ``H``
+    (``harmonic``, or None).  A solution with zero trace is closed, so
     every solution extends a coclosed trace, plus ``H h + d f``.
     ``coclosed_dim`` is r, the boundary edges off the spanning forest;
     ``gauge_fixed_dim`` the exact count ``r - c(bd M) + c_bounded(M) +
@@ -78,12 +78,12 @@ class SolutionSpace:
     """
 
     def __init__(self, mesh: RegionMesh, gauge_fix, gauge_fix_solve: dict, extend,
-                 solve: dict, grounding, rank_tolerance, coclosed_dim: int,
+                 solve: dict, harmonic, rank_tolerance, coclosed_dim: int,
                  gauge_fixed_dim: int):
         self.mesh, self.rank_tolerance = mesh, rank_tolerance
         self.gauge_fix, self.gauge_fix_solve = gauge_fix, gauge_fix_solve
         self.coclosed_dim, self.gauge_fixed_dim = coclosed_dim, gauge_fixed_dim
-        self.extend, self.solve, self.grounding = extend, solve, grounding
+        self.extend, self.solve, self.harmonic = extend, solve, harmonic
 
     @property
     def dim(self) -> int:
@@ -128,8 +128,8 @@ class SolutionSpace:
         Dirichlet fields drop out at the rank cut; a rank other than
         ``gauge_fixed_dim`` raises.  Built on first use."""
         x = self.extension
-        if self.grounding is not None:
-            x = np.hstack([x, self.grounding.columns])
+        if self.harmonic is not None:
+            x = np.hstack([x, self.harmonic.columns])
         if x.size:
             x = coclosed_projector(self.mesh, self.rank_tolerance)[0](x)
         basis = from_span(x, gram=self.mesh.star_diagonal(1),
@@ -151,8 +151,8 @@ class SolutionSpace:
         out = cx.boundary_matrices[1].T @ rng.standard_normal((cx.n_simplices(0), count))
         if self.mesh.boundary is not None:
             out += self.extend_traces(self.random_traces(rng, count))
-        if self.grounding is not None:
-            out += self.grounding.project(rng.standard_normal((cx.n_simplices(1), count)))
+        if self.harmonic is not None:
+            out += self.harmonic.project(rng.standard_normal((cx.n_simplices(1), count)))
         return out
 
 
@@ -175,12 +175,13 @@ def _exact_counts(mesh: RegionMesh) -> tuple[int, int]:
 
 def solution_space(mesh: RegionMesh,
                    rank_tolerance=tolerances.RANK_REL) -> SolutionSpace:
-    """The boundary gauge fix, the Dirichlet extension, its grounding basis
-    and the exact counts (see :class:`SolutionSpace`).  A singular block, or
-    a kernel the relative Betti number does not predict, raises at its
-    pivot gate.  Built once per mesh and rank tolerance and kept on the
-    mesh, which is not changed after its construction: the factorizations
-    and what the space builds on first use last as long as the mesh."""
+    """The boundary gauge fix, the Dirichlet extension, the Dirichlet
+    harmonic basis and the exact counts (see :class:`SolutionSpace`).  A
+    singular block raises at its pivot gate, and a kernel that the relative
+    Betti number overcounts at the first solve.  Built once per mesh and
+    rank tolerance and kept on the mesh, which is not changed after its
+    construction: the factorizations and what the space builds on first
+    use last as long as the mesh."""
     if rank_tolerance in mesh._solution_spaces:
         return mesh._solution_spaces[rank_tolerance]
     if mesh.complex.dim < 2:
@@ -189,10 +190,10 @@ def solution_space(mesh: RegionMesh,
                                "rank_tolerance": rank_tolerance}
     if mesh.boundary is not None:
         gauge_fix, record = coclosed_projector(mesh.boundary, rank_tolerance)
-    extend, solve, grounding = dirichlet_extension(mesh, rank_tolerance)
-    if grounding is not None:
-        _read_only(grounding)
-    space = SolutionSpace(mesh, gauge_fix, record, extend, solve, grounding,
+    harmonic = (_read_only(harmonic_dirichlet_basis(mesh, 1, rank_tolerance).basis)
+                if relative_betti_oracle(mesh, 1) else None)
+    extend, solve = dirichlet_extension(mesh, rank_tolerance)
+    space = SolutionSpace(mesh, gauge_fix, record, extend, solve, harmonic,
                           rank_tolerance, *_exact_counts(mesh))
     mesh._solution_spaces[rank_tolerance] = space
     return space
@@ -275,7 +276,7 @@ def restrict(space: SolutionSpace, rank_tolerance=tolerances.RANK_REL,
     residual gated), ``L L^T = I + flux^T S flux`` its Gram matrix
     (:func:`~decgauge.subspaces.orthonormalize`).  Q is
     S-orthonormal, so every singular value is at least 1 and no rank is
-    cut.  The grounding fields and ``d f`` add nothing: the first are
+    cut.  The harmonic fields and ``d f`` add nothing: the first are
     closed with zero trace, the second leave the coclosed part of the trace
     and the flux alone."""
     sigma = space.mesh.boundary
@@ -323,7 +324,7 @@ def verify_lagrangian(space: SolutionSpace,
 
     With r <= PROBES the probes span every coclosed trace, so the check is
     complete and the angles are those of graph(M) on all of them.  ``dims`` are the exact counts; ``rank_ambiguous`` when the
-    grounding basis's gap is below ``gap_factor``.  Without a boundary
+    Dirichlet harmonic basis's gap is below ``gap_factor``.  Without a boundary
     every reading is zero."""
     mesh, sigma, r = space.mesh, space.mesh.boundary, space.coclosed_dim
     k = min(r, PROBES)
@@ -374,7 +375,7 @@ def verify_lagrangian(space: SolutionSpace,
         "extension_solve": dict(space.solve),
         "gauge_fix_solve": dict(space.gauge_fix_solve),
         "half_dimension": True,
-        "rank_ambiguous": space.grounding is not None and space.grounding.gap < gap_factor,
+        "rank_ambiguous": space.harmonic is not None and space.harmonic.gap < gap_factor,
         "lagrangian": bool(iso <= isotropy_tolerance * 0.5
                            and green <= isotropy_tolerance
                            and max_angle <= angle_tolerance

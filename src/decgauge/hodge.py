@@ -21,15 +21,12 @@ from scipy import sparse
 from . import subspaces, tolerances
 from .dec import Cochain, DECError, adjoint_full, codifferential, d, inner_product, norm
 from .mesh import RegionMesh, _components
-from .subspaces import Subspace, factorize, from_span, null_space
+from .subspaces import Subspace, factorize, from_span
 
 
 #: Sketch columns beyond the oracle's dimension (a larger harmonic space
 #: shows up as a higher rank), and the sketch's seed.
 SKETCH_OVERSAMPLING, SKETCH_SEED = 2, 0
-
-#: Columns above which the harmonic bases' dense fallback raises.
-DENSE_SVD_MAX = 1000
 
 
 class HodgeError(ValueError):
@@ -291,8 +288,7 @@ def _hodge_block(mesh, k: int, dirichlet: bool):
     return out
 
 
-def _harmonic_basis(mesh, k: int, rank_tolerance, dirichlet: bool,
-                    building=frozenset()) -> HarmonicBasis:
+def _harmonic_basis(mesh, k: int, rank_tolerance, dirichlet: bool) -> HarmonicBasis:
     """Harmonic k-fields: the kernel of the rows of :func:`_hodge_rows`.
 
     In degree 0, the indicator of each component (Dirichlet: each without a
@@ -300,11 +296,10 @@ def _harmonic_basis(mesh, k: int, rank_tolerance, dirichlet: bool,
     component (Neumann: each closed one).  Otherwise the range finder of
     Halko-Martinsson-Tropp: ``x - exact - coexact`` for ``b + 2`` standard
     normal columns ``x`` (Dirichlet: zero on the boundary), rank cut against
-    the largest S-norm of ``x``'s columns.  ``building`` holds the (degree,
-    condition) pairs whose sketch is being solved: in 3D, H^1 and H^2 may
-    ground each other's projections, and the one requested again takes the
-    dense null space of its rows, or raises above ``DENSE_SVD_MAX`` columns.
-    A dimension other than the integer oracle's (relative) Betti number raises."""
+    the largest S-norm of ``x``'s columns; the projections' blocks are
+    grounded at their own zero pivots, so no basis of another degree is
+    built.  A dimension other than the integer oracle's (relative) Betti
+    number raises."""
     cx = mesh.complex
     n, gram = cx.dim, mesh.star_diagonal(k)
     expected = (relative_betti_oracle if dirichlet else betti_oracle)(mesh, k)
@@ -317,25 +312,14 @@ def _harmonic_basis(mesh, k: int, rank_tolerance, dirichlet: bool,
         basis = Subspace(fields / np.sqrt(gram @ fields ** 2), gram, rank_tolerance)
     else:
         cols = mesh.interior_simplex_mask(k) if dirichlet else slice(None)
-        if (k, dirichlet) in building:
-            a = sparse.vstack([a for a, _ in _hodge_rows(mesh, k, dirichlet)]).tocsc()[:, cols]
-            if a.shape[1] > DENSE_SVD_MAX:
-                raise HodgeError(f"degree-{k} harmonic fields would take a dense "
-                                 f"SVD of {a.shape[0]} x {a.shape[1]} rows, above "
-                                 f"DENSE_SVD_MAX = {DENSE_SVD_MAX}")
-            small = null_space(a.toarray(), gram=gram[cols],
-                               rank_tolerance=rank_tolerance, n_columns=a.shape[1])
-        else:
-            x = np.random.default_rng(SKETCH_SEED).standard_normal(
-                (cx.n_simplices(k), expected + SKETCH_OVERSAMPLING))
-            if dirichlet:
-                x[mesh.boundary_simplex_mask(k)] = 0.0
-            building = building | {(k, dirichlet)}
-            exact = _exact_projection(mesh, k, dirichlet, rank_tolerance, building)[0]
-            rest = (x - exact(x)
-                    - _coexact_part(mesh, k, dirichlet, x, rank_tolerance, building)[0])
-            small = from_span(rest[cols], gram[cols], rank_tolerance,
-                              scale=np.sqrt(gram @ x ** 2).max())
+        x = np.random.default_rng(SKETCH_SEED).standard_normal(
+            (cx.n_simplices(k), expected + SKETCH_OVERSAMPLING))
+        if dirichlet:
+            x[mesh.boundary_simplex_mask(k)] = 0.0
+        rest = (x - _exact_projection(mesh, k, dirichlet, rank_tolerance)[0](x)
+                - _coexact_part(mesh, k, dirichlet, x, rank_tolerance)[0])
+        small = from_span(rest[cols], gram[cols], rank_tolerance,
+                          scale=np.sqrt(gram @ x ** 2).max())
         basis = Subspace(np.zeros((cx.n_simplices(k), small.dim)), gram,
                          rank_tolerance, small.singular_values, small.gap)
         basis.columns[cols] = small.columns
@@ -408,66 +392,52 @@ class HmfDecomposition:
         }
 
 
-def _potential(mesh, j: int, dirichlet: bool, rank_tolerance, building=frozenset()):
+def _potential(mesh, j: int, dirichlet: bool, rank_tolerance):
     """Factorize the Hodge Laplacian of degree ``j`` (:func:`_hodge_block`)
-    once.  Returns its solve, a map of a right-hand side on the unknowns
-    (a vector or columns, orthogonal to its kernel) to the potential; the
-    factorization's record; and the harmonic basis (built under
-    ``building``) it was grounded on, or None: a kernel the oracle predicts
-    is grounded by fixing at zero the unknowns on which it is best
-    conditioned, the lowest index among rows tied to roundoff.  A block
+    once, grounded at the zero pivots of the kernel that the integer oracle
+    predicts (:func:`subspaces.factorize`).  Returns its solve, a map of a
+    right-hand side on the unknowns (a vector or columns, orthogonal to its
+    kernel) to the potential, and the factorization's record.  A block
     large enough to be banded is factorized in the order of its unknowns'
     barycentres (:func:`subspaces.barycentre_order`)."""
     cx = mesh.complex
     cols = mesh.interior_simplex_mask(j) if dirichlet else slice(None)
     index = np.arange(cx.n_simplices(j))[cols]
-    free = np.ones(index.size, dtype=bool)
-    basis = None
-    if (relative_betti_oracle if dirichlet else betti_oracle)(mesh, j):
-        basis = _harmonic_basis(mesh, j, rank_tolerance, dirichlet, building).basis
-        h = basis.columns[cols]
-        for _ in range(h.shape[1]):  # greedy row pivoting of h
-            norms = np.einsum("ij,ij->i", h, h)
-            i = int(np.argmax(norms >= norms.max() * (1 - tolerances.ROUNDOFF_REL)))
-            free[i] = False
-            h = h - np.outer(h @ h[i], h[i]) / (h[i] @ h[i])
-    record = {"block_size": int(free.sum()), "grounded": int((~free).sum())}
-    free = np.flatnonzero(free)
-    if cx.coordinates is not None and free.size >= subspaces.BANDED_MIN:
-        free = free[subspaces.barycentre_order(
-            cx.coordinates[cx.simplices[j][index[free]]].mean(axis=1))]
+    kernel = (relative_betti_oracle if dirichlet else betti_oracle)(mesh, j)
+    order = np.arange(index.size)  # the unknowns in the block's order
+    if cx.coordinates is not None and index.size >= subspaces.BANDED_MIN:
+        order = subspaces.barycentre_order(
+            cx.coordinates[cx.simplices[j][index]].mean(axis=1))
     solve, ratio = (lambda rhs: rhs), None  # an empty block
-    if free.size:
+    if index.size:
         row, col, value = _hodge_block(mesh, j, dirichlet)
         at = np.full(cx.n_simplices(j), -1)  # each unknown's place in the block
-        at[index[free]] = np.arange(free.size)
+        at[index[order]] = np.arange(index.size)
         keep = (at[row] >= 0) & (at[col] >= 0)
         block = (value[keep], (at[row[keep]], at[col[keep]]))
-        solve, ratio = factorize(sparse.coo_matrix(block, shape=(free.size,) * 2),
-                                 rank_tolerance, HodgeError)
+        solve, ratio = factorize(sparse.coo_matrix(block, shape=(index.size,) * 2),
+                                 rank_tolerance, HodgeError, kernel)
 
     def potential(rhs):
         x = np.zeros(np.shape(rhs))
-        x[free] = solve(rhs[free])
+        x[order] = solve(rhs[order])
         return x
 
-    return potential, {**record, "pivot_ratio": ratio,
-                       "rank_tolerance": rank_tolerance}, basis
+    return potential, {"block_size": int(index.size - kernel), "grounded": kernel,
+                       "pivot_ratio": ratio, "rank_tolerance": rank_tolerance}
 
 
-def _exact_projection(mesh, k: int, dirichlet: bool, rank_tolerance,
-                      building=frozenset()):
+def _exact_projection(mesh, k: int, dirichlet: bool, rank_tolerance):
     """The S_k-projection onto ``d`` of the (k-1)-cochains (Dirichlet: the
     interior ones), a map of a vector or columns, and its record: the Hodge
     Laplacian of degree k-1 for ``d^T S_k x`` (:func:`_potential`)."""
     cols = mesh.interior_simplex_mask(k - 1) if dirichlet else slice(None)
     dt, s = mesh.complex.boundary_matrices[k][cols], mesh.star_diagonal(k)  # d^T
-    potential, record, _ = _potential(mesh, k - 1, dirichlet, rank_tolerance, building)
+    potential, record = _potential(mesh, k - 1, dirichlet, rank_tolerance)
     return (lambda x: dt.T @ potential(dt @ (s * x.T).T)), record
 
 
-def _coexact_part(mesh, k: int, dirichlet: bool, x, rank_tolerance,
-                  building=frozenset()):
+def _coexact_part(mesh, k: int, dirichlet: bool, x, rank_tolerance):
     """S_k-projection of ``x`` (a vector or columns) onto the range of
     ``B = S_k^-1 d_k^T S_k+1`` (Dirichlet: interior (k+1) columns, boundary k
     rows zero) and the solve's record: the Hodge Laplacian of degree k+1,
@@ -476,7 +446,7 @@ def _coexact_part(mesh, k: int, dirichlet: bool, x, rank_tolerance,
     sb = adjoint_full(mesh, k + 1).tocsc()[:, cols]  # S_k B
     if dirichlet:
         sb = sparse.diags(mesh.interior_simplex_mask(k).astype(float)) @ sb
-    potential, record, _ = _potential(mesh, k + 1, dirichlet, rank_tolerance, building)
+    potential, record = _potential(mesh, k + 1, dirichlet, rank_tolerance)
     return sparse.diags(1.0 / mesh.star_diagonal(k)) @ (sb @ potential(sb.T @ x)), record
 
 
@@ -484,12 +454,12 @@ def dirichlet_extension(mesh: RegionMesh, rank_tolerance=tolerances.RANK_REL):
     """The Dirichlet extension: a map of 1-cochain columns ``x`` to the
     columns equal to ``x`` on the boundary edges that solve the Dirichlet
     Hodge Laplacian ``L`` of degree 1 on the interior edges ``J``, ``L_JJ
-    y_J = -L_J,bd x_bd`` (:func:`_potential`, grounded on H^1(M, boundary)
-    when it is nonzero, an empty block without interior edges; both blocks
-    of the kept :func:`_hodge_block`).  So ``d^T S_2 d y`` and ``del_1 S_1
-    y`` vanish on the interior edges and vertices.  Returns the map, its
-    record and the grounding basis (or None)."""
-    potential, record, grounding = _potential(mesh, 1, True, rank_tolerance)
+    y_J = -L_J,bd x_bd`` (:func:`_potential`, grounded at its zero pivots
+    when H^1(M, boundary) is nonzero, an empty block without interior edges;
+    both blocks of the kept :func:`_hodge_block`).  So ``d^T S_2 d y`` and
+    ``del_1 S_1 y`` vanish on the interior edges and vertices.  Returns the
+    map and its record."""
+    potential, record = _potential(mesh, 1, True, rank_tolerance)
     interior = mesh.interior_simplex_mask(1)
     row, col, value = _hodge_block(mesh, 1, True)
     cut = ~interior[col]
@@ -500,7 +470,7 @@ def dirichlet_extension(mesh: RegionMesh, rank_tolerance=tolerances.RANK_REL):
         y[interior] = potential(-(coupling @ y)[interior])
         return y
 
-    return extend, record, grounding
+    return extend, record
 
 
 def hmf_decompose(alpha: Cochain, mesh: RegionMesh | None = None,

@@ -11,15 +11,17 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from scipy import sparse
 
 from . import tolerances
+from .mesh import _components
 
 #: Blocks up to this size are factorized by a Cholesky in numpy, above it by
 #: SuperLU: below it the Cholesky costs less than importing SuperLU (0.13 s,
 #: 10 MB).  Among them, a block of at least ``BANDED_MIN`` unknowns that
 #: splits into ``BANDED_MIN_BLOCKS`` or more diagonal blocks of width
 #: ``max(BANDED_WIDTH_MIN, lower bandwidth)`` is factorized block by block
-#: (:func:`_banded_cholesky`), any other one whole (:func:`gated_cholesky`).
+#: (:func:`_banded_cholesky`), any other one whole (:func:`_cholesky`).
 DENSE_BLOCK_MAX = 1000
 BANDED_MIN, BANDED_MIN_BLOCKS, BANDED_WIDTH_MIN = 256, 3, 32
 
@@ -169,42 +171,48 @@ def _cholesky_solve(factor, rhs, block=64):
 
 def orthonormalize(y, gram, rank_tolerance=None, error=ValueError):
     """Gram-orthonormal ``Y L^-T`` (:func:`_forward_solve`) for the Cholesky
-    factor ``L L^T = Y^T diag(gram) Y`` of a full-rank ``Y``, and the pivot
-    ratio of a :func:`gated_cholesky` at ``rank_tolerance``.  Without one the
-    ratio is None and a Gram that is not positive definite raises LinAlgError."""
+    factor ``L L^T = Y^T diag(gram) Y`` of a full-rank ``Y``, and its pivot
+    ratio (:func:`_pivot_gate` at ``rank_tolerance``).  Without one the ratio
+    is None and a Gram that is not positive definite raises LinAlgError."""
     m = y.T @ (gram[:, None] * y)
-    factor, ratio = ((np.linalg.cholesky(m), None) if rank_tolerance is None
-                     else gated_cholesky(m, rank_tolerance, error))
+    if rank_tolerance is None:
+        factor, ratio = np.linalg.cholesky(m), None
+    else:
+        factor, pivots = _cholesky(m)
+        ratio = _pivot_gate(pivots, rank_tolerance, error)
     del m  # free the Gram before the solve
     return _forward_solve(factor, y.T).T, ratio
 
 
-def gated_cholesky(matrix, rank_tolerance=tolerances.RANK_REL, error=ValueError):
-    """Cholesky factor of the dense SPD ``matrix`` and its pivot ratio
-    (smallest over largest squared diagonal entry); a ratio not above the
-    rank tolerance raises ``error``."""
+def _cholesky(matrix):
+    """Cholesky factor of the dense SPD ``matrix`` and its pivots (squared
+    diagonal entries), all zero if it is not positive definite."""
     try:
         factor = np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:  # exactly singular
-        factor = np.zeros((1, 1))
-    return factor, _pivot_gate(np.diag(factor) ** 2, len(matrix), rank_tolerance, error)
+    except np.linalg.LinAlgError:
+        return None, np.zeros(len(matrix))
+    return factor, np.diag(factor) ** 2
 
 
-def _pivot_gate(pivots, size, rank_tolerance, error) -> float:
+def _pivot_gate(pivots, rank_tolerance, error):
+    """Smallest over largest pivot (None without one); a ratio not above the
+    rank tolerance raises ``error``."""
+    if not pivots.size:
+        return None
     ratio = float(pivots.min() / max(pivots.max(), 1e-300))
     if not ratio > rank_tolerance:
-        raise error(f"factorized block of {size} unknowns is singular (pivot "
+        raise error(f"factorized block of {pivots.size} unknowns is singular (pivot "
                     f"ratio {ratio:.1e}, rank tolerance {rank_tolerance:.1e})")
     return ratio
 
 
-def _banded_cholesky(block, width, rank_tolerance, error):
+def _banded_cholesky(block, width):
     """Block-tridiagonal Cholesky of the sparse SPD ``block`` of lower
     bandwidth at most ``width``, in diagonal blocks of ``width`` rows, and its
-    pivot ratio (:func:`_pivot_gate` on the squared diagonals of every block
-    factor).  Block row k of the n x 2w strip holds ``L_k,k-1`` and the
-    inverse of ``L_kk``, so :func:`_banded_solve` needs only matmuls; the
-    gather into it sums duplicate entries."""
+    pivots (the squared diagonals of every block factor; zero from the first
+    block that is not positive definite).  Block row k of the n x 2w strip
+    holds ``L_k,k-1`` and the inverse of ``L_kk``, so :func:`_banded_solve`
+    needs only matmuls; the gather into it sums duplicate entries."""
     n = block.shape[0]
     coo = block.tocoo()
     shift = coo.row // width - coo.col // width  # 1: below the diagonal block
@@ -226,7 +234,7 @@ def _banded_cholesky(block, width, rank_tolerance, error):
         pivots[i:i + width] = np.diag(factor) ** 2
         inverse = _lower_inverse(factor)
         rows[:, width:width + len(rows)] = inverse
-    return strip, _pivot_gate(pivots, n, rank_tolerance, error)
+    return strip, pivots
 
 
 def _lower_inverse(factor, block=32):
@@ -271,34 +279,96 @@ def barycentre_order(points):
     return np.argsort(points[:, axis], kind="stable")
 
 
-def factorize(block, rank_tolerance=tolerances.RANK_REL, error=ValueError):
+def _factor(block):
     """The solve of the sparse SPD ``block``, unsummed COO or any format (a
     map of a right-hand side, a vector or columns, to the solution), and its
-    pivot ratio, by one of three routes, each summing duplicate entries.  Up
-    to ``DENSE_BLOCK_MAX`` unknowns a Cholesky in numpy: block-tridiagonal
+    pivots in the block's order (zero where it is not positive definite), by
+    one of three routes, each summing duplicate entries.  Up to
+    ``DENSE_BLOCK_MAX`` unknowns a Cholesky in numpy: block-tridiagonal
     (:func:`_banded_cholesky`) when the block is large and narrow enough in
-    its given order (``BANDED_MIN``), else dense (:func:`gated_cholesky`).
-    Above it SuperLU with a minimum degree ordering and no pivoting off the
-    diagonal.  A pivot ratio not above the rank tolerance raises ``error``."""
+    its given order (``BANDED_MIN``), else whole.  Above it SuperLU with a
+    minimum degree ordering and no pivoting off the diagonal."""
     n = block.shape[0]
     if n <= DENSE_BLOCK_MAX:
         if n >= BANDED_MIN:
             coo = block.tocoo()
             width = max(BANDED_WIDTH_MIN, int((coo.row - coo.col).max()))
             if -(-n // width) >= BANDED_MIN_BLOCKS:
-                strip, ratio = _banded_cholesky(coo, width, rank_tolerance, error)
-                return functools.partial(_banded_solve, strip), ratio
-        factor, ratio = gated_cholesky(block.toarray(), rank_tolerance, error)
-        return functools.partial(_cholesky_solve, factor), ratio
+                strip, pivots = _banded_cholesky(coo, width)
+                return functools.partial(_banded_solve, strip), pivots
+        factor, pivots = _cholesky(block.toarray())
+        return functools.partial(_cholesky_solve, factor), pivots
     from scipy.sparse.linalg import splu
     try:
         lu = splu(block.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                   options={"SymmetricMode": True})
-        pivots = np.abs(lu.U.diagonal())
     except RuntimeError:  # exactly singular
-        pivots = np.zeros(1)
-    ratio = _pivot_gate(pivots, n, rank_tolerance, error)
-    return lu.solve, ratio
+        return None, np.zeros(n)
+    return lu.solve, np.abs(lu.U.diagonal())[lu.perm_c]  # U's column j is unknown perm_c^-1[j]
+
+
+def factorize(block, rank_tolerance=tolerances.RANK_REL, error=ValueError, kernel=0):
+    """The solve of the sparse symmetric positive semidefinite ``block``
+    (:func:`_factor`) and its pivot ratio.  The block has ``kernel`` zero
+    pivots; each leaves its row of the Schur complement zero, so the solve
+    grounds their unknowns (returns zero there, and factorizes the rest)
+    and the other pivots stay as they were (Higham 1990).  They are tried at
+    the last unknown of each component of the block's graph, then at the
+    last ones; if the rest is singular, located at the smallest pivots of
+    the block shifted by 1e-4 of the gate's floor (its largest diagonal
+    entry times the rank tolerance).  A pivot ratio of the rest not above
+    the rank tolerance raises ``error``, and so does the first solve, which
+    also solves for the grounded unknowns' couplings, if their Schur
+    complement is above it."""
+    n = block.shape[0]
+    if not kernel:
+        solve, pivots = _factor(block)
+        return solve, _pivot_gate(pivots, rank_tolerance, error)
+    coo, order = block.tocoo(), np.arange(n)[::-1]
+    if kernel > 1:  # the last unknown of each component first
+        upper = coo.row < coo.col
+        labels = _components(n, np.column_stack([coo.row[upper], coo.col[upper]]))[0]
+        tail = np.zeros(n, dtype=bool)
+        tail[n - 1 - np.unique(labels[order], return_index=True)[1]] = True
+        order = order[np.argsort(~tail[order], kind="stable")]
+
+    def reduce(grounded):  # the factor of the rest
+        kept = np.ones(n, dtype=bool)
+        kept[grounded] = False
+        place, inner = np.cumsum(kept) - 1, kept[coo.row] & kept[coo.col]
+        rest = (coo.data[inner], (place[coo.row[inner]], place[coo.col[inner]]))
+        return kept, *_factor(sparse.coo_matrix(rest, shape=(n - kernel,) * 2))
+
+    grounded = np.sort(order[:kernel])
+    kept, solve, pivots = reduce(grounded)
+    if pivots.size and not pivots.min() > rank_tolerance * pivots.max():  # the rest is singular
+        shift = 1e-4 * rank_tolerance * block.diagonal().max()
+        grounded = np.sort(np.argsort(_factor(block + shift * sparse.identity(n))[1],
+                                      kind="stable")[:kernel])
+        kept, solve, pivots = reduce(grounded)
+    ratio, top, checked = _pivot_gate(pivots, rank_tolerance, error), pivots.max(initial=0.0), []
+    at = np.full(n, -1)  # the grounded rows, dense
+    at[grounded] = np.arange(kernel)
+    on = at[coo.row] >= 0
+    rows = np.bincount(at[coo.row[on]] * n + coo.col[on], coo.data[on], kernel * n).reshape(kernel, n)
+    coupling = rows[:, kept]
+
+    def grounded_solve(rhs):
+        x, rhs = np.zeros(np.shape(rhs)), rhs[kept]
+        if checked:
+            x[kept] = solve(rhs)
+            return x
+        y = solve(np.column_stack([np.atleast_2d(rhs.T).T, coupling.T]))
+        worst = np.abs(np.diag(rows[:, grounded] - coupling @ y[:, -kernel:])).max()
+        if not worst <= rank_tolerance * top:
+            raise error(f"factorized block of {n} unknowns has no kernel of dimension "
+                        f"{kernel} (grounded pivot {worst:.1e}, largest kept pivot "
+                        f"{top:.1e}, rank tolerance {rank_tolerance:.1e})")
+        checked.append(True)
+        x[kept] = y[:, :-kernel].reshape(rhs.shape)
+        return x
+
+    return grounded_solve, ratio
 
 
 def _gap(s, rank) -> float:

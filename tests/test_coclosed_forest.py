@@ -119,9 +119,10 @@ def test_closed_region_record_and_shell_ambiguity():
     assert rep["gauge_fix_solve"] == {"block_size": 0, "grounded": 0, "pivot_ratio": None,
                                       "rank_tolerance": tolerances.RANK_REL}
     assert rep["probes"] == {"count": 0, "coclosed_dim": 0, "seed": 0}
-    # a shell grounds nothing and Q cuts no rank: nothing can be ambiguous
+    # a shell has no Dirichlet harmonic field and Q cuts no rank: nothing
+    # can be ambiguous
     shell = dynamics.solution_space(builders.solid_torus(8))
-    assert shell.grounding is None
+    assert shell.harmonic is None
     assert dynamics.verify_lagrangian(shell, gap_factor=1e300)["rank_ambiguous"] is False
 
 
@@ -137,13 +138,13 @@ def test_solution_space_gauge_fixes_at_its_tolerance(monkeypatch):
     seen = []
     original = hodge.factorize
 
-    def recording(block, rank_tolerance, error):
+    def recording(block, rank_tolerance, error, kernel):
         seen.append(rank_tolerance)
-        return original(block, rank_tolerance, error)
+        return original(block, rank_tolerance, error, kernel)
 
     monkeypatch.setattr(hodge, "factorize", recording)
     space = dynamics.solution_space(builders.annulus(16), rank_tolerance=1e-9)
-    built = len(seen)  # the gauge fix, the extension and its grounding H^1(M, bd M)
+    built = len(seen)  # the gauge fix, the extension and the basis of H^1(M, bd M)
     assert built >= 2
     space.gauge_fixed_basis
     assert len(seen) == built + 1

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from decgauge import axioms, builders, cli, dynamics, mesh, subspaces, tolerances
+from decgauge import axioms, builders, cli, dynamics, hodge, mesh, subspaces, tolerances
 from dense_oracles import (dense_equalizer, field_equation_matrix, full_basis,
                            r_wide_gluing, seam_by_edge)
 from test_harmonic_reduction import torus_seam
@@ -144,6 +144,20 @@ def test_probe_verdict_matches_the_r_wide_oracle(name):
         rep["extension_solve"]["pivot_ratio"] > tolerances.RANK_REL)
 
 
+def test_torus_times_interval_verifies_from_cube6():
+    # T^2 x I glued from cube:N=6: its singular Hodge blocks are grounded
+    # at their own zero pivots, so no harmonic basis waits on another's
+    m, la, lb, matching = torus_seam(6)
+    glued = mesh.glue(m, la, lb, matching)
+    assert dynamics.gluing_check(glued)["passed"]
+    assert dynamics.verify_lagrangian(dynamics.solution_space(glued))["lagrangian"]
+    for basis, oracle in ((hodge.harmonic_neumann_basis, hodge.betti_oracle),
+                          (hodge.harmonic_dirichlet_basis, hodge.relative_betti_oracle)):
+        dims = [basis(glued, k).dim for k in range(4)]
+        assert dims == [oracle(glued, k) for k in range(4)]
+    assert dims == [0, 1, 2, 1]
+
+
 def test_glue_cube_through_the_cli(tmp_path):
     out = tmp_path / "glue.json"
     code = cli.main(["glue", "--mesh", "cube:N=3", "--faces", "west", "east",
@@ -165,13 +179,14 @@ def test_a11_passes_with_a_cube_fixture(disk8):
 
 def _flipped_rows(which):
     """``_matched_rows`` with the sign of the matched ``b`` edge flipped in
-    the trace rows (``a + s b``) or in the flux rows (``K_a - s K_b``)."""
+    the trace rows (``a + s b``) or in the flux rows (``K_a - s K_b``, as
+    many rows as before)."""
     original = dynamics._matched_rows
 
     def rows(info, curvature):
         trace, flux = original(info, curvature)
-        if which == "flux":
-            return trace, (trace @ curvature).tocsr()
+        if which == "flux":  # K_a - s K_b at the interior seam edges
+            return trace, (trace[info.interior] @ curvature).tocsr()
         t = trace.tocoo()
         on_a = np.isin(t.col, info.edge_a)
         t.data = np.where(on_a, t.data, -t.data)
@@ -242,7 +257,11 @@ def test_seam_faults_fail_gluing_check_glue_and_a11(name, fault, monkeypatch, tm
             str(tmp_path / "m.json"), "--out", str(tmp_path / "glue.json")]
     region = builders.square(2)
     for seed in range(20):
-        assert not dynamics.gluing_check(glued, seed=seed)["passed"], seed
+        rep = dynamics.gluing_check(glued, seed=seed)
+        assert not rep["passed"], seed
+        if fault == "flux":  # the flux-row identity fails, not the row count
+            assert rep["flux_row_residual"] is not None, seed
+            assert rep["flux_row_residual"] > tolerances.SOLUTION_REL, seed
         probe = functools.partial(dynamics.gluing_check, seed=seed)
         monkeypatch.setattr(cli, "gluing_check", probe)
         monkeypatch.setattr(axioms, "gluing_check", probe)

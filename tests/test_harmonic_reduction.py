@@ -112,19 +112,19 @@ def test_reduced_harmonic_matches_dense_oracle(name, condition, request,
         assert harmonic.max_residual() <= tolerances.HARMONIC_REL, k
 
 
-def test_dense_fallback_is_size_gated(monkeypatch):
-    # On T^2 x I, H^1 and H^2 ground each other's projections, and the one
-    # requested again takes the dense rows of its degree: 378 x 216 for
-    # degree 1 at N=3.  Above the gate it raises before any SVD.
+def test_harmonic_bases_take_no_null_space(monkeypatch):
+    # On T^2 x I every projection block with a kernel is grounded at its own
+    # zero pivots: no basis of one degree waits on another's, and no null
+    # space is taken.
     m = torus_times_interval(3)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("dense SVD taken")
+        raise AssertionError("null space taken")
 
-    monkeypatch.setattr(hodge, "DENSE_SVD_MAX", 200)
-    monkeypatch.setattr(np.linalg, "svd", refuse)
-    with pytest.raises(hodge.HodgeError, match="dense SVD of 378 x 216 rows"):
-        hodge.harmonic_neumann_basis(m, 1)
+    monkeypatch.setattr(subspaces, "null_space", refuse)
+    assert not hasattr(hodge, "null_space") and not hasattr(hodge, "DENSE_SVD_MAX")
+    dims = {c: [BASES[c](m, k).dim for k in range(4)] for c in sorted(BASES)}
+    assert dims == {"dirichlet": [0, 1, 2, 1], "neumann": [1, 2, 1, 0]}
 
 
 def test_dirichlet_basis_vanishes_off_the_interior(annulus16):
@@ -136,17 +136,19 @@ def test_dirichlet_basis_vanishes_off_the_interior(annulus16):
 @FACTORIZATIONS
 def test_faked_boundary_on_a_closed_torus_raises(monkeypatch, factorization):
     # Fake one edge of a closed torus as its boundary: the torus then has no
-    # closed component for the Neumann area form that grounds the coexact
-    # projection, against the integer oracle's b_2 = 1.
+    # closed component for its Neumann area form, against the integer
+    # oracle's b_2 = 1.  No Neumann block reads the boundary, so H^1 is still
+    # found on every route; the closed form of degree 2 refuses the fake.
     torus = mesh.region_from_hypersurface(builders.solid_torus(8).boundary)
     cx = torus.complex
     fake = {k: np.zeros(cx.n_simplices(k), dtype=bool) for k in range(3)}
     fake[1][0] = True
     fake[0][cx.simplices[1][0]] = True
     monkeypatch.setattr(torus, "boundary_simplex_mask", lambda k: fake[k])
+    assert hodge.harmonic_neumann_basis(torus, 1).dim == 2
     with pytest.raises(hodge.HodgeError,
-                       match=r"dimension 0 != Betti number 1 \(degree 2\).*singular"):
-        hodge.harmonic_neumann_basis(torus, 1)
+                       match=r"dimension 0 != Betti number 1 \(degree 2\)"):
+        hodge.harmonic_neumann_basis(torus, 2)
 
 
 # (mesh, condition, degree) with a nonzero harmonic space: its sketch then

@@ -105,6 +105,7 @@ def test_kernel_is_grounded_before_factorization(request):
     assert solves["coexact_neumann"]["grounded"] == 1
     assert solves["exact_dirichlet"]["block_size"] == (
         int(m.interior_simplex_mask(0).sum()) - 1)
+    assert solves["coexact_neumann"]["block_size"] == m.complex.n_simplices(2) - 1
 
 
 def test_degree_zero_coexact_is_mean_free(request, rng):
@@ -134,21 +135,20 @@ def test_unpredicted_kernel_is_refused(request, monkeypatch, factorization):
 
 @FACTORIZATIONS
 def test_faked_boundary_leaves_singular_block(monkeypatch, factorization):
-    # One edge of a closed torus faked as its boundary: the torus then has no
-    # closed component, so the Neumann degree-2 block would be factorized
-    # without grounding its area form; the integer oracle's b_2 = 1 refuses
-    # that before any factorization.
+    # The Neumann degree-2 block of a closed torus has the area form as its
+    # kernel, b_2 = 1, and reads no boundary mask.  An oracle that misses
+    # the form leaves the block singular; one that counts it twice grounds
+    # a pivot that is not zero.  Both raise at the pivot gate on every route.
     torus = mesh.region_from_hypersurface(builders.solid_torus(8).boundary)
     basis = hodge.harmonic_neumann_basis(torus, 1)
-    cx = torus.complex
-    fake = {k: np.zeros(cx.n_simplices(k), dtype=bool) for k in range(3)}
-    fake[1][0] = True
-    fake[0][cx.simplices[1][0]] = True
-    monkeypatch.setattr(torus, "boundary_simplex_mask", lambda k: fake[k])
-    alpha = Cochain(torus, 1, np.ones(cx.n_simplices(1)))
-    with pytest.raises(hodge.HodgeError,
-                       match=r"dimension 0 != Betti number 1 \(degree 2\).*singular"):
-        hodge.hmf_decompose(alpha, neumann_basis=basis)
+    true = hodge.betti_oracle
+    assert true(torus, 2) == 1
+    alpha = Cochain(torus, 1, np.ones(torus.complex.n_simplices(1)))
+    for kernel, message in ((0, "singular"), (2, "no kernel of dimension 2")):
+        monkeypatch.setattr(hodge, "betti_oracle",
+                            lambda m, j: kernel if j == 2 else true(m, j))
+        with pytest.raises(hodge.HodgeError, match=message):
+            hodge.hmf_decompose(alpha, neumann_basis=basis)
 
 
 @FACTORIZATIONS
@@ -229,30 +229,25 @@ def test_dense_path_loads_no_sparse_solver(argv):
 
 
 @pytest.mark.parametrize("name", ["ann8", "annulus16"])
-def test_grounding_ignores_roundoff_in_the_basis(name, request, monkeypatch):
-    # The rows of H^1(M, bd M) tie in exact arithmetic on these symmetric
-    # meshes; noise of 1e-15 relative must not move the grounded unknown
-    # (the exact zero of the extension) nor the pivot ratio it sets.
-    m = request.getfixturevalue(name)
-    x = np.random.default_rng(0).standard_normal((m.complex.n_simplices(1), 1))
-    interior = m.interior_simplex_mask(1)
-
-    def grounding():
-        extend, record, _ = hodge.dirichlet_extension(m)
-        y = extend(x)
-        return np.flatnonzero(y[interior] == 0.0).tolist(), record["pivot_ratio"]
-
-    rows, ratio = grounding()
-    assert len(rows) == 1
-    original = hodge._harmonic_basis
+def test_grounding_ignores_roundoff_in_the_metric(name):
+    # H^1(M, bd M) grounds one unknown of the Dirichlet extension (its exact
+    # zero).  Dual volumes moved by 1e-15 relative must not move it, and the
+    # pivot ratio may move only at roundoff.
     rng = np.random.default_rng(1)
 
-    def noisy(*args, **kwargs):
-        out = original(*args, **kwargs)
-        cols = out.basis.columns
-        out.basis.columns = cols * (1 + 1e-15 * rng.standard_normal(cols.shape))
-        return out
+    def grounding(level):
+        m = builders.from_spec({"ann8": "ann8", "annulus16": "annulus:N=16"}[name])
+        for k in range(m.complex.dim + 1):
+            dual = m.dual_volumes(k)
+            dual *= 1 + level * rng.standard_normal(dual.shape)
+        x = np.random.default_rng(0).standard_normal((m.complex.n_simplices(1), 1))
+        extend, record = hodge.dirichlet_extension(m)
+        y = extend(x)[m.interior_simplex_mask(1)]
+        return np.flatnonzero(y == 0.0).tolist(), record["pivot_ratio"]
 
-    monkeypatch.setattr(hodge, "_harmonic_basis", noisy)
+    rows, ratio = grounding(0.0)
+    assert len(rows) == 1
     for _ in range(20):
-        assert grounding() == (rows, ratio)
+        moved, moved_ratio = grounding(1e-15)
+        assert moved == rows
+        assert moved_ratio == pytest.approx(ratio, rel=1e-12)

@@ -147,7 +147,7 @@ def test_kept_space_is_read_only():
     space = dynamics.solution_space(m)
     assert dynamics.solution_space(m) is space
     assert dynamics.solution_space(m, 1e-9) is not space
-    bases = (space.coclosed, space.gauge_fixed_basis, space.grounding)
+    bases = (space.coclosed, space.gauge_fixed_basis, space.harmonic)
     for kept in (space.extension, *(b.columns for b in bases), *(b.gram for b in bases)):
         with pytest.raises(ValueError, match="read-only"):
             kept[0] = 1.0

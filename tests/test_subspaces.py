@@ -176,8 +176,8 @@ def test_banded_route_matches_solve(n, band, rng, monkeypatch):
     # n is no multiple of the width max(32, band); bands below and above 32
     block = banded_spd(n, band, rng)
     dense = block.toarray()
-    ratio_whole = subspaces.gated_cholesky(dense)[1]
-    monkeypatch.setattr(subspaces, "gated_cholesky", refuse)
+    ratio_whole = subspaces._pivot_gate(subspaces._cholesky(dense)[1], 0.0, ValueError)
+    monkeypatch.setattr(subspaces, "_cholesky", refuse)
     for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
         solve, ratio = subspaces.factorize(block)
         x = solve(rhs)
@@ -211,7 +211,7 @@ def test_singular_block_raises_on_every_route(route, where, rng, monkeypatch):
     if route == "sparse":
         monkeypatch.setattr(subspaces, "DENSE_BLOCK_MAX", 0)
     if route == "banded":
-        monkeypatch.setattr(subspaces, "gated_cholesky", refuse)
+        monkeypatch.setattr(subspaces, "_cholesky", refuse)
     with pytest.raises(Singular, match="singular"):
         subspaces.factorize(block.tocsr(), 1e-8, Singular)
 
@@ -251,12 +251,15 @@ def test_banded_projections_match_superlu(spec, monkeypatch):
 
 
 def test_boundary_vertex_block_of_a_large_annulus_is_banded(monkeypatch):
-    # 510 unknowns, below DENSE_BLOCK_MAX; band 16 in barycentre order
+    # 512 unknowns on two circles, two grounded; band 16 in barycentre order
     sigma = builders.annulus(256).boundary
     seen = record_banded(monkeypatch)
     x = np.random.default_rng(0).standard_normal((sigma.complex.n_simplices(1), 2))
-    boundary.coclosed_projector(sigma)[0](x)
+    project, record = boundary.coclosed_projector(sigma)
+    project(x)
     assert seen == [(510, 32)]
+    # one factorization, grounded at the last vertex of each circle
+    assert (record["block_size"], record["grounded"]) == (510, 2)
 
 
 def split_entries(block, rng):
@@ -302,3 +305,52 @@ def test_unsummed_singular_block_raises_on_every_route(route, rng):
     block = split_entries(weighted_path_laplacian(ROUTES[route], rng), rng)
     with pytest.raises(Singular, match="singular"):
         subspaces.factorize(block, 1e-8, Singular)
+
+
+def grounding_case(case, n, rng):
+    """A singular block, its kernel dimension and the unknowns it grounds:
+    one path (its last unknown); two paths (the last of each, although the
+    last two unknowns lie on one path); a path before an SPD block (the
+    last unknown is no zero pivot, so one of the path's is located: the
+    last one in the route's order)."""
+    h = n // 2
+    if case == "last":
+        return weighted_path_laplacian(n, rng), 1, [n - 1]
+    if case == "components":
+        return sparse.block_diag([weighted_path_laplacian(h, rng),
+                                  weighted_path_laplacian(n - h, rng)]), 2, [h - 1, n - 1]
+    return sparse.block_diag([weighted_path_laplacian(h, rng),
+                              banded_spd(n - h, 3, rng)]), 1, list(range(h))
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("case", ["last", "components", "located"])
+def test_grounded_block_solves_on_every_route(route, case, rng, monkeypatch):
+    block, kernel, grounded = grounding_case(case, ROUTES[route], rng)
+    factored, original = [], subspaces._factor
+
+    def counting(b):
+        factored.append(b.shape[0])
+        return original(b)
+
+    monkeypatch.setattr(subspaces, "_factor", counting)
+    solve, ratio = subspaces.factorize(split_entries(block, rng), 1e-8, Singular, kernel)
+    # one factorization when the try holds the zero pivots, else the try,
+    # the shifted block and the reduced one
+    assert len(factored) == (3 if case == "located" else 1)
+    assert 1e-8 < ratio <= 1.0
+    rhs = block @ rng.standard_normal((block.shape[0], 2))  # orthogonal to the kernel
+    x = solve(rhs)
+    zeros = np.flatnonzero(~x.any(axis=1)).tolist()
+    assert len(zeros) == kernel and set(zeros) <= set(grounded)
+    assert np.abs(block @ x - rhs).max() <= 1e-10 * np.abs(rhs).max()
+    # later solves, of columns or a vector, skip the check
+    assert np.abs(solve(rhs) - x).max() <= 1e-12 * np.abs(x).max()
+    assert np.abs(solve(rhs[:, 0]) - x[:, 0]).max() <= 1e-12 * np.abs(x).max()
+    # a kernel counted once too few leaves a zero pivot; once too many
+    # grounds a pivot that is not zero, which the first solve refuses
+    with pytest.raises(Singular, match="singular"):
+        subspaces.factorize(block, 1e-8, Singular, kernel - 1)
+    solve = subspaces.factorize(block, 1e-8, Singular, kernel + 1)[0]
+    with pytest.raises(Singular, match="no kernel of dimension"):
+        solve(rhs)
