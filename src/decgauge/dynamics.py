@@ -26,7 +26,7 @@ from .boundary import (
     trace_solution,
 )
 from .dec import Cochain, DECError, adjoint_full, d, inner_product, normal_trace, tangential_trace
-from .hodge import dirichlet_extension, harmonic_dirichlet_basis, relative_betti_oracle
+from .hodge import dirichlet_extension, relative_betti_oracle
 from .mesh import GlueInfo, RegionMesh
 # null_space is not called here: bench/selftest.py checks that its tracer restores this copy.
 from .subspaces import Subspace, from_span, null_space, orthonormalize  # noqa: F401
@@ -63,8 +63,8 @@ class SolutionSpace:
     """Solutions of the bulk equation from two factorizations: the boundary
     gauge fix ``gauge_fix`` (:func:`~decgauge.boundary.coclosed_projector`,
     record ``gauge_fix_solve``) and the Dirichlet extension ``extend``
-    (record ``solve``), and the Dirichlet harmonic basis ``H``
-    (``harmonic``, or None).  A solution with zero trace is closed, so
+    (record ``solve``), whose block's kernel is the Dirichlet harmonic basis
+    ``H`` (``harmonic``, or None).  A solution with zero trace is closed, so
     every solution extends a coclosed trace, plus ``H h + d f``.
     ``coclosed_dim`` is r, the boundary edges off the spanning forest;
     ``gauge_fixed_dim`` the exact count ``r - c(bd M) + c_bounded(M) +
@@ -175,13 +175,14 @@ def _exact_counts(mesh: RegionMesh) -> tuple[int, int]:
 
 def solution_space(mesh: RegionMesh,
                    rank_tolerance=tolerances.RANK_REL) -> SolutionSpace:
-    """The boundary gauge fix, the Dirichlet extension, the Dirichlet
-    harmonic basis and the exact counts (see :class:`SolutionSpace`).  A
-    singular block raises at its pivot gate, and a kernel that the relative
-    Betti number overcounts at the first solve.  Built once per mesh and
-    rank tolerance and kept on the mesh, which is not changed after its
-    construction: the factorizations and what the space builds on first
-    use last as long as the mesh."""
+    """The boundary gauge fix, the Dirichlet extension and the exact counts
+    (see :class:`SolutionSpace`), and ``H``, the kernel that the extension's
+    first solve, run here, finds, S_1-orthonormalized, with its pivot gap.
+    A singular block raises at its pivot gate, and a kernel that the
+    relative Betti number overcounts at that first solve.  Built once per
+    mesh and rank tolerance and kept on the mesh, which is not changed
+    after its construction: the factorizations and what the space builds
+    on first use last as long as the mesh."""
     if rank_tolerance in mesh._solution_spaces:
         return mesh._solution_spaces[rank_tolerance]
     if mesh.complex.dim < 2:
@@ -190,9 +191,11 @@ def solution_space(mesh: RegionMesh,
                                "rank_tolerance": rank_tolerance}
     if mesh.boundary is not None:
         gauge_fix, record = coclosed_projector(mesh.boundary, rank_tolerance)
-    harmonic = (_read_only(harmonic_dirichlet_basis(mesh, 1, rank_tolerance).basis)
-                if relative_betti_oracle(mesh, 1) else None)
-    extend, solve = dirichlet_extension(mesh, rank_tolerance)
+    extend, solve, kernel = dirichlet_extension(mesh, rank_tolerance)
+    harmonic = None
+    if relative_betti_oracle(mesh, 1):
+        (null, gap), gram = kernel(), mesh.star_diagonal(1)
+        harmonic = _read_only(Subspace(orthonormalize(null, gram)[0], gram, rank_tolerance, gap=gap))
     space = SolutionSpace(mesh, gauge_fix, record, extend, solve, harmonic,
                           rank_tolerance, *_exact_counts(mesh))
     mesh._solution_spaces[rank_tolerance] = space
@@ -323,8 +326,9 @@ def verify_lagrangian(space: SolutionSpace,
       each pair relative to its norm), at most ``coclosed_tolerance``.
 
     With r <= PROBES the probes span every coclosed trace, so the check is
-    complete and the angles are those of graph(M) on all of them.  ``dims`` are the exact counts; ``rank_ambiguous`` when the
-    Dirichlet harmonic basis's gap is below ``gap_factor``.  Without a boundary
+    complete and the angles are those of graph(M) on all of them.  ``dims``
+    are the exact counts; ``rank_ambiguous`` when the pivot gap of ``H`` (the
+    extension's zero pivots) is below ``gap_factor``.  Without a boundary
     every reading is zero."""
     mesh, sigma, r = space.mesh, space.mesh.boundary, space.coclosed_dim
     k = min(r, PROBES)

@@ -397,9 +397,10 @@ def _potential(mesh, j: int, dirichlet: bool, rank_tolerance):
     once, grounded at the zero pivots of the kernel that the integer oracle
     predicts (:func:`subspaces.factorize`).  Returns its solve, a map of a
     right-hand side on the unknowns (a vector or columns, orthogonal to its
-    kernel) to the potential, and the factorization's record.  A block
-    large enough to be banded is factorized in the order of its unknowns'
-    barycentres (:func:`subspaces.barycentre_order`)."""
+    kernel) to the potential, its record, and a map to the nonzero kernel
+    that the first solve finds (run on no columns if none ran), on every
+    j-simplex, with its gap.  A block that may be banded is factorized in
+    its unknowns' barycentre order (:func:`subspaces.barycentre_order`)."""
     cx = mesh.complex
     cols = mesh.interior_simplex_mask(j) if dirichlet else slice(None)
     index = np.arange(cx.n_simplices(j))[cols]
@@ -408,23 +409,30 @@ def _potential(mesh, j: int, dirichlet: bool, rank_tolerance):
     if cx.coordinates is not None and index.size >= subspaces.BANDED_MIN:
         order = subspaces.barycentre_order(
             cx.coordinates[cx.simplices[j][index]].mean(axis=1))
-    solve, ratio = (lambda rhs: rhs), None  # an empty block
+    solve, ratio, found = (lambda rhs: rhs), None, []  # an empty block
     if index.size:
         row, col, value = _hodge_block(mesh, j, dirichlet)
         at = np.full(cx.n_simplices(j), -1)  # each unknown's place in the block
         at[index[order]] = np.arange(index.size)
         keep = (at[row] >= 0) & (at[col] >= 0)
         block = (value[keep], (at[row[keep]], at[col[keep]]))
-        solve, ratio = factorize(sparse.coo_matrix(block, shape=(index.size,) * 2),
-                                 rank_tolerance, HodgeError, kernel)
+        solve, ratio, found = factorize(sparse.coo_matrix(block, shape=(index.size,) * 2),
+                                        rank_tolerance, HodgeError, kernel)
 
     def potential(rhs):
         x = np.zeros(np.shape(rhs))
         x[order] = solve(rhs[order])
         return x
 
+    def harmonic():
+        if not found:
+            solve(np.zeros((index.size, 0)))
+        columns = np.zeros((cx.n_simplices(j), kernel))
+        columns[index[order]] = found[0][0]
+        return columns, found[0][1]
+
     return potential, {"block_size": int(index.size - kernel), "grounded": kernel,
-                       "pivot_ratio": ratio, "rank_tolerance": rank_tolerance}
+                       "pivot_ratio": ratio, "rank_tolerance": rank_tolerance}, harmonic
 
 
 def _exact_projection(mesh, k: int, dirichlet: bool, rank_tolerance):
@@ -433,7 +441,7 @@ def _exact_projection(mesh, k: int, dirichlet: bool, rank_tolerance):
     Laplacian of degree k-1 for ``d^T S_k x`` (:func:`_potential`)."""
     cols = mesh.interior_simplex_mask(k - 1) if dirichlet else slice(None)
     dt, s = mesh.complex.boundary_matrices[k][cols], mesh.star_diagonal(k)  # d^T
-    potential, record = _potential(mesh, k - 1, dirichlet, rank_tolerance)
+    potential, record, _ = _potential(mesh, k - 1, dirichlet, rank_tolerance)
     return (lambda x: dt.T @ potential(dt @ (s * x.T).T)), record
 
 
@@ -446,7 +454,7 @@ def _coexact_part(mesh, k: int, dirichlet: bool, x, rank_tolerance):
     sb = adjoint_full(mesh, k + 1).tocsc()[:, cols]  # S_k B
     if dirichlet:
         sb = sparse.diags(mesh.interior_simplex_mask(k).astype(float)) @ sb
-    potential, record = _potential(mesh, k + 1, dirichlet, rank_tolerance)
+    potential, record, _ = _potential(mesh, k + 1, dirichlet, rank_tolerance)
     return sparse.diags(1.0 / mesh.star_diagonal(k)) @ (sb @ potential(sb.T @ x)), record
 
 
@@ -458,8 +466,8 @@ def dirichlet_extension(mesh: RegionMesh, rank_tolerance=tolerances.RANK_REL):
     when H^1(M, boundary) is nonzero, an empty block without interior edges;
     both blocks of the kept :func:`_hodge_block`).  So ``d^T S_2 d y`` and
     ``del_1 S_1 y`` vanish on the interior edges and vertices.  Returns the
-    map and its record."""
-    potential, record = _potential(mesh, 1, True, rank_tolerance)
+    map, its record and the map to the kernel of ``L_JJ``, H^1(M, boundary)."""
+    potential, record, harmonic = _potential(mesh, 1, True, rank_tolerance)
     interior = mesh.interior_simplex_mask(1)
     row, col, value = _hodge_block(mesh, 1, True)
     cut = ~interior[col]
@@ -470,7 +478,7 @@ def dirichlet_extension(mesh: RegionMesh, rank_tolerance=tolerances.RANK_REL):
         y[interior] = potential(-(coupling @ y)[interior])
         return y
 
-    return extend, record
+    return extend, record, harmonic
 
 
 def hmf_decompose(alpha: Cochain, mesh: RegionMesh | None = None,

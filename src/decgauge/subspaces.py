@@ -309,8 +309,9 @@ def _factor(block):
 
 def factorize(block, rank_tolerance=tolerances.RANK_REL, error=ValueError, kernel=0):
     """The solve of the sparse symmetric positive semidefinite ``block``
-    (:func:`_factor`) and its pivot ratio.  The block has ``kernel`` zero
-    pivots; each leaves its row of the Schur complement zero, so the solve
+    (:func:`_factor`), its pivot ratio, and a list that its first solve
+    fills with the block's kernel.  The block has ``kernel`` zero pivots;
+    each leaves its row of the Schur complement zero, so the solve
     grounds their unknowns (returns zero there, and factorizes the rest)
     and the other pivots stay as they were (Higham 1990).  They are tried at
     the last unknown of each component of the block's graph, then at the
@@ -318,12 +319,14 @@ def factorize(block, rank_tolerance=tolerances.RANK_REL, error=ValueError, kerne
     the block shifted by 1e-4 of the gate's floor (its largest diagonal
     entry times the rank tolerance).  A pivot ratio of the rest not above
     the rank tolerance raises ``error``, and so does the first solve, which
-    also solves for the grounded unknowns' couplings, if their Schur
-    complement is above it."""
+    also solves for the grounded unknowns' couplings ``C``, if their Schur
+    complement is above it; else it keeps that kernel, each grounded unit
+    vector less the solve of its ``C^T``, and its gap: the smallest kept
+    pivot over the largest grounded one plus eps times the largest kept."""
     n = block.shape[0]
     if not kernel:
         solve, pivots = _factor(block)
-        return solve, _pivot_gate(pivots, rank_tolerance, error)
+        return solve, _pivot_gate(pivots, rank_tolerance, error), []
     coo, order = block.tocoo(), np.arange(n)[::-1]
     if kernel > 1:  # the last unknown of each component first
         upper = coo.row < coo.col
@@ -346,7 +349,8 @@ def factorize(block, rank_tolerance=tolerances.RANK_REL, error=ValueError, kerne
         grounded = np.sort(np.argsort(_factor(block + shift * sparse.identity(n))[1],
                                       kind="stable")[:kernel])
         kept, solve, pivots = reduce(grounded)
-    ratio, top, checked = _pivot_gate(pivots, rank_tolerance, error), pivots.max(initial=0.0), []
+    ratio, checked = _pivot_gate(pivots, rank_tolerance, error), []
+    top, low = pivots.max(initial=0.0), pivots.min(initial=np.inf)
     at = np.full(n, -1)  # the grounded rows, dense
     at[grounded] = np.arange(kernel)
     on = at[coo.row] >= 0
@@ -364,11 +368,13 @@ def factorize(block, rank_tolerance=tolerances.RANK_REL, error=ValueError, kerne
             raise error(f"factorized block of {n} unknowns has no kernel of dimension "
                         f"{kernel} (grounded pivot {worst:.1e}, largest kept pivot "
                         f"{top:.1e}, rank tolerance {rank_tolerance:.1e})")
-        checked.append(True)
+        null = np.zeros((n, kernel))
+        null[kept], null[grounded] = -y[:, -kernel:], np.eye(kernel)
+        checked.append((null, low / (worst + np.finfo(float).eps * top)))
         x[kept] = y[:, :-kernel].reshape(rhs.shape)
         return x
 
-    return grounded_solve, ratio
+    return grounded_solve, ratio, checked
 
 
 def _gap(s, rank) -> float:

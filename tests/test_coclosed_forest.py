@@ -144,7 +144,7 @@ def test_solution_space_gauge_fixes_at_its_tolerance(monkeypatch):
 
     monkeypatch.setattr(hodge, "factorize", recording)
     space = dynamics.solution_space(builders.annulus(16), rank_tolerance=1e-9)
-    built = len(seen)  # the gauge fix, the extension and the basis of H^1(M, bd M)
+    built = len(seen)  # the gauge fix and the extension, whose kernel is H^1(M, bd M)
     assert built >= 2
     space.gauge_fixed_basis
     assert len(seen) == built + 1

@@ -154,7 +154,7 @@ def test_faked_boundary_leaves_singular_block(monkeypatch, factorization):
 @FACTORIZATIONS
 def test_factorized_solve_gate(factorization):
     path = sparse.diags([-np.ones(4), 2 * np.ones(5), -np.ones(4)], [-1, 0, 1])
-    solve, ratio = subspaces.factorize(path.tocsr(), 1e-8, hodge.HodgeError)
+    solve, ratio, _ = subspaces.factorize(path.tocsr(), 1e-8, hodge.HodgeError)
     assert np.allclose(path @ solve(np.ones(5)), 1.0) and 1e-8 < ratio <= 1.0
     free = path.tolil()
     free[0, 0] = free[4, 4] = 1.0  # Neumann path Laplacian: constants
@@ -241,7 +241,7 @@ def test_grounding_ignores_roundoff_in_the_metric(name):
             dual = m.dual_volumes(k)
             dual *= 1 + level * rng.standard_normal(dual.shape)
         x = np.random.default_rng(0).standard_normal((m.complex.n_simplices(1), 1))
-        extend, record = hodge.dirichlet_extension(m)
+        extend, record, _ = hodge.dirichlet_extension(m)
         y = extend(x)[m.interior_simplex_mask(1)]
         return np.flatnonzero(y == 0.0).tolist(), record["pivot_ratio"]
 

@@ -179,7 +179,7 @@ def test_banded_route_matches_solve(n, band, rng, monkeypatch):
     ratio_whole = subspaces._pivot_gate(subspaces._cholesky(dense)[1], 0.0, ValueError)
     monkeypatch.setattr(subspaces, "_cholesky", refuse)
     for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-        solve, ratio = subspaces.factorize(block)
+        solve, ratio, _ = subspaces.factorize(block)
         x = solve(rhs)
         ref = np.linalg.solve(dense, rhs)
         assert x.shape == ref.shape
@@ -292,8 +292,8 @@ def test_unsummed_block_solves_as_its_sum_on_every_route(route, rng):
     split = split_entries(block, rng)
     assert split.nnz > 2 * block.nnz
     rhs = rng.standard_normal((n, 3))
-    solve, ratio = subspaces.factorize(block)
-    solve_split, ratio_split = subspaces.factorize(split)
+    solve, ratio, _ = subspaces.factorize(block)
+    solve_split, ratio_split, _ = subspaces.factorize(split)
     assert route_of(solve) == route_of(solve_split) == route
     x, ref = solve_split(rhs), solve(rhs)
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -334,7 +334,7 @@ def test_grounded_block_solves_on_every_route(route, case, rng, monkeypatch):
         return original(b)
 
     monkeypatch.setattr(subspaces, "_factor", counting)
-    solve, ratio = subspaces.factorize(split_entries(block, rng), 1e-8, Singular, kernel)
+    solve, ratio, _ = subspaces.factorize(split_entries(block, rng), 1e-8, Singular, kernel)
     # one factorization when the try holds the zero pivots, else the try,
     # the shifted block and the reduced one
     assert len(factored) == (3 if case == "located" else 1)
