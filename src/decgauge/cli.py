@@ -100,6 +100,13 @@ def _run_decompose(mesh: RegionMesh, config, tol, rng):
     return checks, body
 
 
+def _gap(harmonic):
+    """A basis' pivot gap for a report: None (JSON null) where it is inf,
+    without a rank cut (no kernel, or a closed form)."""
+    gap = harmonic.basis.gap
+    return None if np.isinf(gap) else gap
+
+
 def _run_harmonic(mesh: RegionMesh, config, tol, rng):
     k = config.degree
     checks, body = [], {"degree": k}
@@ -123,10 +130,10 @@ def _run_harmonic(mesh: RegionMesh, config, tol, rng):
         _check("neumann_harmonic_residual", res <= tol["HARMONIC_REL"],
                residual=res, tolerance=tol["HARMONIC_REL"])
     )
-    body["neumann_dim"] = neumann.dim
+    body["neumann_dim"], body["neumann_gap"] = neumann.dim, _gap(neumann)
     try:
         dirichlet = harmonic_dirichlet_basis(mesh, k, tol["RANK_REL"])
-        body["dirichlet_dim"] = dirichlet.dim
+        body["dirichlet_dim"], body["dirichlet_gap"] = dirichlet.dim, _gap(dirichlet)
         dres = dirichlet.max_residual()
         checks.append(
             _check("dirichlet_harmonic_residual", dres <= tol["HARMONIC_REL"],

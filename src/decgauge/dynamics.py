@@ -192,10 +192,7 @@ def solution_space(mesh: RegionMesh,
     if mesh.boundary is not None:
         gauge_fix, record = coclosed_projector(mesh.boundary, rank_tolerance)
     extend, solve, kernel = dirichlet_extension(mesh, rank_tolerance)
-    harmonic = None
-    if relative_betti_oracle(mesh, 1):
-        (null, gap), gram = kernel(), mesh.star_diagonal(1)
-        harmonic = _read_only(Subspace(orthonormalize(null, gram)[0], gram, rank_tolerance, gap=gap))
+    harmonic = _read_only(kernel()) if relative_betti_oracle(mesh, 1) else None
     space = SolutionSpace(mesh, gauge_fix, record, extend, solve, harmonic,
                           rank_tolerance, *_exact_counts(mesh))
     mesh._solution_spaces[rank_tolerance] = space

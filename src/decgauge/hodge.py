@@ -21,12 +21,7 @@ from scipy import sparse
 from . import subspaces, tolerances
 from .dec import Cochain, DECError, adjoint_full, codifferential, d, inner_product, norm
 from .mesh import RegionMesh, _components
-from .subspaces import Subspace, factorize, from_span
-
-
-#: Sketch columns beyond the oracle's dimension (a larger harmonic space
-#: shows up as a higher rank), and the sketch's seed.
-SKETCH_OVERSAMPLING, SKETCH_SEED = 2, 0
+from .subspaces import Subspace, factorize, orthonormalize
 
 
 class HodgeError(ValueError):
@@ -293,43 +288,31 @@ def _harmonic_basis(mesh, k: int, rank_tolerance, dirichlet: bool) -> HarmonicBa
 
     In degree 0, the indicator of each component (Dirichlet: each without a
     boundary vertex); in the top degree n, ``orientation / S_n`` on each
-    component (Neumann: each closed one).  Otherwise the range finder of
-    Halko-Martinsson-Tropp: ``x - exact - coexact`` for ``b + 2`` standard
-    normal columns ``x`` (Dirichlet: zero on the boundary), rank cut against
-    the largest S-norm of ``x``'s columns; the projections' blocks are
-    grounded at their own zero pivots, so no basis of another degree is
-    built.  A dimension other than the integer oracle's (relative) Betti
-    number raises."""
+    component (Neumann: each closed one).  A dimension other than the
+    integer oracle's (relative) Betti number raises.  Otherwise the kernel
+    of the Hodge Laplacian of degree k (Dirichlet: on the interior
+    k-simplices), read off the zero pivots that its one factorization is
+    grounded at (:func:`_potential`); an oracle off by one either way
+    raises there."""
     cx = mesh.complex
-    n, gram = cx.dim, mesh.star_diagonal(k)
+    n, condition = cx.dim, "dirichlet" if dirichlet else "neumann"
+    if 0 < k < n:
+        kernel = _potential(mesh, k, dirichlet, rank_tolerance)[2]
+        return HarmonicBasis(mesh, k, condition, kernel())
+    gram = mesh.star_diagonal(k)
     expected = (relative_betti_oracle if dirichlet else betti_oracle)(mesh, k)
-    if k in (0, n):
-        comp, closed = cx.vertex_components(), _closed_components(mesh)
-        values, labels = ((np.ones(cx.n_simplices(0)), comp) if k == 0 else
-                          (cx.orientation / gram, comp[cx.simplices[n][:, 0]]))
-        keep = closed if dirichlet == (k == 0) else np.ones_like(closed)
-        fields = np.where(labels[:, None] == np.flatnonzero(keep), values[:, None], 0.0)
-        basis = Subspace(fields / np.sqrt(gram @ fields ** 2), gram, rank_tolerance)
-    else:
-        cols = mesh.interior_simplex_mask(k) if dirichlet else slice(None)
-        x = np.random.default_rng(SKETCH_SEED).standard_normal(
-            (cx.n_simplices(k), expected + SKETCH_OVERSAMPLING))
-        if dirichlet:
-            x[mesh.boundary_simplex_mask(k)] = 0.0
-        rest = (x - _exact_projection(mesh, k, dirichlet, rank_tolerance)[0](x)
-                - _coexact_part(mesh, k, dirichlet, x, rank_tolerance)[0])
-        small = from_span(rest[cols], gram[cols], rank_tolerance,
-                          scale=np.sqrt(gram @ x ** 2).max())
-        basis = Subspace(np.zeros((cx.n_simplices(k), small.dim)), gram,
-                         rank_tolerance, small.singular_values, small.gap)
-        basis.columns[cols] = small.columns
-    out = HarmonicBasis(mesh, k, "dirichlet" if dirichlet else "neumann", basis)
+    comp, closed = cx.vertex_components(), _closed_components(mesh)
+    values, labels = ((np.ones(cx.n_simplices(0)), comp) if k == 0 else
+                      (cx.orientation / gram, comp[cx.simplices[n][:, 0]]))
+    keep = closed if dirichlet == (k == 0) else np.ones_like(closed)
+    fields = np.where(labels[:, None] == np.flatnonzero(keep), values[:, None], 0.0)
+    out = HarmonicBasis(mesh, k, condition,
+                        Subspace(fields / np.sqrt(gram @ fields ** 2), gram, rank_tolerance))
     if out.dim != expected:
         raise HodgeError(
-            f"harmonic {out.boundary_condition} dimension {out.dim} != "
+            f"harmonic {condition} dimension {out.dim} != "
             f"{'relative ' if dirichlet else ''}Betti number {expected} "
-            f"(degree {k}); residual {out.max_residual():.3e}, "
-            f"singular values {basis.singular_values}"
+            f"(degree {k}); residual {out.max_residual():.3e}"
         )
     return out
 
@@ -397,10 +380,13 @@ def _potential(mesh, j: int, dirichlet: bool, rank_tolerance):
     once, grounded at the zero pivots of the kernel that the integer oracle
     predicts (:func:`subspaces.factorize`).  Returns its solve, a map of a
     right-hand side on the unknowns (a vector or columns, orthogonal to its
-    kernel) to the potential, its record, and a map to the nonzero kernel
-    that the first solve finds (run on no columns if none ran), on every
-    j-simplex, with its gap.  A block that may be banded is factorized in
-    its unknowns' barycentre order (:func:`subspaces.barycentre_order`)."""
+    kernel) to the potential, its record, and a map to the kernel, a
+    :class:`Subspace` on every j-simplex: the columns that the first solve
+    finds (run on no columns if none ran), S_j-orthonormalized by one
+    Cholesky of their Gram (:func:`subspaces.orthonormalize`), with their
+    pivot gap (none and ``inf`` without a kernel).  A block that may be
+    banded is factorized in its unknowns' barycentre order
+    (:func:`subspaces.barycentre_order`)."""
     cx = mesh.complex
     cols = mesh.interior_simplex_mask(j) if dirichlet else slice(None)
     index = np.arange(cx.n_simplices(j))[cols]
@@ -425,11 +411,13 @@ def _potential(mesh, j: int, dirichlet: bool, rank_tolerance):
         return x
 
     def harmonic():
-        if not found:
-            solve(np.zeros((index.size, 0)))
-        columns = np.zeros((cx.n_simplices(j), kernel))
-        columns[index[order]] = found[0][0]
-        return columns, found[0][1]
+        columns, gap, gram = np.zeros((cx.n_simplices(j), kernel)), np.inf, mesh.star_diagonal(j)
+        if kernel:
+            if not found:
+                solve(np.zeros((index.size, 0)))
+            columns[index[order]], gap = found[0]
+            columns = orthonormalize(columns, gram)[0]
+        return Subspace(columns, gram, rank_tolerance, gap=gap)
 
     return potential, {"block_size": int(index.size - kernel), "grounded": kernel,
                        "pivot_ratio": ratio, "rank_tolerance": rank_tolerance}, harmonic
@@ -445,16 +433,13 @@ def _exact_projection(mesh, k: int, dirichlet: bool, rank_tolerance):
     return (lambda x: dt.T @ potential(dt @ (s * x.T).T)), record
 
 
-def _coexact_part(mesh, k: int, dirichlet: bool, x, rank_tolerance):
+def _coexact_part(mesh, k: int, x, rank_tolerance):
     """S_k-projection of ``x`` (a vector or columns) onto the range of
-    ``B = S_k^-1 d_k^T S_k+1`` (Dirichlet: interior (k+1) columns, boundary k
-    rows zero) and the solve's record: the Hodge Laplacian of degree k+1,
-    down term ``B^T S_k B``, for ``B^T S_k x`` (:func:`_potential`)."""
-    cols = mesh.interior_simplex_mask(k + 1) if dirichlet else slice(None)
-    sb = adjoint_full(mesh, k + 1).tocsc()[:, cols]  # S_k B
-    if dirichlet:
-        sb = sparse.diags(mesh.interior_simplex_mask(k).astype(float)) @ sb
-    potential, record, _ = _potential(mesh, k + 1, dirichlet, rank_tolerance)
+    ``B = S_k^-1 d_k^T S_k+1`` and the solve's record: the Neumann Hodge
+    Laplacian of degree k+1, down term ``B^T S_k B``, for ``B^T S_k x``
+    (:func:`_potential`)."""
+    sb = adjoint_full(mesh, k + 1)  # S_k B
+    potential, record, _ = _potential(mesh, k + 1, False, rank_tolerance)
     return sparse.diags(1.0 / mesh.star_diagonal(k)) @ (sb @ potential(sb.T @ x)), record
 
 
@@ -466,7 +451,8 @@ def dirichlet_extension(mesh: RegionMesh, rank_tolerance=tolerances.RANK_REL):
     when H^1(M, boundary) is nonzero, an empty block without interior edges;
     both blocks of the kept :func:`_hodge_block`).  So ``d^T S_2 d y`` and
     ``del_1 S_1 y`` vanish on the interior edges and vertices.  Returns the
-    map, its record and the map to the kernel of ``L_JJ``, H^1(M, boundary)."""
+    map, its record and the map to the kernel of ``L_JJ``, H^1(M, boundary),
+    S_1-orthonormal with its pivot gap."""
     potential, record, harmonic = _potential(mesh, 1, True, rank_tolerance)
     interior = mesh.interior_simplex_mask(1)
     row, col, value = _hodge_block(mesh, 1, True)
@@ -507,7 +493,7 @@ def hmf_decompose(alpha: Cochain, mesh: RegionMesh | None = None,
         exact = project(alpha.values)
     if 1 <= k < mesh.complex.dim:
         coexact, solves["coexact_neumann"] = _coexact_part(
-            mesh, k, False, alpha.values, rank_tolerance)
+            mesh, k, alpha.values, rank_tolerance)
     elif k < mesh.complex.dim:  # degree 0: all but the constants per component
         coexact = alpha.values - neumann_basis.basis.project(alpha.values)
     rest = alpha.values - exact - coexact

@@ -22,7 +22,7 @@ from .mesh import _components
 #: splits into ``BANDED_MIN_BLOCKS`` or more diagonal blocks of width
 #: ``max(BANDED_WIDTH_MIN, lower bandwidth)`` is factorized block by block
 #: (:func:`_banded_cholesky`), any other one whole (:func:`_cholesky`).
-DENSE_BLOCK_MAX = 1000
+DENSE_BLOCK_MAX = 1024
 BANDED_MIN, BANDED_MIN_BLOCKS, BANDED_WIDTH_MIN = 256, 3, 32
 
 
@@ -194,15 +194,16 @@ def _cholesky(matrix):
     return factor, np.diag(factor) ** 2
 
 
-def _pivot_gate(pivots, rank_tolerance, error):
+def _pivot_gate(pivots, rank_tolerance, error, kernel=0):
     """Smallest over largest pivot (None without one); a ratio not above the
-    rank tolerance raises ``error``."""
+    rank tolerance raises ``error``, naming the ``kernel`` grounded apart."""
     if not pivots.size:
         return None
     ratio = float(pivots.min() / max(pivots.max(), 1e-300))
     if not ratio > rank_tolerance:
-        raise error(f"factorized block of {pivots.size} unknowns is singular (pivot "
-                    f"ratio {ratio:.1e}, rank tolerance {rank_tolerance:.1e})")
+        raise error(f"factorized block of {pivots.size + kernel} unknowns is singular "
+                    f"beyond a kernel of dimension {kernel} (pivot ratio {ratio:.1e}, "
+                    f"rank tolerance {rank_tolerance:.1e})")
     return ratio
 
 
@@ -349,7 +350,7 @@ def factorize(block, rank_tolerance=tolerances.RANK_REL, error=ValueError, kerne
         grounded = np.sort(np.argsort(_factor(block + shift * sparse.identity(n))[1],
                                       kind="stable")[:kernel])
         kept, solve, pivots = reduce(grounded)
-    ratio, checked = _pivot_gate(pivots, rank_tolerance, error), []
+    ratio, checked = _pivot_gate(pivots, rank_tolerance, error, kernel), []
     top, low = pivots.max(initial=0.0), pivots.min(initial=np.inf)
     at = np.full(n, -1)  # the grounded rows, dense
     at[grounded] = np.arange(kernel)

@@ -19,7 +19,9 @@ graph(M^T), the route the r x r Cholesky readings replaced.
 SVD of the boundary incidence, the route the spanning-forest basis replaced.
 :func:`laplacian0` assembles the vertex Laplacian outside the Hodge systems,
 and :func:`row_form_laplacian` any Hodge block in the row form ``A^T diag(w)
-A`` that the kept per-simplex assembly replaced.
+A`` that the kept per-simplex assembly replaced.  :func:`dense_harmonic` is
+the harmonic basis from the dense SVD of the stacked Hodge rows, the
+reference that the zero-pivot kernels of the Hodge blocks are checked against.
 :func:`hypersurface_form`, :func:`form_kernel`, :func:`restrict_form` and
 :func:`contains` complete the dense two-form API of ``decgauge.symplectic``,
 and :func:`coclosed_defect` measures boundary data against the codifferential.
@@ -36,7 +38,7 @@ from scipy import sparse
 
 from decgauge import dynamics, tolerances
 from decgauge.boundary import coclosed_projector, trace_columns
-from decgauge.dec import Cochain, codifferential, norm
+from decgauge.dec import Cochain, adjoint_full, codifferential, norm
 from decgauge.subspaces import (Subspace, from_span, null_space, orthonormalize,
                                  principal_angles)
 from decgauge.subspaces import _contains
@@ -104,6 +106,24 @@ def row_form_laplacian(mesh, k, dirichlet):
     a = sparse.vstack(blocks).tocsc()
     full = (a.T @ sparse.diags(np.concatenate(weights)) @ a).tocsr()
     return full[mesh.interior_simplex_mask(k)] if dirichlet else full
+
+
+def dense_harmonic(m, k, dirichlet):
+    """Null space of the dense stack [d_k; del_k S_k], on the interior
+    k-simplices (interior adjoint rows) for the Dirichlet condition."""
+    cx = m.complex
+    n = cx.n_simplices(k)
+    inject = np.eye(n)[:, m.interior_simplex_mask(k)] if dirichlet else np.eye(n)
+    blocks = []
+    if k < cx.dim:
+        blocks.append(cx.boundary_matrices[k + 1].T.toarray() @ inject)
+    if k >= 1:
+        rows = adjoint_full(m, k).toarray()
+        if dirichlet:
+            rows = rows[m.interior_simplex_mask(k - 1)]
+        blocks.append(rows @ inject)
+    small = null_space(np.vstack(blocks), n_columns=inject.shape[1])
+    return from_span(inject @ small.columns, gram=m.star_diagonal(k))
 
 
 def curvature_adjoint_full(mesh) -> np.ndarray:

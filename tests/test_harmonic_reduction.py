@@ -1,30 +1,14 @@
 """The harmonic bases (closed forms in degree 0 and the top degree, the
-sketch of the two Hodge projections in between) against the dense
+zero-pivot kernel of the degree's Hodge block in between) against the dense
 stacked-SVD oracle."""
+
+import json
 
 import numpy as np
 import pytest
+from dense_oracles import dense_harmonic
 
 from decgauge import builders, cli, hodge, mesh, subspaces, tolerances
-from decgauge.dec import adjoint_full
-
-
-def dense_harmonic(m, k, dirichlet):
-    """Null space of the dense stack [d_k; del_k S_k], on the interior
-    k-simplices (interior adjoint rows) for the Dirichlet condition."""
-    cx = m.complex
-    n = cx.n_simplices(k)
-    inject = np.eye(n)[:, m.interior_simplex_mask(k)] if dirichlet else np.eye(n)
-    blocks = []
-    if k < cx.dim:
-        blocks.append(cx.boundary_matrices[k + 1].T.toarray() @ inject)
-    if k >= 1:
-        rows = adjoint_full(m, k).toarray()
-        if dirichlet:
-            rows = rows[m.interior_simplex_mask(k - 1)]
-        blocks.append(rows @ inject)
-    small = subspaces.null_space(np.vstack(blocks), n_columns=inject.shape[1])
-    return subspaces.from_span(inject @ small.columns, gram=m.star_diagonal(k))
 
 
 def max_angle(a, b):
@@ -123,6 +107,8 @@ def test_harmonic_bases_take_no_null_space(monkeypatch):
 
     monkeypatch.setattr(subspaces, "null_space", refuse)
     assert not hasattr(hodge, "null_space") and not hasattr(hodge, "DENSE_SVD_MAX")
+    assert not hasattr(hodge, "from_span")
+    assert not [name for name in vars(hodge) if name.startswith("SKETCH")]
     dims = {c: [BASES[c](m, k).dim for k in range(4)] for c in sorted(BASES)}
     assert dims == {"dirichlet": [0, 1, 2, 1], "neumann": [1, 2, 1, 0]}
 
@@ -151,8 +137,10 @@ def test_faked_boundary_on_a_closed_torus_raises(monkeypatch, factorization):
         hodge.harmonic_neumann_basis(torus, 2)
 
 
-# (mesh, condition, degree) with a nonzero harmonic space: its sketch then
-# has b + 2 columns against an oracle moved by one either way.
+# (mesh, condition, degree) with a nonzero harmonic space, against an oracle
+# moved by one either way: one more grounds an unknown whose Schur pivot is
+# not zero (the first solve's gate), one fewer leaves a zero pivot among
+# the factorized unknowns (the pivot gate).
 MISCOUNTED = [("ann8", "neumann", 1), ("ann8", "dirichlet", 1),
               ("solid_torus8", "neumann", 1), ("solid_torus8", "dirichlet", 2)]
 
@@ -180,3 +168,66 @@ def test_harmonic_output_is_byte_identical(tmp_path):
         runs.append({p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())})
     assert runs[0] == runs[1]
     assert sorted(runs[0]) == ["harmonic.json", "harmonic_neumann0.csv"]
+
+
+def record_factorized_blocks(monkeypatch):
+    """A list that gets the size of every block that ``hodge`` factorizes."""
+    sizes, original = [], hodge.factorize
+
+    def counting(block, *args):
+        sizes.append(block.shape[0])
+        return original(block, *args)
+
+    monkeypatch.setattr(hodge, "factorize", counting)
+    return sizes
+
+
+def test_each_harmonic_basis_factorizes_its_own_block(monkeypatch, capsys):
+    # annulus:N=256 (b_1 = 1 both ways): the Neumann block of degree 1 on
+    # every edge and the Dirichlet one on the interior edges, nothing else;
+    # decompose adds the Neumann block of degree 2 once, for its coexact part.
+    m = builders.annulus(256)
+    edges, interior = m.complex.n_simplices(1), int(m.interior_simplex_mask(1).sum())
+    assert (edges, interior) == (1024, 512)
+    argv = ["--mesh", "annulus:N=256", "--degree", "1"]
+    for command, blocks in (("harmonic", [edges, interior]),
+                            ("decompose", [edges, m.complex.n_simplices(2)])):
+        sizes = record_factorized_blocks(monkeypatch)
+        assert cli.main([command, *argv]) == 0
+        capsys.readouterr()
+        assert sizes == blocks, command
+
+
+@FACTORIZATIONS
+@pytest.mark.parametrize("condition", sorted(BASES))
+def test_a_zero_kernel_still_factorizes_and_gates_its_block(condition, monkeypatch,
+                                                            factorization):
+    # square:N=4 has b_1 = 0 both ways: the basis has no columns and no rank
+    # cut (gap inf), but its block is factorized, and a singular one raises.
+    m = builders.from_spec("square:N=4")
+    sizes = record_factorized_blocks(monkeypatch)
+    basis = BASES[condition](m, 1).basis
+    assert basis.dim == 0 and basis.gap == np.inf
+    assert sizes == [int(m.interior_simplex_mask(1).sum()) if condition == "dirichlet"
+                     else m.complex.n_simplices(1)]
+    original = hodge._hodge_block
+
+    def zeroed(mesh, k, dirichlet):
+        row, col, value = original(mesh, k, dirichlet)
+        return row, col, 0.0 * value
+
+    monkeypatch.setattr(hodge, "_hodge_block", zeroed)
+    with pytest.raises(hodge.HodgeError, match="singular beyond a kernel of dimension 0"):
+        BASES[condition](m, 1)
+
+
+def test_harmonic_report_carries_each_gap(capsys):
+    # A basis with a kernel reports the pivot gap of its zero pivots; one
+    # without reports null (its gap is inf, which JSON cannot hold).
+    gaps = {}
+    for spec in ("annulus:N=16", "square:N=4"):
+        assert cli.main(["harmonic", "--mesh", spec, "--degree", "1"]) == 0
+        detail = json.loads(capsys.readouterr().out)["detail"]
+        gaps[spec] = detail["neumann_gap"], detail["dirichlet_gap"]
+    assert gaps["square:N=4"] == (None, None)
+    assert all(gap >= tolerances.RANK_GAP_FACTOR for gap in gaps["annulus:N=16"])

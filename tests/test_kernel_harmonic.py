@@ -1,13 +1,14 @@
 """H^1(M, bd M) of the solution space, read off the zero pivots of the
-Dirichlet extension's block by its first solve: against the sketch of
-``harmonic_dirichlet_basis`` on every factorization route, with a finite
-pivot gap, and the integer oracle's count held at construction."""
+Dirichlet extension's block by its first solve: against the dense SVD of
+the stacked Hodge rows on every factorization route, with a finite pivot
+gap, and the integer oracle's count held at construction."""
 
 import numpy as np
 import pytest
+from dense_oracles import dense_harmonic
 from scipy import sparse
 from test_harmonic_reduction import (  # noqa: F401 (factorization is a fixture)
-    FACTORIZATIONS, factorization, torus_times_interval)
+    FACTORIZATIONS, factorization, record_factorized_blocks, torus_times_interval)
 
 from decgauge import builders, dynamics, hodge, mesh, subspaces, tolerances
 
@@ -22,14 +23,17 @@ REGIONS = {
 @FACTORIZATIONS
 @pytest.mark.parametrize("name", sorted(REGIONS))
 def test_kernel_harmonic_matches_the_sketch(name, factorization):
+    # Named for the randomized range finder it was first checked against;
+    # ``harmonic_dirichlet_basis`` now reads the same zero pivots, so the
+    # reference is the dense SVD oracle.
     m = REGIONS[name]()
     h = dynamics.solution_space(m).harmonic
     assert h.dim == hodge.relative_betti_oracle(m, 1) > 0
     assert h.orthonormality_defect() <= 1e-12
     assert not h.columns[m.boundary_simplex_mask(1)].any()
     assert hodge.HarmonicBasis(m, 1, "dirichlet", h).max_residual() <= tolerances.HARMONIC_REL
-    sketch = hodge.harmonic_dirichlet_basis(m, 1).basis
-    assert subspaces.principal_angles(h, sketch).max() <= tolerances.PRINCIPAL_ANGLE
+    dense = dense_harmonic(m, 1, True)
+    assert subspaces.principal_angles(h, dense).max() <= tolerances.PRINCIPAL_ANGLE
     assert np.isfinite(h.gap) and h.gap >= tolerances.RANK_GAP_FACTOR
 
 
@@ -56,13 +60,7 @@ def test_a_miscounted_oracle_raises_at_construction(miscount, monkeypatch):
 
 
 def test_verify_lagrangian_factorizes_the_gauge_fix_and_the_extension(monkeypatch):
-    factorized, original = [], hodge.factorize
-
-    def counting(block, *args):
-        factorized.append(block.shape[0])
-        return original(block, *args)
-
-    monkeypatch.setattr(hodge, "factorize", counting)
+    factorized = record_factorized_blocks(monkeypatch)
     m = builders.annulus(256)
     report = dynamics.verify_lagrangian(dynamics.solution_space(m))
     assert report["lagrangian"] and not report["rank_ambiguous"]
