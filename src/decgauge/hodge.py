@@ -385,16 +385,17 @@ def _potential(mesh, j: int, dirichlet: bool, rank_tolerance):
     finds (run on no columns if none ran), S_j-orthonormalized by one
     Cholesky of their Gram (:func:`subspaces.orthonormalize`), with their
     pivot gap (none and ``inf`` without a kernel).  A block that may be
-    banded is factorized in its unknowns' barycentre order
-    (:func:`subspaces.barycentre_order`)."""
+    banded is ordered by the lowest, then the highest breadth-first rank of
+    its unknowns' vertices (:attr:`SimplicialComplex.vertex_rank`); a Neumann
+    block of degree 0 passes on the complex's component labels."""
     cx = mesh.complex
     cols = mesh.interior_simplex_mask(j) if dirichlet else slice(None)
     index = np.arange(cx.n_simplices(j))[cols]
     kernel = (relative_betti_oracle if dirichlet else betti_oracle)(mesh, j)
     order = np.arange(index.size)  # the unknowns in the block's order
-    if cx.coordinates is not None and index.size >= subspaces.BANDED_MIN:
-        order = subspaces.barycentre_order(
-            cx.coordinates[cx.simplices[j][index]].mean(axis=1))
+    if index.size >= subspaces.BANDED_MIN and cx.vertex_rank is not None:
+        ends = cx.vertex_rank[cx.simplices[j][index]]
+        order = np.argsort(ends.min(axis=1) * cx.n_vertices + ends.max(axis=1), kind="stable")
     solve, ratio, found = (lambda rhs: rhs), None, []  # an empty block
     if index.size:
         row, col, value = _hodge_block(mesh, j, dirichlet)
@@ -402,8 +403,9 @@ def _potential(mesh, j: int, dirichlet: bool, rank_tolerance):
         at[index[order]] = np.arange(index.size)
         keep = (at[row] >= 0) & (at[col] >= 0)
         block = (value[keep], (at[row[keep]], at[col[keep]]))
+        labels = cx.vertex_components()[order] if j == 0 and not dirichlet else None
         solve, ratio, found = factorize(sparse.coo_matrix(block, shape=(index.size,) * 2),
-                                        rank_tolerance, HodgeError, kernel)
+                                        rank_tolerance, HodgeError, kernel, labels)
 
     def potential(rhs):
         x = np.zeros(np.shape(rhs))

@@ -317,6 +317,37 @@ class SimplicialComplex:
         mask[shared[forest]] = True
         return labels, mask
 
+    _rank_source = None  # (parent complex, vertex map), set by ``_submesh``
+
+    @functools.cached_property
+    def vertex_rank(self):
+        """Each vertex's place in a breadth-first order of the 1-skeleton
+        (Cuthill-McKee), or None without coordinates.  It starts from every
+        vertex at its component's minimum of the longest coordinate axis,
+        ties included, and reaches each vertex's neighbours in index order,
+        so each level keeps the order of the one before.  A hypersurface's
+        complex keeps its region's order (``_rank_source``)."""
+        if self.coordinates is None:
+            return None
+        if self._rank_source is not None:
+            parent, verts = self._rank_source
+            return np.argsort(np.argsort(parent.vertex_rank[verts]))
+        x = self.coordinates[:, int(np.argmax(np.ptp(self.coordinates, axis=0)))]
+        low = np.full(self.n_components(), np.inf)
+        np.minimum.at(low, self._components, x)
+        near = [[] for _ in range(self.n_vertices)]
+        for a, b in (self.simplices[1].tolist() if self.dim else ()):
+            near[a].append(b)
+            near[b].append(a)
+        start = x == low[self._components]
+        order, reached = np.flatnonzero(start).tolist(), start.tolist()
+        for v in order:  # the queue: the loop reaches what it appends
+            for u in near[v]:
+                if not reached[u]:
+                    reached[u] = True
+                    order.append(u)
+        return np.argsort(order)  # the inverse of the order
+
     def oriented_cells(self) -> np.ndarray:
         """Top cells as vertex rows realizing their orientation sign."""
         cells = self.simplices[self.dim].copy()
@@ -420,6 +451,7 @@ class _MetricMesh:
         coords = cx.coordinates[verts] if cx.coordinates is not None else None
         sub = SimplicialComplex(len(verts), np.searchsorted(verts, cells),
                                 coordinates=coords)
+        sub._rank_source = cx, verts
         labels = None
         if face_labels:
             back = np.full(cx.n_simplices(sub.dim), -1)

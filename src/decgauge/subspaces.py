@@ -21,7 +21,8 @@ from .mesh import _components
 #: 10 MB).  Among them, a block of at least ``BANDED_MIN`` unknowns that
 #: splits into ``BANDED_MIN_BLOCKS`` or more diagonal blocks of width
 #: ``max(BANDED_WIDTH_MIN, lower bandwidth)`` is factorized block by block
-#: (:func:`_banded_cholesky`), any other one whole (:func:`_cholesky`).
+#: (:func:`_banded_cholesky`), any other one whole (:func:`_cholesky`).  In
+#: ``hodge``'s breadth-first order the benchmark's have bandwidths of 3-52.
 DENSE_BLOCK_MAX = 1024
 BANDED_MIN, BANDED_MIN_BLOCKS, BANDED_WIDTH_MIN = 256, 3, 32
 
@@ -272,14 +273,6 @@ def _banded_solve(strip, rhs):
     return x
 
 
-def barycentre_order(points):
-    """Stable order of the rows of ``points``, one barycentre per unknown,
-    along the longest axis of their bounding box: on a mesh block it gives
-    :func:`factorize` a small bandwidth."""
-    axis = int(np.argmax(np.ptp(points, axis=0)))
-    return np.argsort(points[:, axis], kind="stable")
-
-
 def _factor(block):
     """The solve of the sparse SPD ``block``, unsummed COO or any format (a
     map of a right-hand side, a vector or columns, to the solution), and its
@@ -308,14 +301,16 @@ def _factor(block):
     return lu.solve, np.abs(lu.U.diagonal())[lu.perm_c]  # U's column j is unknown perm_c^-1[j]
 
 
-def factorize(block, rank_tolerance=tolerances.RANK_REL, error=ValueError, kernel=0):
+def factorize(block, rank_tolerance=tolerances.RANK_REL, error=ValueError, kernel=0,
+              labels=None):
     """The solve of the sparse symmetric positive semidefinite ``block``
     (:func:`_factor`), its pivot ratio, and a list that its first solve
     fills with the block's kernel.  The block has ``kernel`` zero pivots;
     each leaves its row of the Schur complement zero, so the solve
     grounds their unknowns (returns zero there, and factorizes the rest)
     and the other pivots stay as they were (Higham 1990).  They are tried at
-    the last unknown of each component of the block's graph, then at the
+    the last unknown of each component of the block's graph (``labels`` per
+    unknown when the caller holds them, else labelled here), then at the
     last ones; if the rest is singular, located at the smallest pivots of
     the block shifted by 1e-4 of the gate's floor (its largest diagonal
     entry times the rank tolerance).  A pivot ratio of the rest not above
@@ -330,8 +325,9 @@ def factorize(block, rank_tolerance=tolerances.RANK_REL, error=ValueError, kerne
         return solve, _pivot_gate(pivots, rank_tolerance, error), []
     coo, order = block.tocoo(), np.arange(n)[::-1]
     if kernel > 1:  # the last unknown of each component first
-        upper = coo.row < coo.col
-        labels = _components(n, np.column_stack([coo.row[upper], coo.col[upper]]))[0]
+        if labels is None:
+            upper = coo.row < coo.col
+            labels = _components(n, np.column_stack([coo.row[upper], coo.col[upper]]))[0]
         tail = np.zeros(n, dtype=bool)
         tail[n - 1 - np.unique(labels[order], return_index=True)[1]] = True
         order = order[np.argsort(~tail[order], kind="stable")]

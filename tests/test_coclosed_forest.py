@@ -138,9 +138,9 @@ def test_solution_space_gauge_fixes_at_its_tolerance(monkeypatch):
     seen = []
     original = hodge.factorize
 
-    def recording(block, rank_tolerance, error, kernel):
+    def recording(block, rank_tolerance, error, kernel, labels):
         seen.append(rank_tolerance)
-        return original(block, rank_tolerance, error, kernel)
+        return original(block, rank_tolerance, error, kernel, labels)
 
     monkeypatch.setattr(hodge, "factorize", recording)
     space = dynamics.solution_space(builders.annulus(16), rank_tolerance=1e-9)

@@ -251,7 +251,7 @@ def test_banded_projections_match_superlu(spec, monkeypatch):
 
 
 def test_boundary_vertex_block_of_a_large_annulus_is_banded(monkeypatch):
-    # 512 unknowns on two circles, two grounded; band 16 in barycentre order
+    # 512 unknowns on two circles, two grounded; band 5 in the breadth-first order
     sigma = builders.annulus(256).boundary
     seen = record_banded(monkeypatch)
     x = np.random.default_rng(0).standard_normal((sigma.complex.n_simplices(1), 2))
