@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy import sparse
 
-from . import subspaces, tolerances
+from . import tolerances
 from .dec import Cochain, DECError, adjoint_full, codifferential, d, inner_product, norm
 from .mesh import RegionMesh, _components
 from .subspaces import Subspace, factorize, orthonormalize
@@ -384,18 +384,18 @@ def _potential(mesh, j: int, dirichlet: bool, rank_tolerance):
     :class:`Subspace` on every j-simplex: the columns that the first solve
     finds (run on no columns if none ran), S_j-orthonormalized by one
     Cholesky of their Gram (:func:`subspaces.orthonormalize`), with their
-    pivot gap (none and ``inf`` without a kernel).  A block that may be
-    banded is ordered by the lowest, then the highest breadth-first rank of
-    its unknowns' vertices (:attr:`SimplicialComplex.vertex_rank`); a Neumann
-    block of degree 0 passes on the complex's component labels."""
+    pivot gap (none and ``inf`` without a kernel).  On a complex with
+    coordinates the unknowns go by the breadth-first ranks of their vertices
+    (:attr:`SimplicialComplex.vertex_rank`), lowest first, lexicographically;
+    a Neumann block of degree 0 passes on the complex's component labels."""
     cx = mesh.complex
     cols = mesh.interior_simplex_mask(j) if dirichlet else slice(None)
     index = np.arange(cx.n_simplices(j))[cols]
     kernel = (relative_betti_oracle if dirichlet else betti_oracle)(mesh, j)
     order = np.arange(index.size)  # the unknowns in the block's order
-    if index.size >= subspaces.BANDED_MIN and cx.vertex_rank is not None:
-        ends = cx.vertex_rank[cx.simplices[j][index]]
-        order = np.argsort(ends.min(axis=1) * cx.n_vertices + ends.max(axis=1), kind="stable")
+    if cx.vertex_rank is not None:
+        ranks = np.sort(cx.vertex_rank[cx.simplices[j][index]], axis=1)
+        order = np.lexsort(ranks.T[::-1])
     solve, ratio, found = (lambda rhs: rhs), None, []  # an empty block
     if index.size:
         row, col, value = _hodge_block(mesh, j, dirichlet)

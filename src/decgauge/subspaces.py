@@ -18,13 +18,12 @@ from .mesh import _components
 
 #: Blocks up to this size are factorized by a Cholesky in numpy, above it by
 #: SuperLU: below it the Cholesky costs less than importing SuperLU (0.13 s,
-#: 10 MB).  Among them, a block of at least ``BANDED_MIN`` unknowns that
-#: splits into ``BANDED_MIN_BLOCKS`` or more diagonal blocks of width
-#: ``max(BANDED_WIDTH_MIN, lower bandwidth)`` is factorized block by block
-#: (:func:`_banded_cholesky`), any other one whole (:func:`_cholesky`).  In
-#: ``hodge``'s breadth-first order the benchmark's have bandwidths of 3-52.
+#: 10 MB).  The Cholesky goes block by block (:func:`_banded_cholesky`), in
+#: diagonal blocks of width ``max(BANDED_WIDTH_MIN, lower bandwidth)``, one
+#: when that covers the block.  In ``hodge``'s breadth-first order the
+#: benchmark's blocks of 256 or more unknowns have bandwidths of 3-52.
 DENSE_BLOCK_MAX = 1024
-BANDED_MIN, BANDED_MIN_BLOCKS, BANDED_WIDTH_MIN = 256, 3, 32
+BANDED_WIDTH_MIN = 32
 
 
 def _as_gram(gram, dim):
@@ -149,29 +148,8 @@ def null_space(matrix, gram=None, rank_tolerance=tolerances.RANK_REL,
     return out
 
 
-def _forward_solve(factor, rhs, block=64):
-    """Solve ``factor x = rhs`` for a lower triangular ``factor`` by blocked
-    forward substitution.  numpy has no triangular solve and scipy.linalg
-    stays out of this path, so each diagonal block goes through a small LU."""
-    x = np.array(rhs, dtype=float)
-    for i in range(0, factor.shape[0], block):
-        j = i + block
-        x[i:j] = np.linalg.solve(factor[i:j, i:j], x[i:j] - factor[i:j, :i] @ x[:i])
-    return x
-
-
-def _cholesky_solve(factor, rhs, block=64):
-    """Solve ``factor factor^T x = rhs``: :func:`_forward_solve`, then the
-    same blocks backwards on ``factor^T``."""
-    x = _forward_solve(factor, rhs, block)
-    for i in reversed(range(0, factor.shape[0], block)):
-        j = i + block
-        x[i:j] = np.linalg.solve(factor[i:j, i:j].T, x[i:j] - factor[j:, i:j].T @ x[j:])
-    return x
-
-
 def orthonormalize(y, gram, rank_tolerance=None, error=ValueError):
-    """Gram-orthonormal ``Y L^-T`` (:func:`_forward_solve`) for the Cholesky
+    """Gram-orthonormal ``Y L^-T`` (:func:`_lower_inverse`) for the Cholesky
     factor ``L L^T = Y^T diag(gram) Y`` of a full-rank ``Y``, and its pivot
     ratio (:func:`_pivot_gate` at ``rank_tolerance``).  Without one the ratio
     is None and a Gram that is not positive definite raises LinAlgError."""
@@ -181,8 +159,8 @@ def orthonormalize(y, gram, rank_tolerance=None, error=ValueError):
     else:
         factor, pivots = _cholesky(m)
         ratio = _pivot_gate(pivots, rank_tolerance, error)
-    del m  # free the Gram before the solve
-    return _forward_solve(factor, y.T).T, ratio
+    del m  # free the Gram before the product
+    return y @ _lower_inverse(factor).T, ratio
 
 
 def _cholesky(matrix):
@@ -277,21 +255,17 @@ def _factor(block):
     """The solve of the sparse SPD ``block``, unsummed COO or any format (a
     map of a right-hand side, a vector or columns, to the solution), and its
     pivots in the block's order (zero where it is not positive definite), by
-    one of three routes, each summing duplicate entries.  Up to
-    ``DENSE_BLOCK_MAX`` unknowns a Cholesky in numpy: block-tridiagonal
-    (:func:`_banded_cholesky`) when the block is large and narrow enough in
-    its given order (``BANDED_MIN``), else whole.  Above it SuperLU with a
-    minimum degree ordering and no pivoting off the diagonal."""
+    one of two routes, each summing duplicate entries.  Up to
+    ``DENSE_BLOCK_MAX`` unknowns a block-tridiagonal Cholesky in numpy
+    (:func:`_banded_cholesky`) in the block's given order, one diagonal block
+    when its band is as wide as the block.  Above it SuperLU with a minimum
+    degree ordering and no pivoting off the diagonal."""
     n = block.shape[0]
     if n <= DENSE_BLOCK_MAX:
-        if n >= BANDED_MIN:
-            coo = block.tocoo()
-            width = max(BANDED_WIDTH_MIN, int((coo.row - coo.col).max()))
-            if -(-n // width) >= BANDED_MIN_BLOCKS:
-                strip, pivots = _banded_cholesky(coo, width)
-                return functools.partial(_banded_solve, strip), pivots
-        factor, pivots = _cholesky(block.toarray())
-        return functools.partial(_cholesky_solve, factor), pivots
+        coo = block.tocoo()
+        width = min(n, max(BANDED_WIDTH_MIN, int((coo.row - coo.col).max(initial=0))))
+        strip, pivots = _banded_cholesky(coo, max(width, 1))  # an empty block: width 1
+        return functools.partial(_banded_solve, strip), pivots
     from scipy.sparse.linalg import splu
     try:
         lu = splu(block.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,

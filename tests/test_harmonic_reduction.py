@@ -19,19 +19,17 @@ BASES = {"neumann": hodge.harmonic_neumann_basis,
          "dirichlet": hodge.harmonic_dirichlet_basis}
 
 # Projection blocks are factorized by SuperLU above DENSE_BLOCK_MAX unknowns, below it by
-# a Cholesky in numpy: block-tridiagonal when large and narrow enough,
-# whole otherwise.  Every oracle check runs through all three routes.
+# a block-tridiagonal Cholesky in numpy, in diagonal blocks of width
+# max(BANDED_WIDTH_MIN, lower bandwidth) capped at the block's size.  Every
+# oracle check runs through SuperLU and through the Cholesky at both ends of
+# its width: one diagonal block ("dense") and the narrowest ("banded").
 FACTORIZATIONS = pytest.mark.parametrize("route", ["sparse", "dense", "banded"])
 
 
 @pytest.fixture
 def factorization(route, monkeypatch):
     monkeypatch.setattr(subspaces, "DENSE_BLOCK_MAX", 0 if route == "sparse" else 10**9)
-    if route == "banded":  # every block of three or more diagonal blocks
-        monkeypatch.setattr(subspaces, "BANDED_MIN", 1)
-        monkeypatch.setattr(subspaces, "BANDED_WIDTH_MIN", 1)
-    else:
-        monkeypatch.setattr(subspaces, "BANDED_MIN", 10**9)
+    monkeypatch.setattr(subspaces, "BANDED_WIDTH_MIN", 1 if route == "banded" else 10**9)
 
 
 # cube:N=3 has interior edges; glued once it has b = 1, 1, 0, 0; glued twice

@@ -137,20 +137,50 @@ def test_coords_of_a_matrix_are_the_columns_coords(rng):
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
 def test_blocked_cholesky_solve_matches_lu(n, rng):
-    # forward and back substitution by blocks of 64, across block edges
+    # the dense route on a full block (one diagonal block) and on band 31
+    # (diagonal blocks of 32, across their edges), against LU and against
+    # the pivots of the whole Cholesky
     a = rng.standard_normal((n, n))
-    spd = a @ a.T + n * np.eye(n)
-    factor = np.linalg.cholesky(spd)
-    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-        x = subspaces._cholesky_solve(factor, rhs)
-        ref = np.linalg.solve(spd, rhs)
-        assert x.shape == ref.shape
-        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
-    # the forward half alone, on a right-hand side wider than the factor
-    wide = rng.standard_normal((n, 400))
-    x = subspaces._forward_solve(factor, wide)
-    ref = np.linalg.solve(factor, wide)
-    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    for block in (sparse.csr_matrix(a @ a.T + n * np.eye(n)), banded_spd(n, min(31, n - 1), rng)):
+        dense = block.toarray()
+        solve, pivots = subspaces._factor(block)
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3)),
+                    rng.standard_normal((n, 400))):
+            x = solve(rhs)
+            ref = np.linalg.solve(dense, rhs)
+            assert x.shape == ref.shape
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.allclose(pivots, np.diag(np.linalg.cholesky(dense)) ** 2, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 65, 130])
+def test_lower_inverse_matches_inv(n, rng):
+    # np.linalg.inv up to 32 rows, halves above
+    a = rng.standard_normal((n, n))
+    factor = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+    ref = np.linalg.inv(factor)
+    assert np.abs(subspaces._lower_inverse(factor) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_orthonormalize_is_gram_orthonormal_and_spans_y(rng):
+    y, gram = rng.standard_normal((40, 5)), rng.uniform(0.5, 2.0, 40)
+    factor = np.linalg.cholesky(y.T @ (gram[:, None] * y))
+    pivots = np.diag(factor) ** 2
+    for tolerance in (None, 1e-8):
+        q, ratio = subspaces.orthonormalize(y, gram, tolerance)
+        assert np.abs(q.T @ (gram[:, None] * q) - np.eye(5)).max() <= 1e-13
+        assert np.abs(q @ factor.T - y).max() <= 1e-13 * np.abs(y).max()  # Y = Q L^T
+        assert ratio == (None if tolerance is None else
+                         pytest.approx(pivots.min() / pivots.max(), rel=1e-12))
+
+
+def test_rank_deficient_y_raises_in_orthonormalize(rng):
+    y = np.column_stack([rng.standard_normal((40, 4)), np.zeros(40)])
+    gram = rng.uniform(0.5, 2.0, 40)
+    with pytest.raises(Singular, match="singular"):
+        subspaces.orthonormalize(y, gram, 1e-8, Singular)
+    with pytest.raises(np.linalg.LinAlgError):
+        subspaces.orthonormalize(y, gram)
 
 
 class Singular(ValueError):
@@ -167,24 +197,30 @@ def banded_spd(n, band, rng):
     return (sym + sparse.diags(np.full(n, 1.0 - low))).tocsr()
 
 
-def refuse(*args, **kwargs):
-    raise AssertionError("took the whole-block Cholesky")
+def diagonal_blocks(solve):
+    """The number of diagonal blocks of the dense route's ``solve``."""
+    strip = solve.args[0]
+    return -(-len(strip) // (strip.shape[1] // 2))
 
 
-@pytest.mark.parametrize("n, band", [(300, 5), (611, 45), (257, 70), (1000, 31)])
-def test_banded_route_matches_solve(n, band, rng, monkeypatch):
-    # n is no multiple of the width max(32, band); bands below and above 32
+BANDS = [(30, 5, 1), (100, 60, 2), (300, 5, 10), (611, 45, 14), (257, 70, 4), (1000, 31, 32)]
+
+
+@pytest.mark.parametrize("n, band, blocks", BANDS, ids=[f"{n}-{band}" for n, band, _ in BANDS])
+def test_banded_route_matches_solve(n, band, blocks, rng):
+    # width min(n, max(32, band)): one diagonal block up to 32 unknowns, two
+    # when the band is wider than n/2; n is no multiple of the width above
     block = banded_spd(n, band, rng)
     dense = block.toarray()
-    ratio_whole = subspaces._pivot_gate(subspaces._cholesky(dense)[1], 0.0, ValueError)
-    monkeypatch.setattr(subspaces, "_cholesky", refuse)
+    pivots = np.diag(np.linalg.cholesky(dense)) ** 2
     for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
         solve, ratio, _ = subspaces.factorize(block)
+        assert diagonal_blocks(solve) == blocks
         x = solve(rhs)
         ref = np.linalg.solve(dense, rhs)
         assert x.shape == ref.shape
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
-        assert ratio == pytest.approx(ratio_whole, rel=1e-12)
+        assert ratio == pytest.approx(pivots.min() / pivots.max(), rel=1e-12)
 
 
 def weighted_path_laplacian(n, rng, grounded=False):
@@ -197,21 +233,27 @@ def weighted_path_laplacian(n, rng, grounded=False):
     return lap.tocsr()
 
 
-@pytest.mark.parametrize("route", ["banded", "whole", "sparse"])
+# One size per route: the Cholesky in one diagonal block (at most
+# BANDED_WIDTH_MIN unknowns), in several (band 5), and SuperLU.
+ROUTES = {"whole": 30, "banded": 300, "sparse": 1100}
+
+
+def route_of(solve):
+    if getattr(solve, "func", None) is not subspaces._banded_solve:
+        return "sparse"
+    return "whole" if diagonal_blocks(solve) == 1 else "banded"
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
 @pytest.mark.parametrize("where", ["middle", "last"])
-def test_singular_block_raises_on_every_route(route, where, rng, monkeypatch):
-    n = 300
-    if where == "middle":  # zero pivot at unknown 149, in the 5th of 10 blocks
-        block = sparse.block_diag([weighted_path_laplacian(150, rng),
-                                   weighted_path_laplacian(150, rng, True)])
+def test_singular_block_raises_on_every_route(route, where, rng):
+    n = ROUTES[route]
+    if where == "middle":  # a zero pivot at the last unknown of the first half
+        block = sparse.block_diag([weighted_path_laplacian(n // 2, rng),
+                                   weighted_path_laplacian(n - n // 2, rng, True)])
     else:
         block = weighted_path_laplacian(n, rng)
-    if route == "whole":
-        monkeypatch.setattr(subspaces, "BANDED_MIN", 10**9)
-    if route == "sparse":
-        monkeypatch.setattr(subspaces, "DENSE_BLOCK_MAX", 0)
-    if route == "banded":
-        monkeypatch.setattr(subspaces, "_cholesky", refuse)
+    assert route_of(subspaces._factor(block)[0]) == route
     with pytest.raises(Singular, match="singular"):
         subspaces.factorize(block.tocsr(), 1e-8, Singular)
 
@@ -273,16 +315,6 @@ def split_entries(block, rng):
     owner = owner[order]
     return sparse.coo_matrix((coo.data[owner] * share[order],
                               (coo.row[owner], coo.col[owner])), shape=block.shape)
-
-
-# One size per route: whole-block Cholesky, banded Cholesky, SuperLU.
-ROUTES = {"whole": 100, "banded": 300, "sparse": 1100}
-
-
-def route_of(solve):
-    func = getattr(solve, "func", None)
-    return {subspaces._cholesky_solve: "whole",
-            subspaces._banded_solve: "banded"}.get(func, "sparse")
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -354,3 +386,12 @@ def test_grounded_block_solves_on_every_route(route, case, rng, monkeypatch):
     solve = subspaces.factorize(block, 1e-8, Singular, kernel + 1)[0]
     with pytest.raises(Singular, match="no kernel of dimension"):
         solve(rhs)
+
+
+def test_a_block_that_is_all_kernel_leaves_an_empty_block():
+    # one isolated vertex: its unknown is grounded, and the rest, of no
+    # unknowns, is factorized all the same
+    solve, ratio, found = subspaces.factorize(sparse.csr_matrix((1, 1)), 1e-8, Singular, 1)
+    assert ratio is None
+    assert np.array_equal(solve(np.zeros(1)), np.zeros(1))
+    assert np.array_equal(found[0][0], np.ones((1, 1)))

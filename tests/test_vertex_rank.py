@@ -129,3 +129,13 @@ def test_degree_zero_grounding_reads_the_complex_labels(monkeypatch):
     project, record = boundary.coclosed_projector(sigma)
     project(x)
     assert record["grounded"] == 2
+
+
+def test_square_triangle_blocks_fit_the_narrowest_width(monkeypatch):
+    # keyed by their lowest and highest vertex rank alone, the two triangles
+    # of each grid square tied and the block read bandwidth 33
+    m = builders.from_spec("square:N=16")
+    for dirichlet in (False, True):
+        block = potential_block(m, 2, dirichlet, monkeypatch)
+        assert block.shape == (512, 512)
+        assert bandwidth(block) <= subspaces.BANDED_WIDTH_MIN
