@@ -17,8 +17,8 @@ from __future__ import annotations
 import csv
 
 import numpy as np
-from scipy import sparse
 
+from .csr import CSR
 from .mesh import HypersurfaceMesh, RegionMesh
 
 
@@ -139,15 +139,13 @@ def norm(alpha: Cochain) -> float:
 
 def adjoint_full(host, k: int):
     """All rows of the metric adjoint data d^T S_k (without S_{k-1} scaling),
-    built once per host and degree and kept read-only."""
+    built once per host and degree, read-only."""
     if k < 1 or k > host.complex.dim:
         raise DECError(f"no adjoint rows for degree {k}")
     if k not in host._adjoints:
         mat = host.complex.boundary_matrices[k]
-        host._adjoints[k] = sparse.csr_matrix(
-            (mat.data * host.star_diagonal(k)[mat.indices], mat.indices, mat.indptr),
-            shape=mat.shape)
-        host._adjoints[k].data.flags.writeable = False
+        host._adjoints[k] = CSR.from_rows(mat.data * host.star_diagonal(k)[mat.indices],
+                                          mat.indices, mat.indptr, mat.shape)
     return host._adjoints[k]
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy import sparse
 
 from . import tolerances
 from .boundary import (
@@ -25,6 +24,7 @@ from .boundary import (
     trace_columns,
     trace_solution,
 )
+from .csr import CSR
 from .dec import Cochain, DECError, adjoint_full, d, inner_product, normal_trace, tangential_trace
 from .hodge import dirichlet_extension, relative_betti_oracle
 from .mesh import GlueInfo, RegionMesh
@@ -39,12 +39,10 @@ class DynamicsError(ValueError):
 
 def _curvature_adjoint(mesh: RegionMesh):
     """All rows of ``K = d^T S_2 d`` acting on 1-cochains and ``|K|``, sparse,
-    built once per mesh and kept read-only (as :func:`~decgauge.dec.adjoint_full`)."""
+    built once per mesh, read-only (as :func:`~decgauge.dec.adjoint_full`)."""
     if "curvature" not in mesh._adjoints:
-        k = (adjoint_full(mesh, 2) @ mesh.complex.boundary_matrices[2].T).tocsr()
-        k_abs = abs(k)
-        k.data.flags.writeable = k_abs.data.flags.writeable = False
-        mesh._adjoints["curvature"] = k, k_abs
+        k = adjoint_full(mesh, 2) @ mesh.complex.boundary_matrices[2].T
+        mesh._adjoints["curvature"] = k, abs(k)
     return mesh._adjoints["curvature"]
 
 
@@ -432,11 +430,10 @@ def _matched_rows(info: GlueInfo, curvature):
     = a - s b`` (traces agree) and, where the glued edge is interior, ``R_flux
     = K_a + s K_b`` (fluxes cancel).  Edges of the face's perimeter (3D) lie
     on other faces too and stay on the boundary: they get no flux row."""
-    rows = np.arange(info.edge_a.size)
-    shape = (rows.size, info.parent.complex.n_simplices(1))
-    pa = sparse.csr_matrix((np.ones(rows.size), (rows, info.edge_a)), shape=shape)
-    pb = sparse.csr_matrix((info.edge_sign, (rows, info.edge_b)), shape=shape)
-    return (pa - pb).tocsr(), ((pa + pb)[info.interior] @ curvature).tocsr()
+    rows, ones = np.tile(np.arange(info.edge_a.size), 2), np.ones(info.edge_a.size)
+    edges, shape = np.r_[info.edge_a, info.edge_b], (ones.size, info.parent.complex.n_simplices(1))
+    return (CSR(np.r_[ones, -info.edge_sign], rows, edges, shape),
+            CSR(np.r_[ones, info.edge_sign], rows, edges, shape)[info.interior] @ curvature)
 
 
 def gluing_check(glued: RegionMesh, rank_tolerance=tolerances.RANK_REL,
@@ -484,13 +481,14 @@ def gluing_check(glued: RegionMesh, rank_tolerance=tolerances.RANK_REL,
     # Relative to each column's largest entry: a solution may vanish under every row.
     solutions = glued_space.random_solutions(rng, PROBES)
     pulled = p @ solutions
-    rows = sparse.vstack([curv[mesh.interior_simplex_mask(1)], trace, flux])
-    reach = np.linalg.norm(abs(rows) @ np.ones(n1))
-    containment = float((np.linalg.norm(rows @ pulled, axis=0) / np.maximum(
+    rows = (curv[mesh.interior_simplex_mask(1)], trace, flux)
+    reach = np.linalg.norm(np.concatenate([abs(r) @ np.ones(n1) for r in rows]))
+    residual = np.linalg.norm(np.vstack([r @ pulled for r in rows]), axis=0)
+    containment = float((residual / np.maximum(
         reach * np.abs(pulled).max(axis=0, initial=0.0), 1e-300)).max(initial=0.0))
     n0 = cx.n_vertices
-    p0 = sparse.csr_matrix((np.ones(n0), (np.arange(n0), info.simplex_maps[0])))
-    gauge_leak = float(abs(trace @ cx.boundary_matrices[1].T @ p0).max())
+    p0 = CSR(np.ones(n0), np.arange(n0), info.simplex_maps[0], (n0, glued.complex.n_vertices))
+    gauge_leak = float(np.abs((trace @ cx.boundary_matrices[1].T @ p0).data).max(initial=0.0))
     (s_glued, scale_glued), (s_cut, scale_cut) = actions(glued, solutions), actions(mesh, pulled)
     worst_action = gap(s_glued[None], s_cut[None], np.maximum(scale_glued, scale_cut)[None])
 

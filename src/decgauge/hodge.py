@@ -16,9 +16,9 @@ import itertools
 import math
 
 import numpy as np
-from scipy import sparse
 
 from . import tolerances
+from .csr import CSR, _runs
 from .dec import Cochain, DECError, adjoint_full, codifferential, d, inner_product, norm
 from .mesh import RegionMesh, _components
 from .subspaces import Subspace, factorize, orthonormalize
@@ -43,16 +43,11 @@ def _integer_rank(matrix) -> int:
     """
     if matrix is None or min(matrix.shape) == 0:
         return 0
-    mat = sparse.csr_matrix(matrix)
-    indptr, indices, data = mat.indptr, mat.indices.tolist(), mat.data.tolist()
     rows, cols = {}, {}
-    for i in range(mat.shape[0]):
-        row = {j: v for j, v in zip(indices[indptr[i]:indptr[i + 1]],
-                                    data[indptr[i]:indptr[i + 1]]) if v}
-        if row:
-            rows[i] = row
-            for j in row:
-                cols.setdefault(j, set()).add(i)
+    for i, j, v in zip(matrix.row.tolist(), matrix.indices.tolist(), matrix.data.tolist()):
+        if v:
+            rows.setdefault(i, {})[j] = v
+            cols.setdefault(j, set()).add(i)
 
     heap, queued = [], {}
 
@@ -250,7 +245,7 @@ def _hodge_rows(mesh, k: int, dirichlet: bool):
     cx = mesh.complex
     out = []
     if k < cx.dim:
-        out.append((cx.boundary_matrices[k + 1].T.tocsr(), mesh.star_diagonal(k + 1)))
+        out.append((cx.boundary_matrices[k + 1].T, mesh.star_diagonal(k + 1)))
     if k >= 1:
         rows = mesh.interior_simplex_mask(k - 1) if dirichlet else slice(None)
         out.append((adjoint_full(mesh, k)[rows], 1.0 / mesh.star_diagonal(k - 1)[rows]))
@@ -268,12 +263,9 @@ def _hodge_block(mesh, k: int, dirichlet: bool):
         return mesh._hodge_blocks[k, dirichlet]
     parts = []
     for a, w in _hodge_rows(mesh, k, dirichlet):
-        count = np.diff(a.indptr)
-        r = np.repeat(np.arange(len(count)), count)  # the row of each entry
-        width = count[r]
-        p = np.repeat(np.arange(a.nnz), width)  # each entry, once per entry of its row
-        q = np.arange(p.size) - np.repeat(np.cumsum(width) - width - a.indptr[r], width)
-        parts.append((a.indices[p], a.indices[q], (a.data[p] * a.data[q]) * w[r[p]]))
+        p, place = _runs(np.diff(a.indptr)[a.row])  # each entry, once per entry of its row
+        q = a.indptr[a.row[p]] + place
+        parts.append((a.indices[p], a.indices[q], (a.data[p] * a.data[q]) * w[a.row[p]]))
     out = tuple(np.concatenate(x) for x in zip(*parts))
     if dirichlet:
         out = tuple(x[mesh.interior_simplex_mask(k)[out[0]]] for x in out)
@@ -402,10 +394,9 @@ def _potential(mesh, j: int, dirichlet: bool, rank_tolerance):
         at = np.full(cx.n_simplices(j), -1)  # each unknown's place in the block
         at[index[order]] = np.arange(index.size)
         keep = (at[row] >= 0) & (at[col] >= 0)
-        block = (value[keep], (at[row[keep]], at[col[keep]]))
+        block = CSR(value[keep], at[row[keep]], at[col[keep]], (index.size,) * 2)
         labels = cx.vertex_components()[order] if j == 0 and not dirichlet else None
-        solve, ratio, found = factorize(sparse.coo_matrix(block, shape=(index.size,) * 2),
-                                        rank_tolerance, HodgeError, kernel, labels)
+        solve, ratio, found = factorize(block, rank_tolerance, HodgeError, kernel, labels)
 
     def potential(rhs):
         x = np.zeros(np.shape(rhs))
@@ -429,8 +420,8 @@ def _exact_projection(mesh, k: int, dirichlet: bool, rank_tolerance):
     """The S_k-projection onto ``d`` of the (k-1)-cochains (Dirichlet: the
     interior ones), a map of a vector or columns, and its record: the Hodge
     Laplacian of degree k-1 for ``d^T S_k x`` (:func:`_potential`)."""
-    cols = mesh.interior_simplex_mask(k - 1) if dirichlet else slice(None)
-    dt, s = mesh.complex.boundary_matrices[k][cols], mesh.star_diagonal(k)  # d^T
+    dt, s = mesh.complex.boundary_matrices[k], mesh.star_diagonal(k)  # d^T
+    dt = dt[mesh.interior_simplex_mask(k - 1)] if dirichlet else dt
     potential, record, _ = _potential(mesh, k - 1, dirichlet, rank_tolerance)
     return (lambda x: dt.T @ potential(dt @ (s * x.T).T)), record
 
@@ -442,7 +433,7 @@ def _coexact_part(mesh, k: int, x, rank_tolerance):
     (:func:`_potential`)."""
     sb = adjoint_full(mesh, k + 1)  # S_k B
     potential, record, _ = _potential(mesh, k + 1, False, rank_tolerance)
-    return sparse.diags(1.0 / mesh.star_diagonal(k)) @ (sb @ potential(sb.T @ x)), record
+    return ((sb @ potential(sb.T @ x)).T * (1.0 / mesh.star_diagonal(k))).T, record
 
 
 def dirichlet_extension(mesh: RegionMesh, rank_tolerance=tolerances.RANK_REL):
@@ -459,7 +450,7 @@ def dirichlet_extension(mesh: RegionMesh, rank_tolerance=tolerances.RANK_REL):
     interior = mesh.interior_simplex_mask(1)
     row, col, value = _hodge_block(mesh, 1, True)
     cut = ~interior[col]
-    coupling = sparse.csr_matrix((value[cut], (row[cut], col[cut])), shape=(interior.size,) * 2)
+    coupling = CSR(value[cut], row[cut], col[cut], (interior.size,) * 2)
 
     def extend(x):
         y = np.array(x, dtype=float)

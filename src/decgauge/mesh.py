@@ -24,9 +24,9 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from . import tolerances
+from .csr import CSR
 
 #: Input validation, not a gated tolerance (builders never see a run's
 #: table): a cell's edge-length Gram may have eigenvalues down to minus this
@@ -45,16 +45,16 @@ def _parity(rows: np.ndarray) -> np.ndarray:
 
 
 def _unique_rows(rows: np.ndarray):
-    """The distinct rows in lexicographic order, and each row's position
-    among them (``np.unique(rows, axis=0, return_inverse=True)``, by one
-    ``lexsort`` of the integer columns instead of a sort of row records)."""
+    """The distinct rows in lexicographic order, each row's position among
+    them (``np.unique(rows, axis=0, return_inverse=True)``) and the stable
+    ``lexsort`` of the integer columns that finds them."""
     order = np.lexsort(rows.T[::-1])
     ranked = rows[order]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     index = np.empty(len(rows), dtype=np.intp)
     index[order] = np.cumsum(new) - 1
-    return ranked[new], index
+    return ranked[new], index, order
 
 
 def _gram_volume(gram: np.ndarray) -> np.ndarray:
@@ -177,7 +177,7 @@ class SimplicialComplex:
         if degenerate.any():
             cell = tuple(cells[degenerate.argmax()].tolist())
             raise MeshError(f"degenerate cell {cell}")
-        top, where = _unique_rows(ranked)
+        top, where, _ = _unique_rows(ranked)
         if len(top) != len(cells):
             raise MeshError("repeated top cell")
         # Top cells are stored sorted; each keeps the parity of its input order.
@@ -194,13 +194,12 @@ class SimplicialComplex:
         for k in range(self.dim, 0, -1):
             above = self.simplices[0]
             drop = np.nonzero(~np.eye(k + 1, dtype=bool))[1].reshape(k + 1, k)
-            faces, rows = _unique_rows(above[:, drop].reshape(-1, k))
+            faces, rows, order = _unique_rows(above[:, drop].reshape(-1, k))
             signs = np.tile(1 - 2 * (np.arange(k + 1) % 2), len(above))
-            cols = np.repeat(np.arange(len(above)), k + 1)
             self._faces[k, k - 1] = rows.reshape(-1, k + 1)[:, ::-1]
             self.simplices.insert(0, faces)
-            self.boundary_matrices.insert(0, sparse.csr_matrix(
-                (signs, (rows, cols)), shape=(len(faces), len(above))))
+            self.boundary_matrices.insert(0, CSR.from_rows(  # the sort lists cofaces ascending
+                signs[order], order // (k + 1), None, (len(faces), len(above)), rows[order]))
         self.boundary_matrices.insert(0, None)
         # Exact ranks of the boundary matrices, filled in by the homology
         # oracle: key (k, relative), relative meaning restricted to interior
@@ -222,7 +221,7 @@ class SimplicialComplex:
     def _check_dd_zero(self):
         for k in range(2, self.dim + 1):
             prod = self.boundary_matrices[k - 1] @ self.boundary_matrices[k]
-            if prod.nnz and np.any(prod.data != 0):
+            if np.any(prod.data != 0):
                 raise MeshError("boundary of boundary is nonzero")
 
     def _check_manifold_and_orientation(self):
@@ -666,12 +665,11 @@ class GlueInfo:
 
     @functools.cached_property
     def pullback(self):
-        """Edge pullback ``P`` (parent rows) and ``P^T``, sparse, kept read-only."""
-        p = sparse.csr_matrix((self.simplex_signs[1].astype(float), (
-            np.arange(self.simplex_maps[1].size), self.simplex_maps[1])))
-        pt = p.T.tocsr()
-        p.data.flags.writeable = pt.data.flags.writeable = False
-        return p, pt
+        """Edge pullback ``P`` (parent rows) and ``P^T``, sparse, read-only."""
+        edges = self.simplex_maps[1]
+        p = CSR(self.simplex_signs[1].astype(float), np.arange(edges.size), edges,
+                (edges.size, edges.max(initial=-1) + 1))
+        return p, p.T
 
 
 def glue(mesh: RegionMesh, label_a: str, label_b: str, matching: dict,

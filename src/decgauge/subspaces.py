@@ -11,15 +11,15 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy import sparse
 
 from . import tolerances
+from .csr import CSR
 from .mesh import _components
 
 #: Blocks up to this size are factorized by a Cholesky in numpy, above it by
-#: SuperLU: below it the Cholesky costs less than importing SuperLU (0.13 s,
-#: 10 MB).  The Cholesky goes block by block (:func:`_banded_cholesky`), in
-#: diagonal blocks of width ``max(BANDED_WIDTH_MIN, lower bandwidth)``, one
+#: SuperLU: below it the Cholesky costs less than importing scipy (about 0.2 s
+#: and 30 MB).  The Cholesky goes block by block (:func:`_banded_cholesky`),
+#: in diagonal blocks of width ``max(BANDED_WIDTH_MIN, lower bandwidth)``, one
 #: when that covers the block.  In ``hodge``'s breadth-first order the
 #: benchmark's blocks of 256 or more unknowns have bandwidths of 3-52.
 DENSE_BLOCK_MAX = 1024
@@ -192,14 +192,13 @@ def _banded_cholesky(block, width):
     pivots (the squared diagonals of every block factor; zero from the first
     block that is not positive definite).  Block row k of the n x 2w strip
     holds ``L_k,k-1`` and the inverse of ``L_kk``, so :func:`_banded_solve`
-    needs only matmuls; the gather into it sums duplicate entries."""
+    needs only matmuls."""
     n = block.shape[0]
-    coo = block.tocoo()
-    shift = coo.row // width - coo.col // width  # 1: below the diagonal block
+    shift = block.row // width - block.indices // width  # 1: below the diagonal block
     keep = (shift == 0) | (shift == 1)
-    row = coo.row[keep]
-    at = row * (2 * width) + coo.col[keep] - (row // width - 1) * width
-    strip = np.bincount(at, coo.data[keep], n * 2 * width).reshape(n, 2 * width)
+    row = block.row[keep]
+    at = row * (2 * width) + block.indices[keep] - (row // width - 1) * width
+    strip = np.bincount(at, block.data[keep], n * 2 * width).reshape(n, 2 * width)
     pivots = np.zeros(n)
     for i in range(0, n, width):
         rows = strip[i:i + width]
@@ -252,24 +251,24 @@ def _banded_solve(strip, rhs):
 
 
 def _factor(block):
-    """The solve of the sparse SPD ``block``, unsummed COO or any format (a
-    map of a right-hand side, a vector or columns, to the solution), and its
-    pivots in the block's order (zero where it is not positive definite), by
-    one of two routes, each summing duplicate entries.  Up to
-    ``DENSE_BLOCK_MAX`` unknowns a block-tridiagonal Cholesky in numpy
-    (:func:`_banded_cholesky`) in the block's given order, one diagonal block
-    when its band is as wide as the block.  Above it SuperLU with a minimum
-    degree ordering and no pivoting off the diagonal."""
+    """The solve of the SPD :class:`~decgauge.csr.CSR` ``block`` (a map of a
+    right-hand side, a vector or columns, to the solution), and its pivots
+    in the block's order (zero where it is not positive definite), by one of
+    two routes.  Up to ``DENSE_BLOCK_MAX`` unknowns a block-tridiagonal
+    Cholesky in numpy (:func:`_banded_cholesky`) in the block's given order,
+    one diagonal block when its band is as wide as the block.  Above it
+    SuperLU (scipy's, imported here; the symmetric block's rows are its
+    columns) with a minimum degree ordering and no off-diagonal pivoting."""
     n = block.shape[0]
     if n <= DENSE_BLOCK_MAX:
-        coo = block.tocoo()
-        width = min(n, max(BANDED_WIDTH_MIN, int((coo.row - coo.col).max(initial=0))))
-        strip, pivots = _banded_cholesky(coo, max(width, 1))  # an empty block: width 1
+        width = min(n, max(BANDED_WIDTH_MIN, int((block.row - block.indices).max(initial=0))))
+        strip, pivots = _banded_cholesky(block, max(width, 1))  # an empty block: width 1
         return functools.partial(_banded_solve, strip), pivots
-    from scipy.sparse.linalg import splu
+    from scipy.sparse import csc_matrix, linalg
     try:
-        lu = splu(block.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                  options={"SymmetricMode": True})
+        lu = linalg.splu(csc_matrix((block.data, block.indices, block.indptr), shape=block.shape),
+                         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                         options={"SymmetricMode": True})
     except RuntimeError:  # exactly singular
         return None, np.zeros(n)
     return lu.solve, np.abs(lu.U.diagonal())[lu.perm_c]  # U's column j is unknown perm_c^-1[j]
@@ -297,11 +296,11 @@ def factorize(block, rank_tolerance=tolerances.RANK_REL, error=ValueError, kerne
     if not kernel:
         solve, pivots = _factor(block)
         return solve, _pivot_gate(pivots, rank_tolerance, error), []
-    coo, order = block.tocoo(), np.arange(n)[::-1]
+    row, col, order = block.row, block.indices, np.arange(n)[::-1]
     if kernel > 1:  # the last unknown of each component first
         if labels is None:
-            upper = coo.row < coo.col
-            labels = _components(n, np.column_stack([coo.row[upper], coo.col[upper]]))[0]
+            upper = row < col
+            labels = _components(n, np.column_stack([row[upper], col[upper]]))[0]
         tail = np.zeros(n, dtype=bool)
         tail[n - 1 - np.unique(labels[order], return_index=True)[1]] = True
         order = order[np.argsort(~tail[order], kind="stable")]
@@ -309,23 +308,18 @@ def factorize(block, rank_tolerance=tolerances.RANK_REL, error=ValueError, kerne
     def reduce(grounded):  # the factor of the rest
         kept = np.ones(n, dtype=bool)
         kept[grounded] = False
-        place, inner = np.cumsum(kept) - 1, kept[coo.row] & kept[coo.col]
-        rest = (coo.data[inner], (place[coo.row[inner]], place[coo.col[inner]]))
-        return kept, *_factor(sparse.coo_matrix(rest, shape=(n - kernel,) * 2))
+        return kept, *_factor(block[kept, kept])
 
     grounded = np.sort(order[:kernel])
     kept, solve, pivots = reduce(grounded)
     if pivots.size and not pivots.min() > rank_tolerance * pivots.max():  # the rest is singular
-        shift = 1e-4 * rank_tolerance * block.diagonal().max()
-        grounded = np.sort(np.argsort(_factor(block + shift * sparse.identity(n))[1],
-                                      kind="stable")[:kernel])
+        shift, eye = 1e-4 * rank_tolerance * block.data[row == col].max(initial=0.0), np.arange(n)
+        shifted = CSR(np.r_[block.data, n * [shift]], np.r_[row, eye], np.r_[col, eye], (n, n))
+        grounded = np.sort(np.argsort(_factor(shifted)[1], kind="stable")[:kernel])
         kept, solve, pivots = reduce(grounded)
     ratio, checked = _pivot_gate(pivots, rank_tolerance, error, kernel), []
     top, low = pivots.max(initial=0.0), pivots.min(initial=np.inf)
-    at = np.full(n, -1)  # the grounded rows, dense
-    at[grounded] = np.arange(kernel)
-    on = at[coo.row] >= 0
-    rows = np.bincount(at[coo.row[on]] * n + coo.col[on], coo.data[on], kernel * n).reshape(kernel, n)
+    rows = block[grounded].toarray()  # the grounded rows, dense
     coupling = rows[:, kept]
 
     def grounded_solve(rhs):

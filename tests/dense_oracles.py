@@ -29,6 +29,8 @@ and :func:`coclosed_defect` measures boundary data against the codifferential.
 the cut and glued regions, with a numeric equalizer, the route the probe
 identities replaced; :func:`dense_equalizer` is the n1-wide equalizer of the
 cut region's full solutions, from the per-edge seam of :func:`seam_by_edge`.
+:func:`scipy_csr` and :func:`from_scipy` carry matrices between the
+library's :class:`~decgauge.csr.CSR` and scipy.sparse.
 """
 
 import itertools
@@ -37,6 +39,7 @@ import numpy as np
 from scipy import sparse
 
 from decgauge import dynamics, tolerances
+from decgauge.csr import CSR
 from decgauge.boundary import coclosed_projector, trace_columns
 from decgauge.dec import Cochain, adjoint_full, codifferential, norm
 from decgauge.subspaces import (Subspace, from_span, null_space, orthonormalize,
@@ -82,9 +85,20 @@ def restrict_form(w, phi_subspace):
     return reduced, lambda x: q.T @ (w.gram * np.asarray(x, dtype=float).T).T
 
 
+def scipy_csr(op):
+    """The :class:`~decgauge.csr.CSR` ``op`` as a scipy CSR matrix."""
+    return sparse.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape)
+
+
+def from_scipy(matrix):
+    """A scipy sparse (or dense) ``matrix`` as a :class:`~decgauge.csr.CSR`."""
+    coo = sparse.coo_matrix(matrix)
+    return CSR(coo.data, coo.row, coo.col, coo.shape)
+
+
 def laplacian0(host):
     """Sparse weighted 0-form Laplacian d^T S_1 d (closed-complex adjoint)."""
-    d0 = host.complex.boundary_matrices[1].T
+    d0 = scipy_csr(host.complex.boundary_matrices[1]).T
     return d0.T @ sparse.diags(host.star_diagonal(1)) @ d0
 
 
@@ -97,10 +111,10 @@ def row_form_laplacian(mesh, k, dirichlet):
     rows = mesh.interior_simplex_mask(k - 1) if dirichlet and k else slice(None)
     blocks, weights = [], []
     if k < cx.dim:
-        blocks.append(cx.boundary_matrices[k + 1].T)
+        blocks.append(scipy_csr(cx.boundary_matrices[k + 1]).T)
         weights.append(mesh.star_diagonal(k + 1))
     if k >= 1:
-        adjoint = cx.boundary_matrices[k] @ sparse.diags(mesh.star_diagonal(k))
+        adjoint = scipy_csr(cx.boundary_matrices[k]) @ sparse.diags(mesh.star_diagonal(k))
         blocks.append(adjoint.tocsr()[rows])
         weights.append(1.0 / mesh.star_diagonal(k - 1)[rows])
     a = sparse.vstack(blocks).tocsc()
@@ -171,9 +185,9 @@ def reduced_gauge_fixed(mesh, rank_tolerance=tolerances.RANK_REL) -> Subspace:
     interior edges, coclosed gauge ``D = del_1 S_1`` at every vertex), the
     dense null space of the stacked system."""
     cx = mesh.complex
-    d1 = cx.boundary_matrices[2].T
+    d1 = scipy_csr(cx.boundary_matrices[2]).T
     k = (d1.T @ sparse.diags(mesh.star_diagonal(2)) @ d1).tocsr()
-    gauge = (cx.boundary_matrices[1] @ sparse.diags(mesh.star_diagonal(1))).tocsr()
+    gauge = (scipy_csr(cx.boundary_matrices[1]) @ sparse.diags(mesh.star_diagonal(1))).tocsr()
     a = sparse.vstack([k[mesh.interior_simplex_mask(1)], gauge]).tocsr()
     return null_space(a.toarray(), gram=mesh.star_diagonal(1),
                       rank_tolerance=rank_tolerance, n_columns=a.shape[1])
@@ -313,7 +327,8 @@ def r_wide_gluing(glued, rank_tolerance=tolerances.RANK_REL,
     mesh = info.parent
     cx = mesh.complex
     curvature = dynamics._curvature_adjoint(mesh)[0]
-    trace, flux = dynamics._matched_rows(info, curvature)
+    trace, flux = map(scipy_csr, dynamics._matched_rows(info, curvature))
+    curvature = scipy_csr(curvature)
     space, glued_space = (dynamics.solution_space(m, rank_tolerance) for m in (mesh, glued))
     pullback = info.pullback[0]
     pulled = pullback @ glued_space.gauge_fixed_basis.columns
@@ -322,7 +337,7 @@ def r_wide_gluing(glued, rank_tolerance=tolerances.RANK_REL,
     reach = np.linalg.norm(abs(rows) @ np.ones(cx.n_simplices(1)))
     containment = float((np.linalg.norm(rows @ pulled, axis=0) / np.maximum(
         reach * np.abs(pulled).max(axis=0, initial=0.0), 1e-300)).max(initial=0.0))
-    trace_d = (trace @ cx.boundary_matrices[1].T).tocsc()
+    trace_d = (trace @ scipy_csr(cx.boundary_matrices[1]).T).tocsc()
     p0 = sparse.csr_matrix((np.ones(cx.n_vertices), (np.arange(cx.n_vertices),
                                                      info.simplex_maps[0])))
     gauge_leak = float(abs(trace_d @ p0).max())

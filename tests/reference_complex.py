@@ -50,9 +50,12 @@ class ReferenceComplex:
                     rows.append(self.index[k - 1][s[:i] + s[i + 1:]])
                     cols.append(j)
                     vals.append((-1) ** i)
-            self.boundary_matrices.append(sparse.csr_matrix(
+            mat = sparse.csr_matrix(
                 (np.array(vals, dtype=np.int64), (rows, cols)),
-                shape=(len(self.simplices[k - 1]), len(self.simplices[k]))))
+                shape=(len(self.simplices[k - 1]), len(self.simplices[k])))
+            # scipy picks 32-bit indices; decgauge.csr keeps them as np.intp.
+            mat.indices, mat.indptr = mat.indices.astype(np.intp), mat.indptr.astype(np.intp)
+            self.boundary_matrices.append(mat)
 
         self.cofaces = []
         if self.dim:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from decgauge import axioms, builders, cli, dynamics, hodge, mesh, subspaces, tolerances
+from decgauge.csr import CSR
 from dense_oracles import (dense_equalizer, field_equation_matrix, full_basis,
                            r_wide_gluing, seam_by_edge)
 from test_harmonic_reduction import torus_seam
@@ -186,11 +187,10 @@ def _flipped_rows(which):
     def rows(info, curvature):
         trace, flux = original(info, curvature)
         if which == "flux":  # K_a - s K_b at the interior seam edges
-            return trace, (trace[info.interior] @ curvature).tocsr()
-        t = trace.tocoo()
-        on_a = np.isin(t.col, info.edge_a)
-        t.data = np.where(on_a, t.data, -t.data)
-        return t.tocsr(), flux
+            return trace, trace[info.interior] @ curvature
+        on_a = np.isin(trace.indices, info.edge_a)
+        return CSR(np.where(on_a, trace.data, -trace.data), trace.row, trace.indices,
+                   trace.shape), flux
 
     return rows
 
@@ -221,10 +221,10 @@ def _scaled_glued_row(region):
     k, k_abs = _CURVATURE(region)
     if region.glue_info is None:
         return k, k_abs
-    k = k.copy()
     row = region.glue_info.simplex_maps[1][region.glue_info.edge_a[0]]
-    k.data[k.indptr[row]:k.indptr[row + 1]] *= 1 + 1e-6
-    return k, k_abs
+    data = k.data.copy()
+    data[k.indptr[row]:k.indptr[row + 1]] *= 1 + 1e-6
+    return CSR.from_rows(data, k.indices, k.indptr, k.shape), k_abs
 
 
 _MATCHED_ROWS, _CURVATURE = dynamics._matched_rows, dynamics._curvature_adjoint

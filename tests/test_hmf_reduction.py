@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from dense_oracles import from_scipy
 from scipy import sparse
 
 from decgauge import boundary, builders, dynamics, hodge, mesh, subspaces
@@ -152,12 +153,12 @@ def test_faked_boundary_leaves_singular_block(monkeypatch, factorization):
 @FACTORIZATIONS
 def test_factorized_solve_gate(factorization):
     path = sparse.diags([-np.ones(4), 2 * np.ones(5), -np.ones(4)], [-1, 0, 1])
-    solve, ratio, _ = subspaces.factorize(path.tocsr(), 1e-8, hodge.HodgeError)
+    solve, ratio, _ = subspaces.factorize(from_scipy(path), 1e-8, hodge.HodgeError)
     assert np.allclose(path @ solve(np.ones(5)), 1.0) and 1e-8 < ratio <= 1.0
     free = path.tolil()
     free[0, 0] = free[4, 4] = 1.0  # Neumann path Laplacian: constants
     with pytest.raises(hodge.HodgeError, match="singular"):
-        subspaces.factorize(free.tocsr(), 1e-8, hodge.HodgeError)
+        subspaces.factorize(from_scipy(free), 1e-8, hodge.HodgeError)
 
 
 def test_decompose_report_lists_solves(capsys):
@@ -206,24 +207,38 @@ def test_extend_does_not_assemble_the_dense_bulk_system(disk8, monkeypatch):
 
 GUARDED = (["decompose", "--mesh", "square:N=16", "--degree", "1"],
            ["harmonic", "--mesh", "annulus:N=256", "--degree", "1"],
-           ["verify-lagrangian", "--mesh", "solid_torus:K=16"])
+           ["harmonic", "--mesh", "solid_torus:K=16", "--degree", "2"],
+           ["verify-lagrangian", "--mesh", "solid_torus:K=16"],
+           ["verify-axioms", "--mesh", "square:N=4"],
+           ["glue", "--mesh", "strip:N=4", "--faces", "west", "east"],
+           ["ym2d", "--mesh", "disk:N=8"])
+
+
+def _loaded_scipy(argv):
+    """The exit code of ``argv`` in a fresh interpreter and the scipy
+    modules loaded by then."""
+    code = ("import io, json, sys, contextlib\n"
+            "from decgauge.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = main({argv!r})\n"
+            "print(json.dumps([rc, sorted(m for m in sys.modules\n"
+            "                             if m.partition('.')[0] == 'scipy')]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    return tuple(json.loads(out.stdout.split("\n")[0]))
 
 
 @pytest.mark.parametrize("argv", GUARDED, ids=lambda a: " ".join(a[:3]))
 def test_dense_path_loads_no_sparse_solver(argv):
-    # Loading SuperLU and scipy.linalg costs a process 0.11-0.13 s and
-    # 9-10 MB; blocks up to DENSE_BLOCK_MAX must not pay it.
-    code = ("import io, sys, contextlib\n"
-            "from decgauge.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    rc = main({argv!r})\n"
-            "loaded = [m for m in ('scipy.sparse.linalg', 'scipy.linalg')"
-            " if m in sys.modules]\n"
-            "print(rc, loaded)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.split("\n")[0] == "0 []"
+    # Importing scipy costs a process about 0.2 s and 30 MB; only SuperLU,
+    # for blocks above DENSE_BLOCK_MAX, may pay it.
+    assert _loaded_scipy(argv) == (0, [])
+
+
+def test_blocks_above_the_dense_limit_still_load_superlu():
+    rc, loaded = _loaded_scipy(["harmonic", "--mesh", "annulus:N=512", "--degree", "1"])
+    assert rc == 0 and "scipy.sparse.linalg" in loaded
 
 
 @pytest.mark.parametrize("name", ["ann8", "annulus16"])

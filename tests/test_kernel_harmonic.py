@@ -5,7 +5,7 @@ gap, and the integer oracle's count held at construction."""
 
 import numpy as np
 import pytest
-from dense_oracles import dense_harmonic
+from dense_oracles import dense_harmonic, from_scipy
 from scipy import sparse
 from test_harmonic_reduction import (  # noqa: F401 (factorization is a fixture)
     FACTORIZATIONS, factorization, record_factorized_blocks, torus_times_interval)
@@ -72,7 +72,7 @@ def test_an_exact_zero_pivot_keeps_a_finite_gap():
     # An integer path Laplacian: the grounded Schur pivot is exactly zero,
     # and the unit roundoff of the largest kept pivot keeps the gap finite.
     path = sparse.diags([-np.ones(3), [1.0, 2.0, 2.0, 1.0], -np.ones(3)], [-1, 0, 1])
-    solve, ratio, found = subspaces.factorize(path, tolerances.RANK_REL, ValueError, 1)
+    solve, ratio, found = subspaces.factorize(from_scipy(path), tolerances.RANK_REL, ValueError, 1)
     assert not found
     solve(np.zeros((4, 0)))
     (null, gap), = found

@@ -15,6 +15,7 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from decgauge import builders, hodge, mesh
+from dense_oracles import from_scipy
 from test_harmonic_reduction import torus_times_interval
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -199,7 +200,7 @@ def _raw_boundary(cells, k):
     for j, s in enumerate(faces[1]):
         for i in range(k + 1):
             mat[index[s[:i] + s[i + 1:]], j] = (-1) ** i
-    return mat.tocsr()
+    return from_scipy(mat)
 
 
 def test_rank_exact_over_rationals_on_projective_plane():
@@ -218,7 +219,7 @@ def test_rank_exact_over_rationals_on_projective_plane():
 @pytest.mark.parametrize("rows, expected", [([[2, 3], [4, 6]], 1),
                                             ([[2, 0], [0, 3]], 2)])
 def test_rank_with_non_unit_pivots(rows, expected):
-    assert hodge._integer_rank(sparse.csr_matrix(np.array(rows))) == expected
+    assert hodge._integer_rank(from_scipy(sparse.csr_matrix(np.array(rows)))) == expected
 
 
 def test_cli_import_leaves_sympy_out():

@@ -8,13 +8,13 @@ from scipy import sparse
 
 from decgauge import boundary, builders, dynamics, hodge, mesh, subspaces
 from decgauge.dec import Cochain
-from dense_oracles import field_equation_matrix, laplacian0
+from dense_oracles import field_equation_matrix, laplacian0, scipy_csr
 
 
 def dense_gauge_fixed(m, rank_tolerance=1e-8):
     """Null space of the dense stack [K_I; D] of bulk equation and gauge."""
     el = field_equation_matrix(m)
-    adj = (m.complex.boundary_matrices[1]
+    adj = (scipy_csr(m.complex.boundary_matrices[1])
            @ sparse.diags(m.star_diagonal(1))).toarray()
     stacked = np.vstack([el, adj]) if el.size else adj
     return subspaces.null_space(stacked, gram=m.star_diagonal(1),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from dense_oracles import contains
+from dense_oracles import contains, from_scipy
 
 from decgauge import boundary, builders, hodge, subspaces
 from decgauge.dec import Cochain, norm
@@ -143,7 +143,7 @@ def test_blocked_cholesky_solve_matches_lu(n, rng):
     a = rng.standard_normal((n, n))
     for block in (sparse.csr_matrix(a @ a.T + n * np.eye(n)), banded_spd(n, min(31, n - 1), rng)):
         dense = block.toarray()
-        solve, pivots = subspaces._factor(block)
+        solve, pivots = subspaces._factor(from_scipy(block))
         for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3)),
                     rng.standard_normal((n, 400))):
             x = solve(rhs)
@@ -214,7 +214,7 @@ def test_banded_route_matches_solve(n, band, blocks, rng):
     dense = block.toarray()
     pivots = np.diag(np.linalg.cholesky(dense)) ** 2
     for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-        solve, ratio, _ = subspaces.factorize(block)
+        solve, ratio, _ = subspaces.factorize(from_scipy(block))
         assert diagonal_blocks(solve) == blocks
         x = solve(rhs)
         ref = np.linalg.solve(dense, rhs)
@@ -253,9 +253,9 @@ def test_singular_block_raises_on_every_route(route, where, rng):
                                    weighted_path_laplacian(n - n // 2, rng, True)])
     else:
         block = weighted_path_laplacian(n, rng)
-    assert route_of(subspaces._factor(block)[0]) == route
+    assert route_of(subspaces._factor(from_scipy(block))[0]) == route
     with pytest.raises(Singular, match="singular"):
-        subspaces.factorize(block.tocsr(), 1e-8, Singular)
+        subspaces.factorize(from_scipy(block), 1e-8, Singular)
 
 
 def record_banded(monkeypatch):
@@ -324,8 +324,8 @@ def test_unsummed_block_solves_as_its_sum_on_every_route(route, rng):
     split = split_entries(block, rng)
     assert split.nnz > 2 * block.nnz
     rhs = rng.standard_normal((n, 3))
-    solve, ratio, _ = subspaces.factorize(block)
-    solve_split, ratio_split, _ = subspaces.factorize(split)
+    solve, ratio, _ = subspaces.factorize(from_scipy(block))
+    solve_split, ratio_split, _ = subspaces.factorize(from_scipy(split))
     assert route_of(solve) == route_of(solve_split) == route
     x, ref = solve_split(rhs), solve(rhs)
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -336,7 +336,7 @@ def test_unsummed_block_solves_as_its_sum_on_every_route(route, rng):
 def test_unsummed_singular_block_raises_on_every_route(route, rng):
     block = split_entries(weighted_path_laplacian(ROUTES[route], rng), rng)
     with pytest.raises(Singular, match="singular"):
-        subspaces.factorize(block, 1e-8, Singular)
+        subspaces.factorize(from_scipy(block), 1e-8, Singular)
 
 
 def grounding_case(case, n, rng):
@@ -366,7 +366,8 @@ def test_grounded_block_solves_on_every_route(route, case, rng, monkeypatch):
         return original(b)
 
     monkeypatch.setattr(subspaces, "_factor", counting)
-    solve, ratio, _ = subspaces.factorize(split_entries(block, rng), 1e-8, Singular, kernel)
+    solve, ratio, _ = subspaces.factorize(from_scipy(split_entries(block, rng)), 1e-8, Singular,
+                                          kernel)
     # one factorization when the try holds the zero pivots, else the try,
     # the shifted block and the reduced one
     assert len(factored) == (3 if case == "located" else 1)
@@ -382,8 +383,8 @@ def test_grounded_block_solves_on_every_route(route, case, rng, monkeypatch):
     # a kernel counted once too few leaves a zero pivot; once too many
     # grounds a pivot that is not zero, which the first solve refuses
     with pytest.raises(Singular, match="singular"):
-        subspaces.factorize(block, 1e-8, Singular, kernel - 1)
-    solve = subspaces.factorize(block, 1e-8, Singular, kernel + 1)[0]
+        subspaces.factorize(from_scipy(block), 1e-8, Singular, kernel - 1)
+    solve = subspaces.factorize(from_scipy(block), 1e-8, Singular, kernel + 1)[0]
     with pytest.raises(Singular, match="no kernel of dimension"):
         solve(rhs)
 
@@ -391,7 +392,8 @@ def test_grounded_block_solves_on_every_route(route, case, rng, monkeypatch):
 def test_a_block_that_is_all_kernel_leaves_an_empty_block():
     # one isolated vertex: its unknown is grounded, and the rest, of no
     # unknowns, is factorized all the same
-    solve, ratio, found = subspaces.factorize(sparse.csr_matrix((1, 1)), 1e-8, Singular, 1)
+    solve, ratio, found = subspaces.factorize(from_scipy(sparse.csr_matrix((1, 1))), 1e-8,
+                                              Singular, 1)
     assert ratio is None
     assert np.array_equal(solve(np.zeros(1)), np.zeros(1))
     assert np.array_equal(found[0][0], np.ones((1, 1)))

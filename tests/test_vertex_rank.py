@@ -5,6 +5,7 @@ component, kept by hypersurfaces, the bandwidth it leaves the blocks that
 
 import numpy as np
 import pytest
+from dense_oracles import scipy_csr
 from scipy import sparse
 
 from decgauge import boundary, builders, hodge, mesh, subspaces, tolerances
@@ -42,7 +43,7 @@ def potential_block(m, j, dirichlet, monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(hodge, "factorize", recording)
         hodge._potential(m, j, dirichlet, tolerances.RANK_REL)
-    return seen[0].tocoo()
+    return scipy_csr(seen[0]).tocoo()
 
 
 def bandwidth(block):
